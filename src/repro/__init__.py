@@ -26,12 +26,13 @@ Subpackages
     over SAN simulation, exact CTMC solves, the cluster simulator and
     the analytical closed forms, plus a content-addressed result
     cache.
-``repro.resilience``
-    Resilient backend execution: per-evaluation deadlines, retries
-    with derived seeds, per-backend circuit breakers and declarative
-    degradation chains wrapped around any registered backend.
+``repro.exec``
+    Serializable evaluation tasks and the serial, pool and queue
+    executors that run them.
 ``repro.experiments``
-    The evaluation harness regenerating every figure of the paper.
+    The evaluation harness regenerating every figure of the paper,
+    with checkpointed sweeps, one retry loop (retries on derived
+    seeds, then fallback backends) and chaos drills.
 ``repro.validate``
     Statistical validation: goodness-of-fit, metamorphic invariances,
     cross-backend differential cases and golden baselines.

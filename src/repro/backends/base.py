@@ -414,8 +414,15 @@ class BaseBackend:
 def plan_key_dict(params: ModelParameters, plan: EvaluationPlan) -> Dict[str, object]:
     """The canonical JSON-able identity of one evaluation request
     (used by the result cache and anything else that hashes requests).
+
+    The simulation's ``wall_clock_budget`` decides whether a run
+    finishes, never its value, so it is normalised to ``None``: a
+    budgeted request shares its digest with the budget-less one.
     """
-    return {"params": asdict(params), "plan": asdict(plan)}
+    plan_dict = asdict(plan)
+    if plan.simulation.wall_clock_budget is not None:
+        plan_dict["simulation"]["wall_clock_budget"] = None
+    return {"params": asdict(params), "plan": plan_dict}
 
 
 def non_flat_strategy(plan: EvaluationPlan) -> Optional[str]:

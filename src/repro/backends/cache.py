@@ -81,7 +81,8 @@ def request_digest(backend: Backend, params: ModelParameters,
     Everything that can change the value is hashed: the result schema
     version, the backend id and version, every model parameter, and
     the whole evaluation plan (metrics, simulation effort, seed,
-    duration). This is the one key-derivation recipe for the whole
+    duration) except its wall-clock budget, which never changes a
+    value. This is the one key-derivation recipe for the whole
     stack: :class:`ResultCache` files its entries under it and
     :class:`~repro.exec.EvaluationTask` deduplicates on it, so a queue
     coalescing two submissions is exactly the set of requests the

@@ -7,15 +7,18 @@ tasks into :class:`~repro.exec.task.TaskResult` envelopes is an
 :class:`~repro.exec.base.Executor`:
 
 * :class:`~repro.exec.serial.SerialExecutor` — in-process, strict
-  submission order, cooperative timeouts. The conformance reference.
+  submission order; a point timeout reaches it only as the plan's
+  wall-clock budget. The conformance reference.
 * :class:`~repro.exec.pool.PoolExecutor` — ``multiprocessing.Pool``
-  fan-out with preemptive hang detection and pool-death recovery.
+  fan-out with pool-death recovery; the one executor that takes a
+  timeout and kills a hung point.
 * :class:`~repro.exec.queue.QueueExecutor` — file-backed persistent
   queue with priority ordering and cache-key deduplication, so
   concurrent figures sharing points evaluate each point once.
 
-Retry policy, backoff, journaling and failure reporting live one
-layer up, in :class:`~repro.experiments.resilience.SweepSupervisor`,
+Retry policy, backoff, fallback backends, journaling and failure
+reporting live one layer up, in
+:class:`~repro.experiments.resilience.SweepSupervisor`,
 which drives any executor through the same protocol. See
 ``docs/EXECUTION.md`` for the task schema, the executor decision
 tree and the queue layout.

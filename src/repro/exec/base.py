@@ -14,8 +14,9 @@ Capability flags tell the policy layer what it may rely on:
 
 * ``parallel`` — tasks may complete out of submission order.
 * ``preemptive_timeout`` — a hung task can be killed from outside
-  (only the pool can; in-process executors enforce ``point_timeout``
-  cooperatively via the simulation's wall-clock budget).
+  (only the pool can, and only the pool takes a timeout; in-process
+  executors see ``point_timeout`` as the simulation's wall-clock
+  budget).
 * ``persistent`` — submitted work survives a crashed supervisor.
 * ``deduplicates`` — identical submissions (same cache key) are
   coalesced and evaluated once.
@@ -124,7 +125,6 @@ def make_executor(
     processes: Optional[int] = None,
     point_timeout: Optional[float] = None,
     fault_plan: Optional[Any] = None,
-    backend_resilience: Optional[Any] = None,
     queue_dir: Optional[str] = None,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
@@ -135,10 +135,11 @@ def make_executor(
 
     ``"serial"`` runs tasks in-process in submission order;
     ``"pool"`` fans out over ``processes`` worker processes (default
-    2) with preemptive hang detection; ``"queue"`` persists tasks to
-    ``queue_dir`` (required) and coalesces identical submissions on
-    the cache key. Unknown names and a queue without a directory
-    raise :class:`ExecutorError`.
+    2) and kills a task still running after ``point_timeout`` seconds
+    (the only executor that takes a timeout; the others ignore it);
+    ``"queue"`` persists tasks to ``queue_dir`` (required) and
+    coalesces identical submissions on the cache key. Unknown names
+    and a queue without a directory raise :class:`ExecutorError`.
 
     ``clock`` / ``sleep`` / ``pool_factory`` / ``run_task`` are
     injectable for tests (fake time, stub pools, canned evaluation).
@@ -146,12 +147,7 @@ def make_executor(
     if name == "serial":
         from .serial import SerialExecutor
 
-        return SerialExecutor(
-            point_timeout=point_timeout,
-            fault_plan=fault_plan,
-            backend_resilience=backend_resilience,
-            run_task=run_task,
-        )
+        return SerialExecutor(fault_plan=fault_plan, run_task=run_task)
     if name == "pool":
         from .pool import PoolExecutor
 
@@ -159,7 +155,6 @@ def make_executor(
             processes=processes if processes is not None else 2,
             point_timeout=point_timeout,
             fault_plan=fault_plan,
-            backend_resilience=backend_resilience,
             clock=clock,
             sleep=sleep,
             pool_factory=pool_factory,
@@ -174,11 +169,7 @@ def make_executor(
                 "queue_dir= (CLI: --queue-dir)"
             )
         return QueueExecutor(
-            queue_dir,
-            point_timeout=point_timeout,
-            fault_plan=fault_plan,
-            backend_resilience=backend_resilience,
-            run_task=run_task,
+            queue_dir, fault_plan=fault_plan, run_task=run_task
         )
     raise ExecutorError(
         f"unknown executor {name!r}; known: {', '.join(EXECUTOR_IDS)}"

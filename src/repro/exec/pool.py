@@ -87,7 +87,6 @@ class PoolExecutor:
         processes: int = 2,
         point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
-        backend_resilience: Optional[Any] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         pool_factory: Optional[Callable[[], Any]] = None,
@@ -108,7 +107,6 @@ class PoolExecutor:
         self._inflight: Deque[Tuple[EvaluationTask, Any, float]] = deque()
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
-        self._backend_resilience = backend_resilience
         self._clock = clock
         self._sleep = sleep
         self._pool_factory = pool_factory or (
@@ -152,12 +150,7 @@ class PoolExecutor:
     def _run_in_process(self, task: EvaluationTask) -> TaskResult:
         """Degraded-mode execution: evaluate in the supervisor process."""
         self._executed += 1
-        return self._task_function()(
-            task,
-            self._fault_plan,
-            self._backend_resilience,
-            self._point_timeout,
-        )
+        return self._task_function()(task, self._fault_plan)
 
     def drain(self) -> Iterator[TaskResult]:
         """Yield results until no submitted work remains.
@@ -188,7 +181,7 @@ class PoolExecutor:
                     task = self._ready.popleft()
                     async_result = self._pool.apply_async(
                         self._task_function(),
-                        (task, self._fault_plan, self._backend_resilience),
+                        (task, self._fault_plan),
                     )
                     self._inflight.append((task, async_result, now))
                     task = None

@@ -277,22 +277,21 @@ class QueueExecutor:
     def __init__(
         self,
         queue_dir: str,
-        point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
-        backend_resilience: Optional[Any] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
         orphan_age: float = INFLIGHT_SWEEP_AGE_SECONDS,
         clock: Callable[[], float] = time.time,
     ) -> None:
         """Queue executor rooted at ``queue_dir`` (created if missing).
 
-        ``point_timeout`` is the cooperative per-task deadline (the
-        queue executes in-process, like the serial executor);
-        ``orphan_age`` overrides the janitor's lease threshold (tests
-        use 0 to requeue immediately — which also disables the
-        heartbeat). ``run_task`` is the test seam over
-        :func:`~repro.exec.task.execute_task`; ``clock`` the wall
-        clock the janitor and heartbeat share (epoch seconds,
+        The queue executes in-process, like the serial executor, so
+        it takes no timeout (a sweep's ``point_timeout`` arrives as
+        the task plan's wall-clock budget); ``fault_plan`` is
+        forwarded to every task; ``orphan_age`` overrides the
+        janitor's lease threshold (tests use 0 to requeue immediately
+        — which also disables the heartbeat). ``run_task`` is the test
+        seam over :func:`~repro.exec.task.execute_task`; ``clock`` the
+        wall clock the janitor and heartbeat share (epoch seconds,
         comparable to file mtimes).
         """
         self.queue_dir = queue_dir
@@ -304,9 +303,7 @@ class QueueExecutor:
             self._pending_dir, self._inflight_dir, self._results_dir
         ):
             os.makedirs(directory, exist_ok=True)
-        self._point_timeout = point_timeout
         self._fault_plan = fault_plan
-        self._backend_resilience = backend_resilience
         self._run_task = run_task
         self._orphan_age = orphan_age
         self._clock = clock
@@ -424,12 +421,7 @@ class QueueExecutor:
         if runner is None:
             runner = _task.execute_task
         self._executed += 1
-        return runner(
-            task,
-            self._fault_plan,
-            self._backend_resilience,
-            self._point_timeout,
-        )
+        return runner(task, self._fault_plan)
 
     def _dispatch(self, key: str, result: TaskResult) -> List[TaskResult]:
         """Stamp one evaluation's result onto every waiting submission."""

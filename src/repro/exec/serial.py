@@ -7,13 +7,12 @@ so a serial run is the canonical answer the pool and queue executors
 must reproduce bit-for-bit.
 
 A serial executor cannot preempt a hung evaluation (it *is* the
-evaluating process), so ``point_timeout`` is enforced cooperatively:
-the timeout is threaded into :func:`~repro.exec.task.execute_task` as
-a deadline that tightens the simulation's per-replication wall-clock
-budget. A runaway point then raises
+evaluating process), so it takes no timeout. A sweep's
+``point_timeout`` reaches it cooperatively instead, as the
+simulation's wall-clock budget (:func:`~repro.exec.task.tighten_budget`):
+a runaway point raises
 :class:`~repro.san.errors.WallClockExceededError` from inside the
-executive and flows through the normal retry path, instead of hanging
-the sweep forever.
+executive and flows through the normal retry path.
 """
 
 from __future__ import annotations
@@ -41,16 +40,12 @@ class SerialExecutor:
 
     def __init__(
         self,
-        point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
-        backend_resilience: Optional[Any] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
     ) -> None:
         """In-process executor.
 
-        ``point_timeout`` becomes the cooperative per-task deadline
-        (see the module docstring); ``fault_plan`` and
-        ``backend_resilience`` are forwarded to every
+        ``fault_plan`` is forwarded to every
         :func:`~repro.exec.task.execute_task` call. ``run_task``
         overrides the evaluation function itself (test seam); when
         ``None`` the executor resolves
@@ -59,9 +54,7 @@ class SerialExecutor:
         """
         self.notes: List[str] = []
         self._ready: Deque[EvaluationTask] = deque()
-        self._point_timeout = point_timeout
         self._fault_plan = fault_plan
-        self._backend_resilience = backend_resilience
         self._run_task = run_task
         self._executed = 0
 
@@ -82,12 +75,7 @@ class SerialExecutor:
             if runner is None:
                 runner = _task.execute_task
             self._executed += 1
-            yield runner(
-                item,
-                self._fault_plan,
-                self._backend_resilience,
-                self._point_timeout,
-            )
+            yield runner(item, self._fault_plan)
 
     def close(self) -> None:
         """Nothing to release; kept for protocol symmetry."""

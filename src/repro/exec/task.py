@@ -14,12 +14,12 @@ would serve both from one entry".
 
 :func:`execute_task` is the one evaluation recipe every executor runs
 (in-process for the serial and queue executors, inside a worker
-process for the pool): resolve the backend, optionally wrap it in a
-:class:`~repro.resilience.backend.ResilientBackend`, evaluate under
-the task's derived seed, best-effort write the *clean* result through
-to the cache, and fold any exception into a structured
-:class:`TaskResult` failure payload — nothing un-picklable ever
-crosses a process boundary.
+process for the pool): resolve the backend, evaluate under the task's
+derived seed, best-effort write the result through to the cache, and
+fold any exception into a structured :class:`TaskResult` failure
+payload — nothing un-picklable ever crosses a process boundary. It
+makes exactly one attempt: retries and fallbacks belong to
+:class:`~repro.experiments.resilience.SweepSupervisor`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..backends import EvaluationPlan, ResultCache, get_backend
 from ..backends.cache import request_digest
 from ..core.parameters import ModelParameters
 from ..core.simulation import SimulationPlan
-from ..resilience.retry import derive_attempt_seed
+from ..san.rng import stable_stream_key
 
 __all__ = [
     "TASK_SCHEMA_VERSION",
@@ -40,8 +40,10 @@ __all__ = [
     "TaskError",
     "EvaluationTask",
     "TaskResult",
+    "derive_attempt_seed",
     "failure_payload",
     "execute_task",
+    "tighten_budget",
 ]
 
 #: Version of the task / result JSON schema. Bump when a field changes
@@ -56,6 +58,43 @@ Outcome = Tuple[str, float, float, float]
 class TaskError(ValueError):
     """A task or result payload cannot be decoded (wrong schema
     version, missing fields, malformed structure)."""
+
+
+def derive_attempt_seed(base_seed: int, attempt: int) -> int:
+    """The seed of retry ``attempt`` for a point whose first attempt
+    used ``base_seed``.
+
+    Attempt 0 keeps the base seed (so runs without failures match the
+    historical seeding exactly); attempt ``k > 0`` folds ``(seed, k)``
+    through the same stable hash the stream registry uses, giving the
+    retry an independent sample path instead of deterministically
+    replaying whatever poisoned the first attempt.
+    """
+    if attempt == 0:
+        return base_seed
+    return stable_stream_key(f"retry/{base_seed}/{attempt}")
+
+
+def tighten_budget(plan: EvaluationPlan,
+                   seconds: Optional[float]) -> EvaluationPlan:
+    """``plan`` with its simulation ``wall_clock_budget`` at most
+    ``seconds`` (a looser existing budget is replaced, a tighter one
+    kept; ``None`` leaves the plan as it is).
+
+    This is how a per-point timeout reaches the kernel cooperatively:
+    the simulator raises
+    :class:`~repro.san.errors.WallClockExceededError` when the budget
+    runs out. A budget never changes a value, so it does not take part
+    in the request digest (see :func:`repro.backends.base.plan_key_dict`).
+    """
+    if seconds is None:
+        return plan
+    budget = plan.simulation.wall_clock_budget
+    if budget is not None and budget <= seconds:
+        return plan
+    return replace(
+        plan, simulation=replace(plan.simulation, wall_clock_budget=seconds)
+    )
 
 
 def failure_payload(exc: BaseException) -> Dict[str, str]:
@@ -81,8 +120,8 @@ class EvaluationTask:
         The model configuration to evaluate.
     plan:
         The evaluation plan *before* seeding: the effective seed of an
-        attempt is :func:`~repro.resilience.retry.derive_attempt_seed`
-        of ``(base_seed, attempt)``, applied by :meth:`seeded_plan`.
+        attempt is :func:`derive_attempt_seed` of
+        ``(base_seed, attempt)``, applied by :meth:`seeded_plan`.
     backend:
         Registered backend id to evaluate through (resolved by name in
         whichever process runs the task).
@@ -311,10 +350,8 @@ class TaskResult:
 def execute_task(
     task: EvaluationTask,
     fault_plan: Optional[Any] = None,
-    backend_resilience: Optional[Any] = None,
-    deadline: Optional[float] = None,
 ) -> TaskResult:
-    """Evaluate one task; never raise.
+    """Evaluate one task once; never raise.
 
     Resolves the backend by name (backends register at import time in
     every process), evaluates under the task's derived attempt seed,
@@ -322,47 +359,21 @@ def execute_task(
     Exceptions are folded into a structured ``"error"``
     :class:`TaskResult` before they cross any process boundary.
 
-    ``deadline`` is a cooperative per-point wall-clock budget
-    (seconds): it tightens the simulation plan's ``wall_clock_budget``
-    for the *evaluation only*, so in-process executors get best-effort
-    timeout enforcement. The cache entry is still keyed and stored
-    under the task's own (un-tightened) seeded plan — a deadline
-    changes whether a point finishes, never its value, so it must not
-    fork the cache key space.
-
-    With ``backend_resilience`` set, the backend is wrapped in a
-    :class:`~repro.resilience.backend.ResilientBackend` (deadlines,
-    seed-deriving retries, circuit breaker, degradation chain,
-    backend-level fault injection). Only a *clean* execution — the
-    primary backend, first attempt, base seed, exactly what an
-    unfaulted run would produce — is written to the result cache, so
-    the cache can never launder a degraded value into a clean run.
+    ``fault_plan`` (a :class:`~repro.experiments.faultinject.FaultPlan`
+    or :class:`~repro.experiments.faultinject.BackendFaultPlan`) wraps
+    the evaluation in its ``before_task`` / ``after_task`` hooks:
+    crashes and hangs before it, result corruption after it.
     """
     try:
         if fault_plan is not None:
-            fault_plan.before_point(task.index, task.attempt)
+            fault_plan.before_task(task)
         backend = get_backend(task.backend)
-        evaluator = backend
-        if backend_resilience is not None:
-            from ..resilience import ResilientBackend
-
-            evaluator = ResilientBackend(backend, backend_resilience)
         seeded_plan = task.seeded_plan()
-        eval_plan = seeded_plan
-        if deadline is not None:
-            budget = seeded_plan.simulation.wall_clock_budget
-            tightened = deadline if budget is None else min(budget, deadline)
-            eval_plan = replace(
-                seeded_plan,
-                simulation=replace(
-                    seeded_plan.simulation, wall_clock_budget=tightened
-                ),
-            )
-        result = evaluator.evaluate(task.params, eval_plan)
+        result = backend.evaluate(task.params, seeded_plan)
+        if fault_plan is not None:
+            result = fault_plan.after_task(task, result)
         metric_value = result.metric(seeded_plan.metrics[0])
-        report = getattr(evaluator, "last_report", None)
-        cacheable = report is None or report.clean
-        if task.cache_dir and cacheable:
+        if task.cache_dir:
             try:
                 ResultCache(task.cache_dir).put(
                     backend, task.params, seeded_plan, result

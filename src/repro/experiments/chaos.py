@@ -3,29 +3,32 @@ and prove the archive still matches a clean run.
 
 The paper models machines that keep doing useful work while their
 components fail; this module holds the harness to the same standard.
-:func:`run_chaos` regenerates a (sliced, scaled-down) figure twice —
-once cleanly, once with a :class:`~repro.experiments.faultinject.BackendFaultPlan`
-afflicting the primary backend behind a fully armed
-:class:`~repro.resilience.backend.ResilientBackend` (deadline, retry,
-circuit breaker, degradation chain) — and compares the two archives:
+:func:`run_chaos` regenerates a (sliced, scaled-down) figure twice on
+the pool executor — the only executor that can kill an injected hang
+— once cleanly, once with a
+:class:`~repro.experiments.faultinject.BackendFaultPlan` afflicting
+the primary backend under the sweep supervisor's full recovery path
+(point timeout, retries, fallback backends) — and compares the two
+archives:
 
 1. **bitwise** first: because ``san-sim`` and ``san-sim-full`` are
-   trajectory-preserving (identical results per seed), a fault plan
-   that afflicts only the primary backend on *every* attempt forces
-   afflicted points through retries into degradation, and the
-   degraded values must still match the clean run bit for bit;
+   trajectory-preserving (identical results per seed) and a fallback
+   starts again at attempt 0 on the base seed, a fault plan that
+   afflicts only the primary backend on *every* attempt forces
+   afflicted points through retries onto the fallback, and their
+   values must still match the clean run bit for bit;
 2. :func:`~repro.experiments.archive.compare_figures` within
    tolerance otherwise (transient faults that survive on a retry use
    a derived seed, so their values legitimately move within noise);
 3. a :class:`~repro.validate.stats.TolerancePolicy` band cross-check
    on every point, the same agreement bands the differential
-   validation suite (PR 5) uses between backends.
+   validation suite uses between backends.
 
-The faulted run's :class:`~repro.obs.RunManifest` carries the full
-resilience event log — every deadline kill, retry, breaker
-transition, and ``degraded_from`` stamp — which is how the ``repro
-chaos`` CLI (and the ``chaos-smoke`` CI job) asserts that recovery
-actually happened rather than the faults never firing.
+The faulted run's :class:`~repro.obs.RunManifest` carries the
+supervisor's event log — every timeout, failure, retry and
+degradation — which is how the ``repro chaos`` CLI (and the
+``chaos-smoke`` CI job) asserts that recovery actually happened rather
+than the faults never firing.
 """
 
 from __future__ import annotations
@@ -34,20 +37,12 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..resilience import (
-    BackendResilienceOptions,
-    BreakerPolicy,
-    DegradationPolicy,
-    RetryPolicy,
-    reset_breakers,
-)
-from ..resilience import events as resilience_events
 from ..validate.stats import TolerancePolicy
 from .archive import compare_figures, save_figure
 from .config import plan_for
 from .faultinject import BackendFaultPlan
 from .figures import FIGURE_SPECS
-from .resilience import ResilienceOptions
+from .resilience import ResilienceOptions, RetryPolicy
 from .runner import FigureResult, run_sweep
 
 __all__ = ["ChaosOutcome", "default_chaos_resilience", "run_chaos"]
@@ -74,8 +69,7 @@ class ChaosOutcome:
         :class:`~repro.validate.stats.TolerancePolicy` band.
     events_by_kind / degraded:
         Summary of the faulted run's resilience event log (what
-        actually fired: retries, deadline kills, breaker transitions,
-        degradations).
+        actually fired: timeouts, failures, retries, degradations).
     faults_fired:
         At least one injected fault was observed (a chaos run whose
         plan never fires proves nothing).
@@ -155,30 +149,21 @@ def default_chaos_resilience(
     deadline: Optional[float] = 30.0,
     retries: int = 1,
     degrade_to: Tuple[str, ...] = (),
-    state_dir: Optional[str] = None,
-) -> BackendResilienceOptions:
-    """The fully armed resilience configuration a chaos run uses.
+) -> ResilienceOptions:
+    """The sweep options a chaos run's faulted sweep uses.
 
-    Subprocess isolation is always on (an injected hang must be
-    killable), backoff is kept near zero (a chaos run should spend
-    its wall clock simulating, not sleeping), and the breaker trips
-    fast so a permanently afflicted backend is cut off after a couple
-    of points rather than burning deadline budget on each one.
+    ``deadline`` is the pool's point timeout (an injected hang must be
+    killable), ``retries`` the supervisor's retries per backend, and
+    backoff is kept near zero: a chaos run should spend its wall clock
+    simulating, not sleeping.
     """
-    return BackendResilienceOptions(
-        deadline=deadline,
+    return ResilienceOptions(
         retry=RetryPolicy(
-            max_retries=retries, backoff_base=0.01, backoff_max=0.05,
-            jitter=0.0,
+            max_retries=retries, backoff_base=0.01, backoff_max=0.05
         ),
-        breaker=BreakerPolicy(
-            consecutive_failures=3, failure_rate=0.5, window=10,
-            min_calls=6, reset_timeout=3600.0,
-        ),
-        degradation=DegradationPolicy(chain=degrade_to) if degrade_to else None,
-        isolation="process",
-        state_dir=state_dir,
+        point_timeout=deadline,
         fault_plan=fault_plan,
+        degrade_to=tuple(degrade_to),
     )
 
 
@@ -201,12 +186,10 @@ def run_chaos(
     scale: float = 1.0,
     max_points: Optional[int] = None,
     fault_plan: Optional[BackendFaultPlan] = None,
-    options: Optional[BackendResilienceOptions] = None,
+    options: Optional[ResilienceOptions] = None,
     tolerance: float = 0.15,
     policy: Optional[TolerancePolicy] = None,
     out_dir: Optional[str] = None,
-    executor: Optional[str] = None,
-    queue_dir: Optional[str] = None,
 ) -> ChaosOutcome:
     """Run one figure clean and faulted; compare the archives.
 
@@ -215,29 +198,19 @@ def run_chaos(
     shrinks the simulation effort like the validation CLI's
     ``--scale``. ``fault_plan`` defaults to a crash-every-attempt plan
     on half the evaluations of the figure's own backend, and
-    ``options`` defaults to :func:`default_chaos_resilience` with a
-    ``san-sim-full`` degradation chain when the figure runs on
-    ``san-sim``.
+    ``options`` (the faulted sweep's options) defaults to
+    :func:`default_chaos_resilience` with a ``san-sim-full`` fallback
+    when the figure runs on ``san-sim``.
 
-    ``executor`` selects the in-process execution substrate both runs
-    use: ``"serial"`` (the default) or ``"queue"`` (with ``queue_dir``;
-    each run gets its own sub-queue under ``<queue_dir>/clean`` and
-    ``<queue_dir>/faulted`` so the faulted run cannot coalesce against
-    the clean run's results — that would prove nothing). ``"pool"`` is
-    rejected: pooled workers cannot ship their resilience event logs
-    back to the parent, and the comparison depends on the event record
-    to prove faults actually fired. Custom (non-sweep) figures are
-    rejected — there is no point-level evaluation to afflict.
+    Both runs use the pool executor with its default two workers: it
+    is the only executor that can kill a hung evaluation, and the
+    supervisor logs the faulted run's events in the parent process
+    whatever the executor. Custom (non-sweep) figures are rejected —
+    there is no point-level evaluation to afflict.
 
     When ``out_dir`` is given, both archives (and their manifests) are
     saved under ``<out_dir>/clean`` and ``<out_dir>/faulted``.
     """
-    if executor == "pool":
-        raise ValueError(
-            "chaos cannot run on the pool executor: pooled workers do "
-            "not ship their resilience event logs back to the parent; "
-            "use 'serial' or 'queue'"
-        )
     try:
         spec = FIGURE_SPECS[figure_id]
     except KeyError:
@@ -270,9 +243,7 @@ def run_chaos(
     elif options.fault_plan is None:
         options = replace(options, fault_plan=fault_plan)
 
-    def _run(label: str, backend_resilience) -> FigureResult:
-        reset_breakers()
-        resilience_events.drain()
+    def _run(label: str, resilience: ResilienceOptions) -> FigureResult:
         figure = run_sweep(
             figure_id,
             spec.title,
@@ -281,21 +252,15 @@ def run_chaos(
             points,
             plan,
             seed=seed,
-            processes=None,
-            resilience=ResilienceOptions(
-                backend_resilience=backend_resilience
-            ),
+            resilience=resilience,
             backend=backend,
-            executor=executor,
-            queue_dir=(
-                os.path.join(queue_dir, label) if queue_dir is not None else None
-            ),
+            executor="pool",
         )
         if out_dir is not None:
             save_figure(figure, os.path.join(out_dir, label))
         return figure
 
-    clean = _run("clean", None)
+    clean = _run("clean", ResilienceOptions())
     faulted = _run("faulted", options)
 
     bit_identical = clean.series == faulted.series
@@ -328,7 +293,7 @@ def run_chaos(
     summary = section.get("summary") or {}
     by_kind = dict(summary.get("by_kind") or {})
     degraded = list(summary.get("degraded") or [])
-    fault_kinds = {"retry", "deadline_kill", "failure", "breaker", "degraded"}
+    fault_kinds = {"retry", "timeout", "failure", "degraded"}
     faults_fired = any(by_kind.get(kind, 0) > 0 for kind in fault_kinds)
 
     return ChaosOutcome(

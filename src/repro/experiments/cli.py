@@ -18,9 +18,7 @@ Usage::
     python -m repro validate --record --seed 0 --seed 1
     python -m repro validate --check        # per-point drift vs the baselines
     python -m repro validate --perturb mttf_node=0.25   # mutation smoke
-    python -m repro run-figure fig4a --backend-deadline 60 --backend-retries 2 \
-        --degrade-to san-sim-full --breaker-state-dir health
-    python -m repro backends --state-dir health   # breaker state per backend
+    python -m repro run-figure fig4a --retries 2 --degrade-to san-sim-full
     python -m repro chaos fig4a --preset quick --scale 0.1 --max-points 4 \
         --crash 0.5 --hang 0.25 --hang-seconds 120 --deadline 30
     python -m repro worker --queue-dir q --idle-exit 10   # queue drainer
@@ -68,17 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list every experiment id")
-    backends = sub.add_parser(
+    sub.add_parser(
         "backends",
         help="list the registered evaluation backends and their capabilities",
-    )
-    backends.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help=(
-            "also render each backend's circuit-breaker health from the "
-            "state files a resilient run wrote there "
-            "(--breaker-state-dir / chaos --state-dir)"
-        ),
     )
     sub.add_parser(
         "strategies",
@@ -92,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help=(
-            "regenerate a figure clean and under injected backend faults "
-            "(crash/hang/slow/corrupt) behind the resilient execution "
-            "layer, and assert the archives still agree"
+            "regenerate a figure on the pool executor clean and under "
+            "injected backend faults (crash/hang/slow/corrupt), recover "
+            "through retries and fallback backends, and assert the "
+            "archives still agree"
         ),
     )
     chaos.add_argument(
@@ -117,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--crash", type=float, default=0.5, metavar="FRACTION",
         help="fraction of evaluations that crash on every attempt "
-             "(forces degradation; default 0.5)",
+             "(only a fallback backend escapes; default 0.5)",
     )
     chaos.add_argument(
         "--hang", type=float, default=0.0, metavar="FRACTION",
-        help="fraction of evaluations that hang past the deadline",
+        help="fraction of evaluations that hang on every attempt",
     )
     chaos.add_argument(
         "--hang-seconds", type=float, default=3600.0, metavar="SECONDS",
@@ -146,22 +137,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--deadline", type=float, default=30.0, metavar="SECONDS",
-        help="wall-clock deadline per evaluation attempt (default: 30)",
+        help="point timeout: the pool kills an attempt still running "
+             "after it (default: 30)",
     )
     chaos.add_argument(
         "--retries", type=int, default=1, metavar="N",
-        help="retries per evaluation before degrading (default: 1)",
+        help="retries per point and backend before falling back "
+             "(default: 1)",
     )
     chaos.add_argument(
         "--degrade-to", action="append", default=None, metavar="BACKEND",
         help=(
-            "fallback backend chain, in order (repeatable; default: "
+            "fallback backends, in order (repeatable; default: "
             "san-sim-full when the figure runs on san-sim)"
         ),
-    )
-    chaos.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="write circuit-breaker state files here for 'backends --state-dir'",
     )
     chaos.add_argument(
         "--tolerance", type=float, default=0.15,
@@ -171,28 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="DIR",
         help="save both archives under DIR/clean and DIR/faulted",
     )
-    chaos.add_argument(
-        "--executor", default=None, choices=["serial", "queue"],
-        help=(
-            "execution substrate for both runs (default: serial; "
-            "'pool' is rejected because pooled workers cannot ship "
-            "the resilience event log back to the parent)"
-        ),
-    )
-    chaos.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help=(
-            "directory backing the 'queue' executor; each run gets "
-            "its own sub-queue under DIR/clean and DIR/faulted"
-        ),
-    )
 
     worker = sub.add_parser(
         "worker",
         help=(
             "run a long-lived queue drainer: claim tasks from a shared "
-            "--queue-dir, execute them through the resilience layer while "
-            "heartbeating the in-flight lease, exit cleanly on SIGTERM "
+            "--queue-dir, execute them while heartbeating the in-flight "
+            "lease, exit cleanly on SIGTERM "
             "after the current task (see docs/EXECUTION.md, Service mode)"
         ),
     )
@@ -225,19 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--point-timeout", type=float, default=None, metavar="SECONDS",
-        help="cooperative wall-clock limit per task",
-    )
-    worker.add_argument(
-        "--backend-deadline", type=float, default=None, metavar="SECONDS",
-        help="deadline per backend evaluation attempt (resilient wrapper)",
-    )
-    worker.add_argument(
-        "--backend-retries", type=int, default=None, metavar="N",
-        help="retries per backend evaluation (resilient wrapper)",
-    )
-    worker.add_argument(
-        "--degrade-to", action="append", default=None, metavar="BACKEND",
-        help="fallback backend chain (repeatable; resilient wrapper)",
+        help="wall-clock limit per task, applied as the simulation's "
+             "wall-clock budget (cooperative)",
     )
 
     job = sub.add_parser(
@@ -636,8 +599,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "wall-clock limit per point attempt; hung workers are killed "
-            "and retried (requires --processes >= 2)"
+            "wall-clock limit per point attempt: the pool executor kills "
+            "a hung worker and retries the point; serial and queue apply "
+            "it cooperatively as the simulation's wall-clock budget"
         ),
     )
     parser.add_argument(
@@ -658,52 +622,14 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--backend-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock deadline per backend evaluation attempt; enables "
-            "the resilient backend wrapper (see docs/RESILIENCE.md)"
-        ),
-    )
-    parser.add_argument(
-        "--backend-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "retries per backend evaluation with derived seeds and "
-            "backoff (enables the resilient backend wrapper)"
-        ),
-    )
-    parser.add_argument(
         "--degrade-to",
         action="append",
         default=None,
         metavar="BACKEND",
         help=(
-            "fallback backend chain when the primary is exhausted "
-            "(repeatable, in order; enables the resilient backend wrapper)"
-        ),
-    )
-    parser.add_argument(
-        "--backend-isolation",
-        choices=["none", "process"],
-        default=None,
-        help=(
-            "run each evaluation in a disposable subprocess so a hard "
-            "hang is killable at the deadline (default: in-process, "
-            "cooperative deadline only)"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-state-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "write per-backend circuit-breaker state files to DIR; "
-            "render them with 'backends --state-dir DIR'"
+            "fallback backend for a point whose retries ran out "
+            "(repeatable, tried in order; a fallback value is labelled "
+            "DEGRADED and never cached or journaled)"
         ),
     )
     parser.add_argument(
@@ -751,39 +677,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_resilience_from_args(args: argparse.Namespace):
-    """A :class:`~repro.resilience.BackendResilienceOptions` from the
-    ``--backend-*`` / ``--degrade-to`` flags, or ``None`` when none of
-    them was given (the wrapper stays out of the way by default)."""
-    deadline = getattr(args, "backend_deadline", None)
-    retries = getattr(args, "backend_retries", None)
-    degrade_to = getattr(args, "degrade_to", None)
-    isolation = getattr(args, "backend_isolation", None)
-    state_dir = getattr(args, "breaker_state_dir", None)
-    values = (deadline, retries, degrade_to, isolation, state_dir)
-    if all(value is None for value in values):
-        return None
-
-    from ..resilience import (
-        BackendResilienceOptions,
-        DegradationPolicy,
-        RetryPolicy as BackendRetryPolicy,
-    )
-
-    kwargs = {}
-    if deadline is not None:
-        kwargs["deadline"] = deadline
-    if retries is not None:
-        kwargs["retry"] = BackendRetryPolicy(max_retries=retries)
-    if degrade_to:
-        kwargs["degradation"] = DegradationPolicy(chain=tuple(degrade_to))
-    if isolation is not None:
-        kwargs["isolation"] = isolation
-    if state_dir is not None:
-        kwargs["state_dir"] = state_dir
-    return BackendResilienceOptions(**kwargs)
-
-
 def _resilience_from_args(args: argparse.Namespace):
     from .resilience import ResilienceOptions, RetryPolicy
 
@@ -797,7 +690,7 @@ def _resilience_from_args(args: argparse.Namespace):
         point_timeout=getattr(args, "point_timeout", None),
         wall_clock_budget=getattr(args, "wall_clock_budget", None),
         cache_dir=getattr(args, "cache_dir", None),
-        backend_resilience=_backend_resilience_from_args(args),
+        degrade_to=tuple(getattr(args, "degrade_to", None) or ()),
     )
 
 
@@ -1014,7 +907,6 @@ def _worker_command(args: argparse.Namespace) -> int:
             else INFLIGHT_SWEEP_AGE_SECONDS
         ),
         point_timeout=args.point_timeout,
-        backend_resilience=_backend_resilience_from_args(args),
     )
     worker.install_signal_handlers()
     print(
@@ -1284,7 +1176,6 @@ def _chaos_command(args: argparse.Namespace) -> int:
             deadline=args.deadline,
             retries=args.retries,
             degrade_to=degrade_to,
-            state_dir=args.state_dir,
         )
         outcome = run_chaos(
             args.figure,
@@ -1296,8 +1187,6 @@ def _chaos_command(args: argparse.Namespace) -> int:
             options=options,
             tolerance=args.tolerance,
             out_dir=args.out,
-            executor=args.executor,
-            queue_dir=args.queue_dir,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1316,7 +1205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "backends":
-        state_dir = getattr(args, "state_dir", None)
         for backend in all_backends():
             caps = backend.capabilities
             flavor = "exact" if caps.exact else (
@@ -1327,24 +1215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if caps.max_nodes is not None:
                 print(f"    max nodes: {caps.max_nodes}")
             print(f"    {caps.description}")
-            if state_dir is not None:
-                from ..resilience import breaker_state_path, load_breaker_state
-
-                state = load_breaker_state(
-                    breaker_state_path(state_dir, backend.id)
-                )
-                if state is None:
-                    print("    breaker: no state recorded")
-                else:
-                    line = (
-                        f"    breaker: {state.get('state')} "
-                        f"(consecutive failures: "
-                        f"{state.get('consecutive_failures', 0)}, "
-                        f"calls seen: {state.get('calls_seen', 0)})"
-                    )
-                    print(line)
-                    if state.get("last_error"):
-                        print(f"    last error: {state['last_error']}")
         return 0
 
     if args.command == "strategies":

@@ -2,14 +2,17 @@
 
 The paper studies what happens when failures strike *during*
 checkpointing; this module lets the test suite (and the CI smoke job)
-do the same to the harness itself. A :class:`FaultPlan` is attached to
-:class:`~repro.experiments.resilience.ResilienceOptions` and injects,
-deterministically by point index and attempt number:
+do the same to the harness itself. A fault plan is attached to
+:class:`~repro.experiments.resilience.ResilienceOptions` (its
+``fault_plan``), and :func:`~repro.exec.task.execute_task` calls its
+``before_task`` / ``after_task`` hook pair around every evaluation.
+A :class:`FaultPlan` injects, deterministically by point index and
+attempt number:
 
 * **crashes** — the worker raises :class:`InjectedCrash` before
   simulating, exercising the retry/backoff path;
-* **hangs** — the worker sleeps past the supervisor's point timeout,
-  exercising hang detection and pool replacement;
+* **hangs** — the worker sleeps past the point timeout, exercising
+  the pool's hang kill and pool replacement;
 * **aborts** — the supervisor raises :class:`SweepAborted` after the
   k-th completed point has been journaled, simulating the sweep
   process being killed mid-run (the resume path's test vector);
@@ -18,13 +21,12 @@ plus journal-corruption helpers (:func:`corrupt_journal_tail`,
 :func:`corrupt_journal_line`, :func:`truncate_journal`) that model a
 torn write or bit rot in the checkpoint file itself.
 
-:class:`BackendFaultPlan` is the *backend-level* counterpart, applied
-by :class:`~repro.resilience.backend.ResilientBackend` around every
-evaluation attempt: raise / hang / slow / corrupt-result faults,
-deterministic by evaluation key (a seed-free request digest, see
-:func:`~repro.resilience.backend.evaluation_key`) and attempt number.
-The ``repro chaos`` CLI subcommand runs a figure under one and
-asserts the archive still matches a clean run.
+:class:`BackendFaultPlan` is the *backend-level* counterpart through
+the same hooks: raise / hang / slow / corrupt-result faults,
+deterministic by backend id, evaluation key (a seed-free request
+digest, see :func:`evaluation_key`) and attempt number. The ``repro
+chaos`` CLI subcommand runs a figure under one and asserts the
+archive still matches a clean run.
 
 Everything here is picklable: the plans ride into worker processes
 inside the task arguments.
@@ -37,6 +39,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..backends.base import EvaluationPlan, plan_key_dict
+from ..backends.canonical import canonical_json
+from ..core.parameters import ModelParameters
+
 __all__ = [
     "BackendFaultPlan",
     "FaultPlan",
@@ -45,6 +51,7 @@ __all__ = [
     "SweepAborted",
     "corrupt_journal_line",
     "corrupt_journal_tail",
+    "evaluation_key",
     "truncate_journal",
 ]
 
@@ -111,6 +118,15 @@ class FaultPlan:
         return self
 
     # -- hooks ----------------------------------------------------------
+    def before_task(self, task) -> None:
+        """Evaluation hook: :meth:`before_point` for the task's point
+        index and attempt."""
+        self.before_point(task.index, task.attempt)
+
+    def after_task(self, task, result):
+        """Evaluation hook: results pass through unchanged."""
+        return result
+
     def before_point(self, index: int, attempt: int) -> None:
         """Worker-side hook, called before a point is simulated."""
         if attempt in self.hangs.get(index, ()):
@@ -128,6 +144,22 @@ class FaultPlan:
             )
 
 
+def evaluation_key(
+    backend_id: str, params: ModelParameters, plan: EvaluationPlan
+) -> str:
+    """A stable digest identifying one evaluation request, seed excluded.
+
+    Backend fault plans key on it so every retry of the same request
+    faces the same fault decision: the fault models the backend's
+    behaviour for that request, not one sample path.
+    """
+    identity: Dict[str, object] = {"backend": backend_id}
+    identity.update(plan_key_dict(params, plan.with_seed(0)))
+    return hashlib.blake2b(
+        canonical_json(identity).encode("utf-8"), digest_size=16
+    ).hexdigest()
+
+
 def _unit_interval(token: str) -> float:
     """A deterministic value in ``[0, 1)`` hashed from ``token``."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -138,8 +170,9 @@ def _unit_interval(token: str) -> float:
 class BackendFaultPlan:
     """A deterministic schedule of *backend-level* injected faults.
 
-    Applied by :class:`~repro.resilience.backend.ResilientBackend`
-    around each evaluation attempt via :meth:`before_evaluate` /
+    Applied around each evaluation attempt via :meth:`before_task` /
+    :meth:`after_task`, which key the request with
+    :func:`evaluation_key` and call :meth:`before_evaluate` /
     :meth:`after_evaluate`. Whether a given evaluation is afflicted is
     decided by hashing ``(salt, fault kind, evaluation key)`` into
     ``[0, 1)`` and comparing against the configured fraction — the
@@ -152,21 +185,21 @@ class BackendFaultPlan:
     backend_id:
         Only afflict this backend id (``None`` afflicts every
         backend). Pinning the plan to the primary backend while the
-        degradation chain falls back to an unafflicted one is how the
-        chaos smoke stays value-preserving.
+        sweep falls back to an unafflicted one is how the chaos smoke
+        stays value-preserving.
     crash_fraction / crash_attempts:
         Fraction of evaluations that raise
         :class:`InjectedBackendFault`, on the listed attempt numbers
         (``None`` = every attempt, the "permanently broken" shape that
-        forces degradation).
+        only a fallback backend escapes).
     hang_fraction / hang_attempts / hang_seconds:
         Fraction of evaluations that sleep ``hang_seconds`` before
-        evaluating — past the deadline this models a genuine hang the
-        supervisor must kill; below it, a slow-but-successful call.
+        evaluating — past the point timeout this models a genuine hang
+        the pool must kill; below it, a slow-but-successful call.
     slow_fraction / slow_seconds:
         Fraction of evaluations delayed by ``slow_seconds`` (latency
-        injection that should *not* trip anything when the deadline is
-        sized sanely).
+        injection that should *not* trip anything when the point
+        timeout is sized sanely).
     corrupt_fraction / corrupt_attempts / corrupt_factor:
         Fraction of evaluations whose *result* is corrupted: every
         metric mean is multiplied by ``corrupt_factor``. The result
@@ -214,12 +247,25 @@ class BackendFaultPlan:
         return attempts is None or attempt in attempts
 
     # -- hooks ----------------------------------------------------------
+    def before_task(self, task) -> None:
+        """Evaluation hook: :meth:`before_evaluate` for the task's
+        backend, request key and attempt."""
+        key = evaluation_key(task.backend, task.params, task.plan)
+        self.before_evaluate(task.backend, key, task.attempt)
+
+    def after_task(self, task, result):
+        """Evaluation hook: :meth:`after_evaluate` for the task."""
+        key = evaluation_key(task.backend, task.params, task.plan)
+        return self.after_evaluate(task.backend, key, task.attempt, result)
+
+    def after_success(self, completed_count: int) -> None:
+        """Supervisor-side hook: backend faults never abort a sweep."""
+
     def before_evaluate(self, backend_id: str, key: str, attempt: int) -> None:
         """Pre-evaluation hook: inject latency, hangs and crashes.
 
-        Runs *inside* the isolated child process when subprocess
-        isolation is on, so an injected hang is killable exactly like
-        a real one.
+        Runs in whichever process evaluates the task, so on the pool
+        an injected hang is killable exactly like a real one.
         """
         if (self._applies(backend_id, attempt, None)
                 and self._afflicted("slow", self.slow_fraction, key)

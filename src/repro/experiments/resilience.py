@@ -2,8 +2,8 @@
 
 The paper this repository reproduces models systems that survive
 failures by periodically persisting partial state; this module makes
-the *harness itself* practice that discipline. It provides the three
-pieces :func:`~repro.experiments.runner.run_sweep` composes:
+the *harness itself* practice that discipline. It provides the pieces
+:func:`~repro.experiments.runner.run_sweep` composes:
 
 * :class:`CheckpointJournal` — an append-only, fsync'd JSON-lines file
   holding one record per completed sweep point. An interrupted sweep
@@ -13,19 +13,21 @@ pieces :func:`~repro.experiments.runner.run_sweep` composes:
   (the harness-level analogue of a failure *during* checkpointing) are
   detected and truncated back to the last intact record.
 
-* :class:`SweepSupervisor` — the retry/journal *policy* layer. It
-  drives any :class:`~repro.exec.base.Executor` (serial, process
-  pool, persistent queue — see :mod:`repro.exec`): each point is
-  retried up to ``RetryPolicy.max_retries`` times with exponential
-  backoff (each retry on a freshly derived seed stream so a poisoned
-  sample path is not replayed), and a point that exhausts its retries
-  is recorded as a structured :class:`FailureReport` instead of
-  aborting the sweep. Hang detection and pool-death degradation live
-  in the executors themselves.
+* :class:`SweepSupervisor` — the one retry loop. It drives any
+  :class:`~repro.exec.base.Executor` (serial, process pool,
+  persistent queue — see :mod:`repro.exec`): each point is retried up
+  to ``RetryPolicy.max_retries`` times with exponential backoff (each
+  retry on a freshly derived seed stream so a poisoned sample path is
+  not replayed); a point that exhausts its retries moves on to the
+  next ``degrade_to`` fallback backend, and a point no backend could
+  evaluate is recorded as a structured :class:`FailureReport` instead
+  of aborting the sweep. Every retry, timeout, failure and
+  degradation is logged as an event for the run manifest. Killing a
+  hung point is the pool executor's job.
 
 * :class:`ResilienceOptions` / :class:`RetryPolicy` — the
   configuration threaded from the CLI (``--resume``, ``--retries``,
-  ``--point-timeout``, ...) down to the executive.
+  ``--point-timeout``, ``--degrade-to``, ...) down to the executive.
 
 Determinism contract: a point's outcome depends only on its
 ``(params, plan, seed)``; the seed of attempt ``k`` is a stable hash
@@ -40,14 +42,19 @@ import os
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.base import Executor, ExecutorError
 from ..exec.pool import PoolExecutor, shutdown_pool
 from ..exec.serial import SerialExecutor
-from ..exec.task import EvaluationTask, Outcome, TaskResult, failure_payload
-from ..resilience.retry import RetryPolicy, derive_attempt_seed
+from ..exec.task import (
+    EvaluationTask,
+    Outcome,
+    TaskResult,
+    derive_attempt_seed,
+    failure_payload,
+)
 
 __all__ = [
     "CheckpointError",
@@ -61,6 +68,16 @@ __all__ = [
     "derive_attempt_seed",
     "failure_payload",
 ]
+
+#: Failures that end a backend's attempts at once: retrying the same
+#: request on the same backend cannot help.
+PERMANENT_ERRORS = frozenset(
+    {"UnsupportedMetricError", "UnsupportedParametersError"}
+)
+
+#: Failures logged as ``timeout`` events: the pool's kill of a hung
+#: point and the kernel's cooperative wall-clock budget.
+TIMEOUT_ERRORS = frozenset({"PointTimeout", "WallClockExceededError"})
 
 #: Journal key of a point.
 PointKey = Tuple[str, float]
@@ -94,6 +111,42 @@ class FailureReport:
         )
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How failed or hung points are retried.
+
+    ``delay_for(attempt)`` is the backoff slept before attempt
+    ``attempt`` (1-based for retries): ``backoff_base * backoff_factor
+    ** (attempt - 1)``, capped at ``backoff_max``.
+    """
+
+    max_retries: int = 2
+    backoff_base: float = 0.5
+    backoff_factor: float = 2.0
+    backoff_max: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
+        if self.backoff_factor < 1.0:
+            raise ValueError(
+                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+            )
+        if self.backoff_max < 0:
+            raise ValueError(f"backoff_max must be >= 0, got {self.backoff_max}")
+
+    def delay_for(self, attempt: int) -> float:
+        """Backoff (seconds) before the given retry attempt (>= 1)."""
+        if attempt < 1:
+            return 0.0
+        return min(
+            self.backoff_max,
+            self.backoff_base * self.backoff_factor ** (attempt - 1),
+        )
+
+
 @dataclass
 class ResilienceOptions:
     """Sweep-level fault-tolerance configuration.
@@ -109,21 +162,22 @@ class ResilienceOptions:
     retry:
         The per-point retry/backoff policy.
     point_timeout:
-        Wall-clock seconds one point attempt may run before the
-        supervisor declares it hung. The pool executor enforces it
-        preemptively (the hung worker is killed); in-process
-        executors (serial, queue) enforce it cooperatively by
-        tightening the simulation's wall-clock budget, which a note
-        on the figure records.
+        Wall-clock seconds one point attempt may run. The pool
+        executor kills a point still running after it; every
+        executor also gets it as the simulation's wall-clock budget,
+        which is all the in-process executors (serial, queue) can
+        enforce — a note on the figure records that.
     wall_clock_budget:
         Per-replication real-time budget forwarded into
         :class:`~repro.core.simulation.SimulationPlan`; a run that
         exceeds it raises inside the worker and goes through the
         normal retry path.
     fault_plan:
-        Optional :class:`~repro.experiments.faultinject.FaultPlan`
-        used by the tests and the CI smoke job to inject worker
-        crashes, hangs and mid-sweep aborts deterministically.
+        Optional :class:`~repro.experiments.faultinject.FaultPlan` or
+        :class:`~repro.experiments.faultinject.BackendFaultPlan`
+        applied around every evaluation, used by the tests, the chaos
+        drill and the CI smoke jobs to inject crashes, hangs,
+        corrupted results and mid-sweep aborts deterministically.
     cache_dir:
         Root of a content-addressed
         :class:`~repro.backends.cache.ResultCache`. Every evaluated
@@ -132,15 +186,11 @@ class ResilienceOptions:
         unlike the journal (scoped to one sweep configuration), the
         cache is shared across figures, seeds and runs. ``None``
         disables caching.
-    backend_resilience:
-        Optional
-        :class:`~repro.resilience.backend.BackendResilienceOptions`;
-        when set, every worker wraps its evaluation backend in a
-        :class:`~repro.resilience.backend.ResilientBackend` (per-
-        attempt deadlines, seed-deriving retries, circuit breaker,
-        degradation chain, backend-level fault injection). Retried or
-        degraded results are never written to the result cache — only
-        what a clean run would produce may be reused.
+    degrade_to:
+        Fallback backend ids, in order. A point that exhausts its
+        retries on one backend starts again, at attempt 0, on the
+        next. A degraded value is labelled on the figure and never
+        cached or journaled.
     """
 
     checkpoint_dir: Optional[str] = None
@@ -150,7 +200,7 @@ class ResilienceOptions:
     wall_clock_budget: Optional[float] = None
     fault_plan: Optional[Any] = None
     cache_dir: Optional[str] = None
-    backend_resilience: Optional[Any] = None
+    degrade_to: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -407,6 +457,10 @@ class CheckpointJournal:
 class SupervisorResult:
     """Everything a supervised execution produced.
 
+    ``attempts`` counts, per point index, every evaluation that ran:
+    retries and fallback attempts included. ``events`` is the ordered
+    log of retries, timeouts, failures and degradations, one dict per
+    event with its ``kind`` and ``backend`` plus detail.
     ``execution`` is the executor's ``stats()`` snapshot (executor
     id, tasks executed, coalesced count, ...) taken when the run
     finished; the runner folds it into the manifest's ``execution``
@@ -417,7 +471,31 @@ class SupervisorResult:
     failures: List[FailureReport] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     attempts: Dict[int, int] = field(default_factory=dict)
+    events: List[Dict[str, Any]] = field(default_factory=list)
     execution: Optional[Dict[str, Any]] = None
+
+    def record(self, kind: str, backend: str, **detail: Any) -> None:
+        """Append one event to :attr:`events`."""
+        event: Dict[str, Any] = {"kind": kind, "backend": backend}
+        event.update(detail)
+        self.events.append(event)
+
+    def resilience_section(self) -> Optional[Dict[str, Any]]:
+        """The run manifest's ``resilience`` section: the events, their
+        counts by kind and the ``from -> to`` degradation stamps.
+        ``None`` when nothing happened."""
+        if not self.events:
+            return None
+        by_kind: Dict[str, int] = {}
+        degraded: List[str] = []
+        for event in self.events:
+            by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
+            if event["kind"] == "degraded":
+                degraded.append(f"{event['from']} -> {event['to']}")
+        summary: Dict[str, Any] = {"by_kind": by_kind}
+        if degraded:
+            summary["degraded"] = degraded
+        return {"events": list(self.events), "summary": summary}
 
 
 class _PendingQueue:
@@ -451,29 +529,35 @@ class _PendingQueue:
 
 
 class SweepSupervisor:
-    """Retry/journal policy driver: runs point tasks to completion
-    over any executor.
+    """The one retry loop: runs point tasks to completion over any
+    executor.
 
     The supervisor owns *policy* — which attempt to run next, when a
     failed attempt may retry (exponential backoff on a fresh derived
-    seed), when a point is declared failed for good — and delegates
-    *mechanism* (processes, hang preemption, persistence, dedup) to
-    an :class:`~repro.exec.base.Executor`.
+    seed), when a point moves on to a fallback backend, when it is
+    declared failed for good — and delegates *mechanism* (processes,
+    hang kills, persistence, dedup) to an
+    :class:`~repro.exec.base.Executor`. It is the only code that
+    advances a task's attempt number.
 
     Parameters
     ----------
     options:
-        The :class:`ResilienceOptions` in effect.
+        The :class:`ResilienceOptions` in effect. ``degrade_to`` is
+        used as given: :func:`~repro.experiments.runner.run_sweep`
+        checks the fallbacks against the sweep before passing them on.
     processes:
         Worker process count used when no ``executor`` is passed:
         ``1`` builds a :class:`~repro.exec.serial.SerialExecutor`,
         ``>= 2`` a :class:`~repro.exec.pool.PoolExecutor`.
     on_success:
         Callback ``(task, outcome, attempt, seed_used) -> None`` fired
-        (in the supervisor process) after each completed point —
-        journal append, progress reporting and fault-plan abort hooks
-        live there. Exceptions it raises propagate: an abort injected
-        mid-sweep behaves exactly like the process being killed.
+        (in the supervisor process) after each completed point with
+        the task that produced it (a fallback task carries its
+        fallback backend) — journal append, progress reporting and
+        fault-plan abort hooks live there. Exceptions it raises
+        propagate: an abort injected mid-sweep behaves exactly like
+        the process being killed.
     clock / sleep / pool_factory:
         Injectable time source, sleep function and worker-pool
         constructor (defaults: ``time.monotonic``, ``time.sleep``,
@@ -515,7 +599,8 @@ class SweepSupervisor:
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[EvaluationTask]) -> SupervisorResult:
-        """Drive every task to success or exhausted retries."""
+        """Drive every task to success or to exhausted retries on
+        every backend."""
         result = SupervisorResult()
         if not tasks:
             return result
@@ -533,8 +618,7 @@ class SweepSupervisor:
             result.notes.append(
                 "point_timeout is enforced cooperatively (as a simulation "
                 f"wall-clock budget) by the {executor.capabilities.name!r} "
-                "executor; use the pool executor (processes >= 2) to "
-                "preempt hung points"
+                "executor; use the pool executor to kill hung points"
             )
         try:
             self._drive(executor, queue, by_index, result)
@@ -554,17 +638,13 @@ class SweepSupervisor:
                 processes=self.processes,
                 point_timeout=options.point_timeout,
                 fault_plan=options.fault_plan,
-                backend_resilience=options.backend_resilience,
                 clock=self._clock,
                 sleep=self._sleep,
                 pool_factory=self._pool_factory,
                 run_task=self._run_task,
             )
         return SerialExecutor(
-            point_timeout=options.point_timeout,
-            fault_plan=options.fault_plan,
-            backend_resilience=options.backend_resilience,
-            run_task=self._run_task,
+            fault_plan=options.fault_plan, run_task=self._run_task
         )
 
     def _drive(
@@ -575,6 +655,9 @@ class SweepSupervisor:
         result: SupervisorResult,
     ) -> None:
         """The submit/backoff/collect loop shared by every executor."""
+        primary = {index: task.backend for index, task in by_index.items()}
+        fallbacks_used: Dict[int, int] = {}
+        last_error: Dict[int, str] = {}
         results_iter = None
         stalled = False
         while queue or executor.pending:
@@ -608,63 +691,75 @@ class SweepSupervisor:
             task = by_index.get(task_result.index)
             if task is None:
                 continue  # not ours (shared persistent queue)
+            index = task.index
+            attempt = task_result.attempt
+            result.attempts[index] = result.attempts.get(index, 0) + 1
             if task_result.ok:
-                self._record_success(
-                    task, task_result.outcome, task_result.attempt, result
-                )
-            else:
-                self._record_attempt_failure(
-                    task,
-                    task_result.attempt,
-                    task_result.failure or {},
-                    queue,
-                    result,
-                    self._clock(),
-                )
-
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-    def _record_success(
-        self,
-        task: EvaluationTask,
-        outcome: Outcome,
-        attempt: int,
-        result: SupervisorResult,
-    ) -> None:
-        result.outcomes[task.index] = outcome
-        result.attempts[task.index] = attempt + 1
-        if self.on_success is not None:
-            self.on_success(
-                task, outcome, attempt, derive_attempt_seed(task.base_seed, attempt)
+                if task.backend != primary[index]:
+                    result.record(
+                        "degraded", task.backend, cause=last_error[index],
+                        **{"from": primary[index], "to": task.backend},
+                    )
+                result.outcomes[index] = task_result.outcome
+                if self.on_success is not None:
+                    self.on_success(
+                        task, task_result.outcome, attempt,
+                        derive_attempt_seed(task.base_seed, attempt),
+                    )
+                continue
+            payload = task_result.failure or {}
+            error_type = payload.get("error_type", "Exception")
+            error = f"{error_type}: {payload.get('error_message', '')}"
+            last_error[index] = error
+            result.record(
+                "timeout" if error_type in TIMEOUT_ERRORS else "failure",
+                task.backend, attempt=attempt, error=error,
             )
-
-    def _record_attempt_failure(
-        self,
-        task: EvaluationTask,
-        attempt: int,
-        payload: Dict[str, str],
-        queue: _PendingQueue,
-        result: SupervisorResult,
-        now: float,
-    ) -> None:
-        retry = self.options.retry
-        if attempt < retry.max_retries:
-            next_attempt = attempt + 1
-            queue.defer(task.index, next_attempt, now + retry.delay_for(next_attempt))
-        else:
-            result.attempts[task.index] = attempt + 1
+            if self._retry(task, attempt, error_type, queue, result):
+                continue
+            stage = fallbacks_used.get(index, 0)
+            if stage < len(self.options.degrade_to):
+                # The next backend starts again at attempt 0 (the base
+                # seed) and never writes to the cache.
+                fallbacks_used[index] = stage + 1
+                by_index[index] = replace(
+                    task, backend=self.options.degrade_to[stage],
+                    cache_dir=None,
+                )
+                queue.ready.append((index, 0))
+                continue
             result.failures.append(
                 FailureReport(
                     series=task.series,
                     x=float(task.x),
-                    index=task.index,
-                    attempts=attempt + 1,
-                    error_type=payload.get("error_type", "Exception"),
+                    index=index,
+                    attempts=result.attempts[index],
+                    error_type=error_type,
                     error_message=payload.get("error_message", ""),
                     traceback=payload.get("traceback", ""),
                 )
             )
+
+    def _retry(
+        self,
+        task: EvaluationTask,
+        attempt: int,
+        error_type: str,
+        queue: _PendingQueue,
+        result: SupervisorResult,
+    ) -> bool:
+        """Schedule the next attempt of a failed one on the same
+        backend; False when its retries there are spent."""
+        retry = self.options.retry
+        if attempt >= retry.max_retries or error_type in PERMANENT_ERRORS:
+            return False
+        delay = retry.delay_for(attempt + 1)
+        result.record(
+            "retry", task.backend, attempt=attempt + 1, delay=delay,
+            seed=derive_attempt_seed(task.base_seed, attempt + 1),
+        )
+        queue.defer(task.index, attempt + 1, self._clock() + delay)
+        return True
 
     #: Kept under its historical name: pool shutdown-error semantics
     #: are pinned by the tier-1 tests through this alias.

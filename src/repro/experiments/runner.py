@@ -10,9 +10,10 @@ x-grid and one series of y-values per curve.
 Execution is fault tolerant (see :mod:`repro.experiments.resilience`):
 with a ``checkpoint_dir`` every completed point is journaled and an
 interrupted sweep resumes bit-identically; failed or hung points are
-retried with exponential backoff and, if they never succeed, reported
-as structured :class:`~repro.experiments.resilience.FailureReport`
-entries on the figure instead of aborting the other points. With a
+retried with exponential backoff, then handed to the ``degrade_to``
+fallback backends, and, if they never succeed, reported as structured
+:class:`~repro.experiments.resilience.FailureReport` entries on the
+figure instead of aborting the other points. With a
 ``cache_dir`` every evaluated point is also stored in a
 content-addressed :class:`~repro.backends.cache.ResultCache`, so a
 repeated or resumed sweep re-uses identical points *across runs* —
@@ -28,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..backends import (
     DERIVED_METRICS,
+    BackendError,
     EvaluationPlan,
     ResultCache,
     UnsupportedMetricError,
@@ -38,6 +40,7 @@ from ..backends import (
 from ..core.parameters import ModelParameters
 from ..core.simulation import SimulationPlan
 from ..exec import EvaluationTask, Executor, make_executor
+from ..exec.task import tighten_budget
 from ..obs import RunManifest, metrics as obs_metrics
 from ..obs.trace import JsonlTraceSink, default_sink
 from ..san import profiling
@@ -152,7 +155,6 @@ def _resolve_executor(
                 processes=processes,
                 point_timeout=options.point_timeout,
                 fault_plan=options.fault_plan,
-                backend_resilience=options.backend_resilience,
                 queue_dir=queue_dir,
             ),
             True,
@@ -296,9 +298,13 @@ def run_sweep(
     the backend's capabilities are checked against the metric and
     every point's parameters before any work starts.
 
-    ``resilience`` configures checkpointing, resume, retries, timeouts
-    and fault injection; see
-    :class:`~repro.experiments.resilience.ResilienceOptions`. With a
+    ``resilience`` configures checkpointing, resume, retries, timeouts,
+    fallback backends and fault injection; see
+    :class:`~repro.experiments.resilience.ResilienceOptions`. Each
+    ``degrade_to`` fallback is checked against the metric and every
+    point up front, like ``backend``; one that fails the check is
+    skipped with a note. A point that falls back is labelled
+    ``DEGRADED`` on the figure and is never cached or journaled. With a
     ``checkpoint_dir`` the sweep journals every completed point to
     ``<checkpoint_dir>/<figure_id>.journal.jsonl`` and a re-run resumes
     from it, producing a figure bit-identical to an uninterrupted run.
@@ -327,14 +333,10 @@ def run_sweep(
     options = resilience or ResilienceOptions()
     if options.wall_clock_budget is not None:
         plan = replace(plan, wall_clock_budget=options.wall_clock_budget)
-    if options.backend_resilience is not None:
-        # Discard events a previously interrupted run may have left so
-        # this run's manifest records only its own story.
-        from ..resilience import events as resilience_events
 
-        resilience_events.drain()
-
-    eval_plan = sweep_eval_plan(metric, plan, seed)
+    eval_plan = tighten_budget(
+        sweep_eval_plan(metric, plan, seed), options.point_timeout
+    )
     base_metric = eval_plan.metrics[0]
     backend_obj = _check_backend(backend, metric, points, eval_plan)
 
@@ -344,6 +346,18 @@ def run_sweep(
         # Flat sweeps carry no note so pre-zoo archives stay
         # bit-identical; non-flat runs are visibly labelled.
         notes.append(f"checkpoint strategy: {plan.strategy}")
+    fallbacks = options.degrade_to
+    if backend in fallbacks:
+        # A chain naming the primary continues after it.
+        fallbacks = fallbacks[fallbacks.index(backend) + 1:]
+    checked_fallbacks: List[str] = []
+    for fallback in dict.fromkeys(fallbacks):
+        try:
+            _check_backend(fallback, metric, points, eval_plan)
+        except BackendError as exc:
+            notes.append(f"fallback backend {fallback!r} skipped: {exc}")
+        else:
+            checked_fallbacks.append(fallback)
     completed: Dict[Tuple[str, float], Outcome] = {}
     journal: Optional[CheckpointJournal] = None
     if options.checkpoint_dir:
@@ -425,7 +439,9 @@ def run_sweep(
     def on_success(task: EvaluationTask, outcome: Outcome, attempt: int,
                    seed_used: int) -> None:
         nonlocal done, completed_this_run
-        if journal is not None:
+        # A fallback backend's value is never journaled: a resumed run
+        # must not serve it as the primary backend's.
+        if journal is not None and task.backend == backend:
             journal.record_point(
                 task.index, outcome[0], outcome[1], outcome[2], outcome[3],
                 attempt, seed_used,
@@ -442,7 +458,7 @@ def run_sweep(
         executor, queue_dir, processes, options
     )
     supervisor = SweepSupervisor(
-        options,
+        replace(options, degrade_to=tuple(checked_fallbacks)),
         processes=worker_count,
         on_success=on_success,
         executor=exec_instance,
@@ -497,41 +513,21 @@ def run_sweep(
     for label in figure.series:
         figure.series[label].sort(key=lambda p: p[0])
 
-    # Backend-level resilience bookkeeping: drain the structured event
-    # log (serial sweeps see every event; pooled workers keep theirs,
-    # which is noted rather than papered over) into the figure notes
-    # and the manifest's resilience section.
-    resilience_section: Optional[Dict[str, object]] = None
-    if options.backend_resilience is not None:
-        from ..resilience import events as resilience_events
-
-        res_events = resilience_events.drain()
-        summary = resilience_events.summarize(res_events)
-        resilience_section = {
-            "events": res_events,
-            "summary": summary,
-        }
-        pooled = (
-            exec_instance.capabilities.name == "pool"
-            if exec_instance is not None
-            else worker_count > 1
-        )
-        if pooled:
-            resilience_section["note"] = (
-                "pooled workers log resilience events in their own "
-                "processes; this section covers supervisor-side events only"
-            )
+    # Retries, timeouts, failures and fallbacks, as the supervisor saw
+    # them; nothing is added when nothing happened.
+    resilience_section = supervised.resilience_section()
+    if resilience_section is not None:
+        summary = resilience_section["summary"]
         # ``figure.notes`` is the same list object as ``notes``.
         for stamp in sorted(set(summary.get("degraded", []))):
             notes.append(f"DEGRADED: {stamp}")
-        by_kind = summary.get("by_kind", {})
-        if by_kind:
-            notes.append(
-                "backend resilience: "
-                + ", ".join(
-                    f"{kind}={count}" for kind, count in sorted(by_kind.items())
-                )
+        notes.append(
+            "resilience: "
+            + ", ".join(
+                f"{kind}={count}"
+                for kind, count in sorted(summary["by_kind"].items())
             )
+        )
 
     new_evaluations = len(supervised.outcomes)
     retries = sum(

@@ -111,14 +111,14 @@ class RunManifest:
         :class:`~repro.validate.report.ValidationReport`); ``None``
         when no validation accompanied the run.
     resilience:
-        Optional record of backend-level resilience activity (see
-        :mod:`repro.resilience.events`): the structured event list —
-        every deadline kill, retry, breaker transition and
-        ``degraded_from`` stamp — plus a by-kind summary. ``None``
-        when the run did not use a resilient backend wrapper. The
-        field is additive and optional, so the schema version is
-        unchanged: old manifests load as ``None``, and readers that
-        predate it simply ignore the key.
+        Optional record of the sweep supervisor's recovery activity
+        (see :meth:`~repro.experiments.resilience.SupervisorResult.resilience_section`),
+        on every executor: the structured event list — every
+        timeout, failure, retry and fallback — plus a by-kind summary
+        and the ``from -> to`` degradation stamps. ``None`` when
+        nothing happened. The field is additive and optional, so the
+        schema version is unchanged: old manifests load as ``None``,
+        and readers that predate it simply ignore the key.
     execution:
         Optional record of how the run's tasks were executed (see
         :mod:`repro.exec`): the executor id, tasks executed, coalesced

@@ -9,8 +9,9 @@ contract:
    stopped heartbeating are requeued);
 2. claim the first pending file by atomic rename (losing the race to
    a sibling worker just means trying the next file);
-3. execute the task through the standard resilience-wrapped
-   :func:`~repro.exec.task.execute_task` while an
+3. execute the task through the standard
+   :func:`~repro.exec.task.execute_task` (with ``--point-timeout`` as
+   the plan's wall-clock budget) while an
    :class:`~repro.exec.InflightLease` heartbeats the claim, so
    however slow the point is, no other janitor steals it;
 4. store an ok result in ``results/<key>.json`` (the same store
@@ -42,7 +43,8 @@ import json
 import os
 import signal
 import time
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import replace
+from typing import Callable, Dict, Optional
 
 from ..exec import InflightLease, TaskError, TaskResult
 from ..exec.queue import (
@@ -51,7 +53,7 @@ from ..exec.queue import (
     claim_next_pending,
     sweep_orphaned_inflight,
 )
-from ..exec.task import EvaluationTask, execute_task
+from ..exec.task import EvaluationTask, execute_task, tighten_budget
 from ..obs import metrics as obs_metrics
 from .jobs import write_metrics_snapshot
 
@@ -79,8 +81,10 @@ class ServiceWorker:
         Exit after executing this many tasks (``None`` = unlimited).
     orphan_age:
         Lease threshold shared by the janitor and the heartbeat.
-    point_timeout / backend_resilience:
-        Passed through to :func:`~repro.exec.task.execute_task`.
+    point_timeout:
+        Wall-clock seconds per task, applied to each claimed task as
+        its plan's wall-clock budget (:func:`~repro.exec.task.tighten_budget`);
+        the kernel enforces it cooperatively.
     run_task / clock / sleep:
         Test seams.
     """
@@ -94,7 +98,6 @@ class ServiceWorker:
         max_tasks: Optional[int] = None,
         orphan_age: float = INFLIGHT_SWEEP_AGE_SECONDS,
         point_timeout: Optional[float] = None,
-        backend_resilience: Optional[Any] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
         clock: Callable[[], float] = time.time,
         sleep: Callable[[float], None] = time.sleep,
@@ -106,7 +109,6 @@ class ServiceWorker:
         self.max_tasks = max_tasks
         self.orphan_age = orphan_age
         self.point_timeout = point_timeout
-        self.backend_resilience = backend_resilience
         self._run_task = run_task or execute_task
         self._clock = clock
         self._sleep = sleep
@@ -215,10 +217,11 @@ class ServiceWorker:
                 pass
             return
         key = task.cache_key()
+        task = replace(
+            task, plan=tighten_budget(task.plan, self.point_timeout)
+        )
         with InflightLease(claimed, self.orphan_age, self._clock):
-            result = self._run_task(
-                task, None, self.backend_resilience, self.point_timeout
-            )
+            result = self._run_task(task)
         self.executed += 1
         tenant = self._tenant_of(key)
         reg = obs_metrics.registry()

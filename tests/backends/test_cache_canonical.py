@@ -153,3 +153,24 @@ class TestCacheKeyVersioning:
         assert cache.key(backend, params, plan) == cache.key(
             backend, params, plan
         )
+
+    def test_wall_clock_budget_does_not_fork_the_key(self, tmp_path):
+        """A budget decides whether a run finishes, never its value:
+        a budgeted request shares the budget-less request's key, and
+        budget-less identities are exactly the plan's fields."""
+        from dataclasses import asdict, replace
+
+        from repro.backends.base import plan_key_dict
+
+        backend = get_backend("analytical")
+        params = ModelParameters()
+        plan = EvaluationPlan(metrics=("useful_work_fraction",))
+        budgeted = replace(
+            plan, simulation=replace(plan.simulation, wall_clock_budget=600.0)
+        )
+        cache = ResultCache(str(tmp_path))
+        assert cache.key(backend, params, budgeted) == cache.key(
+            backend, params, plan
+        )
+        assert plan_key_dict(params, plan)["plan"] == asdict(plan)
+        assert budgeted.simulation.wall_clock_budget == 600.0

@@ -223,3 +223,30 @@ class TestSerialCooperativeTimeout:
         assert len(figure.failures) == 1
         assert figure.failures[0].error_type == "WallClockExceededError"
         assert any("point_timeout" in note for note in figure.notes)
+
+
+class TestOneTimeoutOwner:
+    """The pool is the only executor that takes a timeout, and
+    ``execute_task`` makes one attempt with no deadline of its own."""
+
+    @pytest.mark.parametrize(
+        "cls, takes_timeout",
+        [("SerialExecutor", False), ("QueueExecutor", False),
+         ("PoolExecutor", True)],
+    )
+    def test_only_the_pool_takes_a_timeout(self, cls, takes_timeout):
+        import inspect
+
+        import repro.exec as exec_pkg
+
+        parameters = inspect.signature(getattr(exec_pkg, cls)).parameters
+        assert ("point_timeout" in parameters) is takes_timeout
+
+    def test_execute_task_has_no_deadline(self):
+        import inspect
+
+        from repro.exec import execute_task
+
+        assert list(inspect.signature(execute_task).parameters) == [
+            "task", "fault_plan",
+        ]

@@ -39,7 +39,7 @@ def make_task(index=0, n_processors=8192, priority=0, base_seed=11, attempt=0):
     )
 
 
-def ok_result(task, fault_plan=None, backend_resilience=None, deadline=None):
+def ok_result(task, fault_plan=None):
     """Canned evaluation: the task's index encoded as the mean."""
     return TaskResult(
         status="ok", index=task.index, series=task.series, x=task.x,

@@ -5,10 +5,12 @@ picklable value object that round-trips through JSON under a versioned
 schema, derives its attempt seed the same way the retry layer does,
 and is content-addressed by exactly the digest the result cache files
 its entries under. :func:`~repro.exec.execute_task` never raises, and
-a cooperative deadline must never fork the cache key space.
+a wall-clock budget (how a point timeout reaches the kernel) must never
+fork the cache key space.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +23,8 @@ from repro.exec import (
     TaskResult,
     execute_task,
 )
-from repro.resilience.retry import derive_attempt_seed
+from repro.exec.task import derive_attempt_seed, tighten_budget
+from repro.experiments.faultinject import BackendFaultPlan
 
 TINY_SIM = SimulationPlan(warmup=2 * HOUR, observation=20 * HOUR, replications=2)
 TINY = EvaluationPlan(simulation=TINY_SIM)
@@ -87,6 +90,15 @@ class TestEvaluationTask:
         expected = cache.key(backend, task.params, task.seeded_plan())
         assert task.cache_key() == expected
 
+    def test_budgeted_task_round_trips_with_its_cache_key(self):
+        # A persisted queue task keeps its budget, and the budget does
+        # not change which work it is.
+        task = make_task()
+        budgeted = replace(task, plan=tighten_budget(task.plan, 30.0))
+        rebuilt = EvaluationTask.from_json_dict(budgeted.to_json_dict())
+        assert rebuilt.plan.simulation.wall_clock_budget == 30.0
+        assert rebuilt.cache_key() == task.cache_key()
+
     def test_cache_key_differs_per_attempt(self):
         # A retry runs under a derived seed, so it is distinct work.
         task = make_task(attempt=0)
@@ -147,30 +159,32 @@ class TestExecuteTask:
         assert cache.get(backend, task.params, task.seeded_plan()) is not None
 
     def test_deadline_does_not_pollute_cache_key(self, tmp_path):
-        # A deadline tightens the evaluation's wall-clock budget but
-        # the entry must still be filed under the un-tightened plan:
-        # a later run without any deadline has to hit it.
+        # A budget tightens the evaluation's wall clock but the entry
+        # is still found under the budget-less plan: a later run
+        # without any timeout has to hit it.
         task = make_task(attempt=0, cache_dir=str(tmp_path))
-        execute_task(task, deadline=3600.0)
+        execute_task(replace(task, plan=tighten_budget(task.plan, 3600.0)))
         cache = ResultCache(str(tmp_path))
         backend = get_backend(task.backend)
         assert cache.get(backend, task.params, task.seeded_plan()) is not None
 
     def test_cooperative_deadline_times_out_hung_point(self):
-        # A microscopic deadline on the real simulator must surface as
+        # A microscopic budget on the real simulator must surface as
         # a structured WallClockExceededError failure, not a hang.
         slow = EvaluationPlan(
             simulation=SimulationPlan(
                 warmup=2 * HOUR, observation=2000 * HOUR, replications=4
             )
         )
-        task = make_task(plan=slow, backend="san-sim", attempt=0)
-        result = execute_task(task, deadline=1e-6)
+        task = make_task(
+            plan=tighten_budget(slow, 1e-6), backend="san-sim", attempt=0
+        )
+        result = execute_task(task)
         assert not result.ok
         assert result.failure["error_type"] == "WallClockExceededError"
 
     def test_deadline_tightens_not_loosens(self):
-        # An existing (smaller) plan budget wins over a looser deadline.
+        # An existing (smaller) plan budget wins over a looser timeout.
         budgeted = EvaluationPlan(
             simulation=SimulationPlan(
                 warmup=2 * HOUR,
@@ -179,7 +193,28 @@ class TestExecuteTask:
                 wall_clock_budget=1e-6,
             )
         )
-        task = make_task(plan=budgeted, backend="san-sim", attempt=0)
-        result = execute_task(task, deadline=3600.0)
+        assert tighten_budget(budgeted, 3600.0) is budgeted
+        assert tighten_budget(TINY, None) is TINY
+        assert tighten_budget(TINY, 5.0).simulation.wall_clock_budget == 5.0
+        task = make_task(
+            plan=tighten_budget(budgeted, 3600.0), backend="san-sim", attempt=0
+        )
+        result = execute_task(task)
         assert not result.ok
         assert result.failure["error_type"] == "WallClockExceededError"
+
+    def test_backend_fault_fires_before_evaluation(self):
+        plan = BackendFaultPlan(
+            backend_id="analytical", crash_fraction=1.0, crash_attempts=None
+        )
+        result = execute_task(make_task(attempt=0), plan)
+        assert not result.ok
+        assert result.failure["error_type"] == "InjectedBackendFault"
+
+    def test_injected_corruption_flows_through(self):
+        clean = execute_task(make_task(attempt=0))
+        plan = BackendFaultPlan(corrupt_fraction=1.0, corrupt_factor=10.0)
+        corrupted = execute_task(make_task(attempt=0), plan)
+        # Only a downstream tolerance check can catch it.
+        assert corrupted.ok
+        assert corrupted.mean == pytest.approx(10.0 * clean.mean)

@@ -5,23 +5,12 @@ The smoke run uses a heavily scaled-down fig4a slice (4 points, 5% of
 the quick preset) so the clean+faulted pair completes in a couple of
 seconds; the crash fraction is high enough that at least one injected
 fault is statistically certain to fire across the four evaluation
-keys.
+keys. Both runs go through the pool executor.
 """
-
-import pytest
 
 from repro.experiments import cli, run_chaos
 from repro.experiments.faultinject import BackendFaultPlan
-from repro.resilience import events, reset_breakers
-
-
-@pytest.fixture(autouse=True)
-def _isolate_global_state():
-    reset_breakers()
-    events.drain()
-    yield
-    reset_breakers()
-    events.drain()
+from repro.obs import load_manifest, manifest_path
 
 
 SMOKE_ARGS = [
@@ -44,11 +33,8 @@ SMOKE_ARGS = [
 
 class TestChaosSmoke:
     def test_crash_plan_recovers_bit_identically(self, tmp_path, capsys):
-        state_dir = str(tmp_path / "health")
         out_dir = str(tmp_path / "chaos-out")
-        rc = cli.main(
-            SMOKE_ARGS + ["--state-dir", state_dir, "--out", out_dir]
-        )
+        rc = cli.main(SMOKE_ARGS + ["--out", out_dir])
         captured = capsys.readouterr()
         assert rc == 0
         assert "verdict: RECOVERED" in captured.out
@@ -56,21 +42,6 @@ class TestChaosSmoke:
         # Both archives landed for post-mortem comparison.
         assert (tmp_path / "chaos-out" / "clean").is_dir()
         assert (tmp_path / "chaos-out" / "faulted").is_dir()
-
-    def test_backends_renders_breaker_state_after_chaos(
-        self, tmp_path, capsys
-    ):
-        state_dir = str(tmp_path / "health")
-        rc = cli.main(SMOKE_ARGS + ["--state-dir", state_dir])
-        assert rc == 0
-        capsys.readouterr()
-        rc = cli.main(["backends", "--state-dir", state_dir])
-        captured = capsys.readouterr()
-        assert rc == 0
-        # A 0.9 crash fraction over 4 points trips the 3-consecutive
-        # chaos breaker on san-sim; the state file records it.
-        assert "breaker: open" in captured.out
-        assert "last error" in captured.out
 
 
 class TestChaosApi:
@@ -86,28 +57,37 @@ class TestChaosApi:
         assert outcome.bit_identical
         assert outcome.faults_fired == 0
 
-    def test_queue_executor_uses_per_run_sub_queues(self, tmp_path):
-        # Clean and faulted runs must not coalesce against each other
-        # (identical cache keys!), so each gets its own sub-queue.
-        queue_dir = tmp_path / "queue"
+    def test_crash_on_every_attempt_recovers_on_the_pool(self, tmp_path):
+        out_dir = str(tmp_path / "out")
         outcome = run_chaos(
             "fig4a",
             preset="quick",
             scale=0.05,
             max_points=2,
-            fault_plan=BackendFaultPlan(backend_id="san-sim", salt="quiet"),
-            executor="queue",
-            queue_dir=str(queue_dir),
+            fault_plan=BackendFaultPlan(
+                backend_id="san-sim", crash_fraction=1.0, crash_attempts=None
+            ),
+            out_dir=out_dir,
         )
         assert outcome.recovered
         assert outcome.bit_identical
-        assert (queue_dir / "clean" / "results").is_dir()
-        assert (queue_dir / "faulted" / "results").is_dir()
+        assert outcome.degraded == ["san-sim -> san-sim-full"] * 2
+        manifest = load_manifest(manifest_path(f"{out_dir}/faulted", "fig4a"))
+        assert manifest.execution["executor"] == "pool"
+        assert manifest.resilience["summary"]["by_kind"]["degraded"] == 2
 
-    def test_pool_executor_is_rejected(self):
-        with pytest.raises(ValueError, match="pool executor"):
-            run_chaos("fig4a", preset="quick", scale=0.05, max_points=2,
-                      executor="pool")
+
+    def test_retries_flag_sets_the_supervisor_retries(self, tmp_path):
+        out_dir = str(tmp_path / "out")
+        rc = cli.main(
+            ["chaos", "fig4a", "--preset", "quick", "--scale", "0.05",
+             "--max-points", "1", "--crash", "1.0", "--retries", "0",
+             "--out", out_dir]
+        )
+        assert rc == 0
+        manifest = load_manifest(manifest_path(f"{out_dir}/faulted", "fig4a"))
+        # One san-sim attempt, then straight to san-sim-full.
+        assert manifest.execution["attempts"] == {"0": 2}
 
 
 class TestChaosErrors:

@@ -230,6 +230,23 @@ class TestExitCodeMapping:
         assert seen["queue_dir"] == "q"
         assert seen["max_points"] == 4
 
+    def test_degrade_to_forwarded_in_order(self, monkeypatch):
+        seen = {}
+
+        def capturing_runner(**kwargs):
+            seen.update(kwargs)
+            raise BackendError("stop after capture")
+
+        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        rc = cli.main(
+            ["run-figure", "fig4a", "--preset", "quick", "--retries", "3",
+             "--degrade-to", "san-sim-full", "--degrade-to", "analytical"]
+        )
+        assert rc == 2
+        options = seen["resilience"]
+        assert options.degrade_to == ("san-sim-full", "analytical")
+        assert options.retry.max_retries == 3
+
     def test_chaos_rejects_pool_executor_by_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["chaos", "fig4a", "--executor", "pool"])
@@ -245,3 +262,34 @@ class TestExitCodeMapping:
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
         assert excinfo.value.code == 2
+
+
+#: Options deleted with the backend resilience wrapper and the circuit
+#: breaker: each is now a usage error (argparse exits 2).
+REMOVED_OPTIONS = [
+    [*command, flag, value]
+    for command in (("run-figure", "fig4a"), ("run-all",), ("claims",))
+    for flag, value in (
+        ("--backend-deadline", "30"),
+        ("--backend-retries", "2"),
+        ("--backend-isolation", "process"),
+        ("--breaker-state-dir", "health"),
+    )
+] + [
+    ["backends", "--state-dir", "health"],
+    ["chaos", "fig4a", "--state-dir", "health"],
+    ["chaos", "fig4a", "--queue-dir", "q"],
+    ["worker", "--queue-dir", "q", "--backend-deadline", "30"],
+    ["worker", "--queue-dir", "q", "--backend-retries", "2"],
+    ["worker", "--queue-dir", "q", "--degrade-to", "analytical"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", REMOVED_OPTIONS, ids=[" ".join(a) for a in REMOVED_OPTIONS]
+)
+def test_removed_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from repro.experiments.faultinject import (
     _unit_interval,
     corrupt_journal_line,
     corrupt_journal_tail,
+    evaluation_key,
     truncate_journal,
 )
 
@@ -147,6 +148,78 @@ class TestBackendFaultPlan:
         values = [_unit_interval(f"t{i}") for i in range(100)]
         assert all(0.0 <= v < 1.0 for v in values)
         assert _unit_interval("t0") == values[0]
+
+
+def make_task(backend="san-sim", attempt=0, seed=7):
+    from repro.backends import EvaluationPlan
+    from repro.core import HOUR, ModelParameters, SimulationPlan
+    from repro.exec import EvaluationTask
+
+    plan = EvaluationPlan(
+        simulation=SimulationPlan(warmup=2 * HOUR, observation=20 * HOUR),
+        seed=seed,
+    )
+    return EvaluationTask(
+        index=2, series="s", x=1.0, params=ModelParameters(n_processors=8192),
+        plan=plan, backend=backend, base_seed=seed, attempt=attempt,
+    )
+
+
+class TestEvaluationKey:
+    def test_seed_is_excluded(self):
+        task = make_task()
+        assert evaluation_key("b", task.params, task.plan) == evaluation_key(
+            "b", task.params, task.plan.with_seed(99)
+        )
+
+    def test_params_and_backend_matter(self):
+        task = make_task()
+        assert evaluation_key("a", task.params, task.plan) != evaluation_key(
+            "b", task.params, task.plan
+        )
+        other = task.params.with_overrides(n_processors=16384)
+        assert evaluation_key("a", task.params, task.plan) != evaluation_key(
+            "a", other, task.plan
+        )
+
+
+class TestTaskHooks:
+    """Both plan types implement the ``before_task`` / ``after_task``
+    pair :func:`~repro.exec.task.execute_task` calls."""
+
+    def test_fault_plan_keys_on_index_and_attempt(self):
+        plan = FaultPlan().crash(2, attempts=(0,))
+        with pytest.raises(InjectedCrash, match="point 2, attempt 0"):
+            plan.before_task(make_task())
+        plan.before_task(make_task(attempt=1))
+        assert plan.after_task(make_task(), "result") == "result"
+
+    def test_backend_fault_plan_keys_on_backend_and_request(self):
+        plan = BackendFaultPlan(
+            backend_id="san-sim", crash_fraction=1.0, crash_attempts=None
+        )
+        with pytest.raises(InjectedBackendFault):
+            plan.before_task(make_task(attempt=3, seed=11))
+        plan.before_task(make_task(backend="san-sim-full"))
+        plan.after_success(1)  # backend faults never abort a sweep
+
+    def test_backend_fault_plan_corrupts_through_after_task(self):
+        from repro.backends import EvaluationResult, MetricValue
+
+        plan = BackendFaultPlan(
+            backend_id="san-sim", corrupt_fraction=1.0, corrupt_factor=3.0
+        )
+
+        def result():
+            return EvaluationResult(
+                backend="san-sim",
+                metrics={"useful_work_fraction": MetricValue(0.5, 0.01)},
+            )
+
+        out = plan.after_task(make_task(), result())
+        assert out.metric("useful_work_fraction").mean == pytest.approx(1.5)
+        retried = plan.after_task(make_task(attempt=1), result())
+        assert retried.metric("useful_work_fraction").mean == 0.5
 
 
 class TestCorruptionHelpers:

@@ -1,5 +1,6 @@
 """Tests for fault-tolerant sweep execution: checkpoint/resume,
-retry with backoff, hang supervision, and graceful degradation."""
+retry with backoff, hang supervision, fallback backends and the
+event log the supervisor keeps for the run manifest."""
 
 import json
 import os
@@ -39,6 +40,13 @@ def sweep(points, seed=7, **kwargs):
 
 
 class TestRetryPolicy:
+    """Backoff schedule and retry-seed derivation.
+
+    The seed convention (``retry/{seed}/{attempt}``) is a
+    reproducibility contract: these tests pin it down so a refactor
+    cannot silently change which sample path a retry runs.
+    """
+
     def test_backoff_schedule(self):
         policy = RetryPolicy(max_retries=5, backoff_base=0.5,
                              backoff_factor=2.0, backoff_max=3.0)
@@ -48,11 +56,34 @@ class TestRetryPolicy:
         assert policy.delay_for(4) == 3.0  # capped
         assert policy.delay_for(0) == 0.0
 
+    def test_zero_base_means_no_delay(self):
+        policy = RetryPolicy(max_retries=3, backoff_base=0.0)
+        assert policy.delay_for(1) == 0.0
+        assert policy.delay_for(3) == 0.0
+
+    def test_exponential_growth(self):
+        policy = RetryPolicy(max_retries=4, backoff_base=0.5,
+                             backoff_factor=2.0, backoff_max=100.0)
+        assert policy.delay_for(1) == pytest.approx(0.5)
+        assert policy.delay_for(2) == pytest.approx(1.0)
+        assert policy.delay_for(3) == pytest.approx(2.0)
+
+    def test_cap_saturation(self):
+        policy = RetryPolicy(max_retries=10, backoff_base=1.0,
+                             backoff_factor=10.0, backoff_max=5.0)
+        assert policy.delay_for(1) == pytest.approx(1.0)
+        assert policy.delay_for(2) == pytest.approx(5.0)
+        assert policy.delay_for(9) == pytest.approx(5.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff_base=-1.0)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff_max=-1.0)
 
     def test_attempt_seed_derivation(self):
         assert derive_attempt_seed(123, 0) == 123
@@ -61,6 +92,25 @@ class TestRetryPolicy:
         assert first_retry == derive_attempt_seed(123, 1)  # stable
         assert first_retry != derive_attempt_seed(123, 2)
         assert first_retry != derive_attempt_seed(124, 1)
+
+    def test_attempt_zero_is_the_base_seed(self):
+        assert derive_attempt_seed(7, 0) == 7
+        assert derive_attempt_seed(0, 0) == 0
+
+    def test_attempts_get_distinct_seeds(self):
+        seeds = [derive_attempt_seed(7, attempt) for attempt in range(6)]
+        assert len(set(seeds)) == len(seeds)
+
+    def test_derivation_is_stable(self):
+        # The exact values are part of the on-disk reproducibility
+        # contract (journals and caches key on seeds); recompute twice.
+        assert derive_attempt_seed(7, 3) == derive_attempt_seed(7, 3)
+        assert derive_attempt_seed(7, 3) != derive_attempt_seed(8, 3)
+
+    def test_matches_the_stream_key_convention(self):
+        from repro.san.rng import stable_stream_key
+
+        assert derive_attempt_seed(42, 2) == stable_stream_key("retry/42/2")
 
 
 class TestDuplicatePointDetection:
@@ -402,7 +452,7 @@ class TestDeterministicSupervision:
     """
 
     @staticmethod
-    def ok_task(task, fault_plan=None, backend_resilience=None, deadline=None):
+    def ok_task(task, fault_plan=None):
         from repro.exec import TaskResult
 
         return TaskResult(
@@ -493,8 +543,7 @@ class TestDeterministicSupervision:
         clock = FakeClock()
         attempts_seen = []
 
-        def flaky_task(task, fault_plan=None, backend_resilience=None,
-                       deadline=None):
+        def flaky_task(task, fault_plan=None):
             attempts_seen.append(task.attempt)
             if task.attempt < 2:
                 return TaskResult(
@@ -620,3 +669,428 @@ class TestSweepManifest:
         assert manifest.wall_clock_seconds is not None
         assert manifest.wall_clock_seconds >= 0.0
         assert manifest.metrics["counters"]["sweep.runs"] >= 1
+
+
+def failing_result(task, error_type="RuntimeError", message="transient"):
+    from repro.exec import TaskResult
+
+    return TaskResult(
+        status="error", index=task.index, series=task.series, x=task.x,
+        attempt=task.attempt, seed_used=task.seed,
+        failure={"error_type": error_type, "error_message": message},
+    )
+
+
+class TestSupervisor:
+    """The one retry loop: retries on derived seeds, then the next
+    fallback backend from attempt 0, with every step logged."""
+
+    make_tasks = staticmethod(TestDeterministicSupervision.make_tasks)
+    ok_task = staticmethod(TestDeterministicSupervision.ok_task)
+
+    def supervise(self, run_task, count=1, **options):
+        from repro.experiments.resilience import SweepSupervisor
+
+        options.setdefault("retry", RetryPolicy(max_retries=2, backoff_base=0.0))
+        clock = FakeClock()
+        supervisor = SweepSupervisor(
+            ResilienceOptions(**options), clock=clock, sleep=clock.sleep,
+            run_task=run_task,
+        )
+        return supervisor.run(self.make_tasks(count))
+
+    def test_retry_runs_on_a_derived_seed(self):
+        seeds = []
+
+        def flaky(task, fault_plan=None):
+            seeds.append(task.seed)
+            return failing_result(task) if task.attempt == 0 else self.ok_task(task)
+
+        result = self.supervise(flaky)
+        assert not result.failures
+        assert seeds == [7, derive_attempt_seed(7, 1)]
+        assert result.attempts[0] == 2
+        assert [e["kind"] for e in result.events] == ["failure", "retry"]
+        assert result.events[1]["seed"] == derive_attempt_seed(7, 1)
+
+    def test_exhausted_retries_fall_back_at_attempt_zero(self):
+        seen = []
+
+        def primary_broken(task, fault_plan=None):
+            seen.append((task.backend, task.attempt, task.seed, task.cache_dir))
+            if task.backend == "san-sim":
+                return failing_result(task)
+            return self.ok_task(task)
+
+        result = self.supervise(
+            primary_broken, retry=RetryPolicy(max_retries=1, backoff_base=0.0),
+            degrade_to=("san-sim-full",),
+        )
+        assert not result.failures
+        assert seen == [
+            ("san-sim", 0, 7, None),
+            ("san-sim", 1, derive_attempt_seed(7, 1), None),
+            ("san-sim-full", 0, 7, None),  # the base seed again
+        ]
+        assert result.attempts[0] == 3
+        assert [e["kind"] for e in result.events] == [
+            "failure", "retry", "failure", "degraded",
+        ]
+        section = result.resilience_section()
+        assert section["summary"]["degraded"] == ["san-sim -> san-sim-full"]
+
+    def test_fallback_task_is_never_cached(self):
+        from dataclasses import replace
+
+        from repro.experiments.resilience import SweepSupervisor
+
+        cache_dirs = {}
+
+        def primary_broken(task, fault_plan=None):
+            cache_dirs[task.backend] = task.cache_dir
+            if task.backend == "san-sim":
+                return failing_result(task)
+            return self.ok_task(task)
+
+        tasks = [replace(t, cache_dir="cache") for t in self.make_tasks(1)]
+        SweepSupervisor(
+            ResilienceOptions(
+                retry=RetryPolicy(max_retries=0), degrade_to=("analytical",)
+            ),
+            run_task=primary_broken,
+        ).run(tasks)
+        assert cache_dirs == {"san-sim": "cache", "analytical": None}
+
+    def test_unsupported_error_skips_remaining_retries(self):
+        seen = []
+
+        def unsupported(task, fault_plan=None):
+            seen.append((task.backend, task.attempt))
+            if task.backend == "san-sim":
+                return failing_result(task, "UnsupportedParametersError")
+            return self.ok_task(task)
+
+        result = self.supervise(unsupported, degrade_to=("analytical",))
+        assert not result.failures
+        # One primary attempt, no retries (the error is permanent for
+        # this request), then the fallback's own successful attempt.
+        assert seen == [("san-sim", 0), ("analytical", 0)]
+
+    def test_failure_report_counts_every_evaluation(self):
+        def broken(task, fault_plan=None):
+            return failing_result(task, "Boom", "always")
+
+        result = self.supervise(
+            broken, retry=RetryPolicy(max_retries=1, backoff_base=0.0),
+            degrade_to=("san-sim-full", "analytical"),
+        )
+        [report] = result.failures
+        assert report.attempts == 6 == result.attempts[0]
+        assert report.error_type == "Boom"
+        assert "degraded" not in result.resilience_section()["summary"]
+
+    def test_permanent_error_without_fallback_is_one_attempt(self):
+        def unsupported(task, fault_plan=None):
+            return failing_result(task, "UnsupportedMetricError")
+
+        result = self.supervise(unsupported)
+        assert result.failures[0].attempts == 1
+        assert [e["kind"] for e in result.events] == ["failure"]
+
+    def test_timeouts_are_logged_as_timeout_events(self):
+        def budget_trip(task, fault_plan=None):
+            if task.attempt == 0:
+                return failing_result(task, "WallClockExceededError")
+            return self.ok_task(task)
+
+        result = self.supervise(budget_trip)
+        assert [e["kind"] for e in result.events] == ["timeout", "retry"]
+
+    def test_nothing_happened_means_no_section(self):
+        result = self.supervise(self.ok_task, count=2)
+        assert result.events == []
+        assert result.resilience_section() is None
+
+
+def crash_always(backend_id):
+    from repro.experiments.faultinject import BackendFaultPlan
+
+    return BackendFaultPlan(
+        backend_id=backend_id, crash_fraction=1.0, crash_attempts=None
+    )
+
+
+NO_BACKOFF = RetryPolicy(max_retries=1, backoff_base=0.0)
+
+
+class TestSweepFallback:
+    def test_degrades_to_capable_fallback(self):
+        points = make_points(2)
+        reference = sweep(points, backend="analytical")
+        figure = sweep(
+            points,
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+                degrade_to=("analytical",),
+            ),
+        )
+        assert not figure.failures
+        assert figure.series == reference.series
+        assert "DEGRADED: san-sim -> analytical" in figure.notes
+        section = figure.manifest.resilience
+        assert section["summary"]["by_kind"] == {
+            "degraded": 2, "failure": 4, "retry": 2,
+        }
+        assert figure.manifest.retries == 4
+        assert figure.manifest.execution["attempts"] == {"0": 3, "1": 3}
+
+    def test_unknown_fallbacks_are_skipped(self):
+        figure = sweep(
+            make_points(1),
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+                degrade_to=("no-such", "analytical"),
+            ),
+        )
+        assert not figure.failures
+        assert any(
+            note.startswith("fallback backend 'no-such' skipped")
+            for note in figure.notes
+        )
+        assert "DEGRADED: san-sim -> analytical" in figure.notes
+
+    def test_incapable_fallback_is_skipped(self):
+        # Exact backends veto non-flat strategies in supports().
+        plan = SimulationPlan(
+            warmup=1 * HOUR, observation=10 * HOUR, replications=1,
+            strategy="incremental",
+        )
+        figure = run_sweep(
+            "fig-test", "t", "x", "useful_work_fraction", make_points(1),
+            plan, seed=7,
+            resilience=ResilienceOptions(degrade_to=("analytical",)),
+        )
+        assert any(
+            note.startswith("fallback backend 'analytical' skipped")
+            for note in figure.notes
+        )
+        assert figure.manifest.resilience is None
+
+    def test_chain_continues_after_the_primary(self):
+        figure = sweep(
+            make_points(1),
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always(None),
+                degrade_to=("analytical", "san-sim", "san-sim-full"),
+            ),
+        )
+        # Only san-sim-full follows the primary; every backend crashes.
+        assert figure.failures[0].attempts == 4
+        assert {e["backend"] for e in figure.manifest.resilience["events"]} == {
+            "san-sim", "san-sim-full",
+        }
+
+    def test_no_capable_fallback_reports_failure(self):
+        figure = sweep(
+            make_points(1),
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+                degrade_to=("no-such",),
+            ),
+        )
+        [report] = figure.failures
+        assert report.error_type == "InjectedBackendFault"
+        assert report.attempts == 2
+
+    def test_journal_keeps_the_primary_points_of_a_mixed_sweep(self, tmp_path):
+        from repro.experiments.faultinject import (
+            BackendFaultPlan,
+            evaluation_key,
+        )
+        from repro.experiments.runner import sweep_eval_plan
+
+        points = [
+            SweepPoint("s", float(n), ModelParameters(n_processors=n))
+            for n in (8192, 16384, 32768, 65536)
+        ]
+        plan = BackendFaultPlan(
+            backend_id="san-sim", crash_fraction=0.5, crash_attempts=None
+        )
+        eval_plan = sweep_eval_plan("useful_work_fraction", TINY, 7)
+        afflicted = {
+            point.x for point in points
+            if plan._afflicted(
+                "crash", 0.5, evaluation_key("san-sim", point.params, eval_plan)
+            )
+        }
+        assert 0 < len(afflicted) < len(points)
+        sweep(
+            points,
+            resilience=ResilienceOptions(
+                checkpoint_dir=str(tmp_path), retry=NO_BACKOFF,
+                fault_plan=plan, degrade_to=("analytical",),
+            ),
+        )
+        with open(tmp_path / "fig-test.journal.jsonl") as handle:
+            records = [json.loads(line) for line in handle]
+        journaled = {r["x"] for r in records if r["kind"] == "point"}
+        assert journaled == {point.x for point in points} - afflicted
+
+    def test_fallback_values_are_never_cached(self, tmp_path):
+        points = make_points(2)
+        cache = str(tmp_path / "cache")
+        sweep(
+            points,
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+                degrade_to=("analytical",), cache_dir=cache,
+            ),
+        )
+        rerun = sweep(points, resilience=ResilienceOptions(cache_dir=cache))
+        assert rerun.manifest.points_from_cache == 0
+        assert rerun.manifest.new_evaluations == 2
+
+    def test_point_timeout_reaches_the_kernel_budget(self, monkeypatch):
+        from repro.backends.analytical import AnalyticalBackend
+
+        budgets = []
+        evaluate = AnalyticalBackend.evaluate
+
+        def spy(self, params, plan):
+            budgets.append(plan.simulation.wall_clock_budget)
+            return evaluate(self, params, plan)
+
+        monkeypatch.setattr(AnalyticalBackend, "evaluate", spy)
+        sweep(
+            make_points(2), backend="analytical",
+            resilience=ResilienceOptions(point_timeout=12.5),
+        )
+        assert budgets == [12.5, 12.5]
+
+    def test_fault_free_sweep_has_no_resilience_section(self):
+        plain = sweep(make_points(2))
+        figure = sweep(
+            make_points(2),
+            resilience=ResilienceOptions(degrade_to=("san-sim-full",)),
+        )
+        assert figure.manifest.resilience is None
+        assert figure.notes == plain.notes
+        assert figure.series == plain.series
+
+    def test_repeated_fallback_is_tried_once(self):
+        figure = sweep(
+            make_points(1),
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always(None),
+                degrade_to=("analytical", "analytical"),
+            ),
+        )
+        assert figure.failures[0].attempts == 4
+
+    def test_pool_falls_back_too(self):
+        points = make_points(2)
+        reference = sweep(points, backend="analytical")
+        figure = sweep(
+            points, processes=2,
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+                degrade_to=("analytical",),
+            ),
+        )
+        assert figure.series == reference.series
+        assert figure.manifest.resilience["summary"]["degraded"] == [
+            "san-sim -> analytical"
+        ] * 2
+
+    def test_queue_never_serves_a_fallback_value_as_primary(self, tmp_path):
+        points = make_points(2)
+        queue = str(tmp_path / "q")
+        sweep(
+            points, executor="queue", queue_dir=queue,
+            resilience=ResilienceOptions(
+                retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+                degrade_to=("analytical",),
+            ),
+        )
+        again = sweep(points, executor="queue", queue_dir=queue)
+        assert again.manifest.execution["tasks_executed"] == 2
+        assert again.series == sweep(points).series
+
+
+class TestRegressions:
+    def test_failing_point_does_not_fail_a_later_sweep(self):
+        # A crash-always point used to open a process-wide circuit
+        # breaker that then failed every point of the next sweep.
+        failed = sweep(
+            make_points(1), backend="analytical",
+            resilience=ResilienceOptions(
+                retry=RetryPolicy(max_retries=5, backoff_base=0.0),
+                fault_plan=crash_always("analytical"),
+            ),
+        )
+        assert len(failed.failures) == 1
+        later = sweep(make_points(3), backend="analytical")
+        assert not later.failures
+        assert len(later.series["s"]) == 3
+
+    def test_attempts_and_retries_count_every_evaluation(self):
+        figure = sweep(
+            make_points(1),
+            resilience=ResilienceOptions(
+                retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+                fault_plan=crash_always(None),
+                degrade_to=("analytical",),
+            ),
+        )
+        ran = figure.manifest.execution["tasks_executed"]
+        assert ran == 6
+        assert figure.failures[0].attempts == ran
+        assert figure.manifest.retries == ran - 1
+
+    def test_degraded_value_is_never_journaled(self, tmp_path):
+        from repro.experiments import run_figure
+
+        def fig4a(**resilience):
+            return run_figure(
+                "fig4a", preset="quick", max_points=2,
+                resilience=ResilienceOptions(
+                    checkpoint_dir=str(tmp_path), **resilience
+                ),
+            )
+
+        degraded = fig4a(
+            retry=NO_BACKOFF, fault_plan=crash_always("san-sim"),
+            degrade_to=("analytical",),
+        )
+        assert any(note.startswith("DEGRADED") for note in degraded.notes)
+        resumed = fig4a()
+        assert resumed.manifest.points_from_journal == 0
+        assert resumed.manifest.new_evaluations == 2
+        clean = run_figure("fig4a", preset="quick", max_points=2)
+        assert resumed.series == clean.series != degraded.series
+
+    def test_wall_clock_budget_does_not_fork_the_cache(self, tmp_path):
+        points = make_points(2)
+        cache = str(tmp_path / "cache")
+        cold = sweep(points, resilience=ResilienceOptions(cache_dir=cache))
+        warm = sweep(
+            points,
+            resilience=ResilienceOptions(
+                cache_dir=cache, wall_clock_budget=600.0
+            ),
+        )
+        assert warm.manifest.new_evaluations == 0
+        assert warm.series == cold.series
+
+
+class TestPoolEvents:
+    def test_pool_run_records_resilience_events(self):
+        plan = FaultPlan().crash(1, attempts=(0,))
+        figure = sweep(
+            make_points(2), processes=2,
+            resilience=ResilienceOptions(retry=FAST_RETRY, fault_plan=plan),
+        )
+        assert not figure.failures
+        section = figure.manifest.resilience
+        assert section["summary"]["by_kind"] == {"failure": 1, "retry": 1}
+        assert figure.manifest.execution["executor"] == "pool"

@@ -74,6 +74,23 @@ class TestDrainLoop:
         statuses = [json.loads(line)["status"] for line in log.splitlines()]
         assert statuses == ["error", "error"]
 
+    def test_point_timeout_becomes_the_task_budget(self, tmp_path):
+        record = submit_small(tmp_path)
+        budgets = []
+
+        def spy(task, *args):
+            budgets.append(task.plan.simulation.wall_clock_budget)
+            return canned()(task)
+
+        ServiceWorker(
+            str(tmp_path), idle_exit=0.0, point_timeout=7.5, run_task=spy
+        ).run()
+        assert budgets == [7.5, 7.5]
+        # The budget does not fork the key: the job finds its results.
+        from repro.service import job_status
+
+        assert job_status(str(tmp_path), record.job_id).finished
+
     def test_unreadable_task_file_is_dropped(self, tmp_path):
         os.makedirs(tmp_path / "pending")
         (tmp_path / "pending" / "000000-00000000-dead.json").write_text(

@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.failures",
     "repro.workload",
     "repro.backends",
-    "repro.resilience",
     "repro.exec",
     "repro.experiments",
 ]
@@ -76,10 +75,6 @@ MODULES = [
     "repro.backends.cluster",
     "repro.backends.analytical",
     "repro.backends.cache",
-    "repro.resilience.backend",
-    "repro.resilience.breaker",
-    "repro.resilience.events",
-    "repro.resilience.retry",
     "repro.exec.task",
     "repro.exec.base",
     "repro.exec.serial",
