@@ -36,10 +36,10 @@ from __future__ import annotations
 import glob
 import hashlib
 import os
-import tempfile
 import time
 from typing import Dict, Optional, Set
 
+from .._atomic import atomic_write
 from ..core.parameters import ModelParameters
 from ..obs import metrics
 from .base import (
@@ -149,12 +149,6 @@ class ResultCache:
         """Digest of the canonical request (see :func:`request_digest`)."""
         return request_digest(backend, params, plan)
 
-    def path(self, backend: Backend, params: ModelParameters,
-             plan: EvaluationPlan) -> str:
-        """Where the entry for this request lives (existing or not)."""
-        digest = self.key(backend, params, plan)
-        return self.entry_path(backend.id, digest)
-
     def entry_path(self, backend_id: str, digest: str) -> str:
         """The sharded location of one digest's entry file."""
         return os.path.join(
@@ -182,18 +176,24 @@ class ResultCache:
 
     def get(self, backend: Backend, params: ModelParameters,
             plan: EvaluationPlan) -> Optional[EvaluationResult]:
-        """The cached result, or ``None`` on any kind of miss.
+        """The cached result, or ``None`` on any kind of miss (see
+        :meth:`get_entry`)."""
+        return self.get_entry(backend.id, self.key(backend, params, plan))
 
-        Corruption and schema mismatches are deliberate misses: the
-        caller re-evaluates and overwrites the bad entry. An entry
-        written under the pre-shard flat layout is transparently moved
-        into its shard and served.
+    def get_entry(self, backend_id: str,
+                  digest: str) -> Optional[EvaluationResult]:
+        """The entry filed under ``digest`` for ``backend_id``, or
+        ``None`` on any kind of miss.
+
+        Corruption, schema mismatches and an entry stamped with another
+        backend are deliberate misses: the caller re-evaluates and
+        overwrites the bad entry. An entry written under the pre-shard
+        flat layout is transparently moved into its shard and served.
         """
-        digest = self.key(backend, params, plan)
-        path = self.entry_path(backend.id, digest)
+        path = self.entry_path(backend_id, digest)
         reg = metrics.registry()
         if not os.path.isfile(path):
-            self._migrate_flat_entry(backend.id, digest, path)
+            self._migrate_flat_entry(backend_id, digest, path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -206,7 +206,7 @@ class ResultCache:
             reg.counter("cache.misses").inc()
             reg.counter("cache.corrupt_entries").inc()
             return None
-        if result.backend != backend.id:
+        if result.backend != backend_id:
             reg.counter("cache.misses").inc()
             return None
         reg.counter("cache.hits").inc()
@@ -214,28 +214,25 @@ class ResultCache:
 
     def put(self, backend: Backend, params: ModelParameters,
             plan: EvaluationPlan, result: EvaluationResult) -> str:
-        """Durably store a result; returns the entry path.
+        """Durably store a result; returns the entry path (see
+        :meth:`put_entry`)."""
+        return self.put_entry(
+            backend.id, self.key(backend, params, plan), result
+        )
+
+    def put_entry(self, backend_id: str, digest: str,
+                  result: EvaluationResult) -> str:
+        """Durably file ``result`` under ``digest`` for ``backend_id``;
+        returns the entry path.
 
         Atomic (temp file, fsync, rename): a crash mid-write leaves
         either the old entry or the new one, never a torn file that
         would later read as a miss-with-warning.
         """
-        path = self.path(backend, params, plan)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".cache-", suffix=".json.tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(result.to_json())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        path = self.entry_path(backend_id, digest)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_write(path, result.to_json(), prefix=".cache-",
+                     suffix=".json.tmp")
         metrics.registry().counter("cache.puts").inc()
         return path
 

@@ -14,7 +14,9 @@ tasks into :class:`~repro.exec.task.TaskResult` envelopes is an
   timeout and kills a hung point.
 * :class:`~repro.exec.queue.QueueExecutor` — file-backed persistent
   queue with priority ordering and cache-key deduplication, so
-  concurrent figures sharing points evaluate each point once.
+  concurrent figures sharing points evaluate each point once. Its
+  :class:`~repro.exec.queue.WorkQueue` is the one owner of a queue
+  directory, shared with the service worker and the job API.
 
 Retry policy, backoff, fallback backends, journaling and failure
 reporting live one layer up, in
@@ -37,6 +39,7 @@ from .queue import (
     INFLIGHT_SWEEP_AGE_SECONDS,
     InflightLease,
     QueueExecutor,
+    WorkQueue,
 )
 from .serial import SerialExecutor
 from .task import (
@@ -61,6 +64,7 @@ __all__ = [
     "INFLIGHT_SWEEP_AGE_SECONDS",
     "HEARTBEAT_DIVISOR",
     "InflightLease",
+    "WorkQueue",
     "SerialExecutor",
     "TASK_SCHEMA_VERSION",
     "EvaluationTask",

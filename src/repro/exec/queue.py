@@ -1,17 +1,39 @@
 """File-backed persistent work queue with dedup and priority order.
 
-Layout under the queue directory::
+This module is the only code that knows how a queue directory is laid
+out::
 
     <queue_dir>/
       pending/   <priority:06d>-<counter:08d>-<cache_key>.json
       inflight/  same filename, moved here atomically while executing
-      results/   <cache_key>.json   (ok TaskResult envelopes only)
+      results/   a ResultCache root: <backend>/<key[:2]>/<key>.json
+      counter    persisted FIFO tie-break counter
 
-Every file is written atomically (temp file + fsync + ``os.replace``,
-the same discipline as the result cache and the journal) and a task
-is *claimed* by an atomic rename from ``pending/`` to ``inflight/``,
-so two drainers can share one queue directory without double-running
-a task.
+:class:`WorkQueue` owns that layout and the three steps every user of
+a queue directory shares — :class:`QueueExecutor`, the service worker
+(:mod:`repro.service.worker`) and the job API
+(:mod:`repro.service.jobs`):
+
+* **enqueue** (:meth:`WorkQueue.enqueue`): coalesce on a key that is
+  answered, queued or in flight, else take the next counter and write
+  the pending file;
+* **claim and run** (:meth:`WorkQueue.claim` /
+  :meth:`WorkQueue.run_claim`): decode the claimed task, heartbeat the
+  claim while it runs, store an ok result, drop the claim;
+* **lookup** (:meth:`WorkQueue.lookup`): the stored result of a key.
+
+``results/`` is a :class:`~repro.backends.cache.ResultCache` root. It
+holds the ok results of whatever the queue ran, each under the key of
+the backend that ran it, as the same
+:class:`~repro.backends.base.EvaluationResult` files a ``--cache-dir``
+holds: reads and writes count in the ``cache.*`` counters, ``repro
+cache prune`` maintains it, and an absent, pruned or unreadable entry
+is a miss that is evaluated again. Failures are never stored.
+
+Every file is written atomically (temp file + fsync + ``os.replace``)
+and a task is *claimed* by an atomic rename from ``pending/`` to
+``inflight/``, so two drainers can share one queue directory without
+double-running a task.
 
 Deduplication: tasks are keyed by the canonical cache digest
 (:meth:`~repro.exec.task.EvaluationTask.cache_key`). Submitting a key
@@ -25,9 +47,9 @@ Priority: lower ``task.priority`` values run first (then submission
 order) — the lexicographic sort of the zero-padded filenames is the
 schedule. The FIFO tie-break counter is *persistent*: the next value
 is derived from the highest counter visible in ``pending/`` +
-``inflight/`` and a ``counter`` file next to them (updated
-atomically), so submission order survives restarts and holds across
-processes sharing one queue directory.
+``inflight/`` and the ``counter`` file (updated atomically), so
+submission order survives restarts and holds across processes sharing
+one queue directory.
 
 Crash recovery is lease-based: while a drainer executes a claimed
 task it *heartbeats* the in-flight file's mtime (a touch every
@@ -45,13 +67,14 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from collections import deque
 from dataclasses import replace
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from .._atomic import atomic_write
+from ..backends import EvaluationResult, ResultCache
 from ..obs import metrics as obs_metrics
 from . import task as _task
 from .base import ExecutorCapabilities
@@ -62,11 +85,8 @@ __all__ = [
     "HEARTBEAT_DIVISOR",
     "InflightLease",
     "QueueExecutor",
+    "WorkQueue",
     "atomic_write_json",
-    "claim_next_pending",
-    "next_counter",
-    "pending_name",
-    "sweep_orphaned_inflight",
 ]
 
 #: Minimum age (seconds since the last heartbeat touch) before a
@@ -80,134 +100,27 @@ INFLIGHT_SWEEP_AGE_SECONDS = 60.0
 HEARTBEAT_DIVISOR = 3.0
 
 
-# ----------------------------------------------------------------------
-# Shared file plumbing (used by QueueExecutor and repro.service.worker)
-# ----------------------------------------------------------------------
 def atomic_write_json(path: str, payload: Any) -> None:
-    """Write ``payload`` as JSON via temp file + fsync + ``os.replace``
-    (the same crash discipline as the result cache and the journal)."""
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".queue-", suffix=".json.tmp"
-    )
+    """Durably write ``payload`` as JSON: the writer of every JSON file
+    under a queue directory (task files, the counter, job records,
+    metrics snapshots)."""
+    atomic_write(path, json.dumps(payload, sort_keys=True),
+                 prefix=".queue-", suffix=".json.tmp")
+
+
+def _unlink(path: str) -> None:
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def pending_name(priority: int, counter: int, key: str) -> str:
-    """The schedule-bearing filename of one queued task."""
-    return f"{max(0, priority):06d}-{counter:08d}-{key}.json"
-
-
-def _scan_max_counter(directories: Tuple[str, ...]) -> int:
-    """Highest FIFO counter embedded in any queued filename (-1 when
-    none are queued)."""
-    highest = -1
-    for directory in directories:
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            continue
-        for name in names:
-            parts = name.split("-", 2)
-            if len(parts) != 3 or not name.endswith(".json"):
-                continue
-            try:
-                highest = max(highest, int(parts[1]))
-            except ValueError:
-                continue
-    return highest
-
-
-def next_counter(queue_dir: str, pending_dir: str, inflight_dir: str) -> int:
-    """Allocate the next FIFO tie-break counter for ``queue_dir``.
-
-    The value is ``max(persisted counter file, highest counter still
-    queued + 1)`` — never a per-process zero — so submission order
-    survives restarts and holds across processes sharing the
-    directory. The ``counter`` file is advanced atomically; a lost
-    update between two racing submitters is caught by the directory
-    scan as long as the earlier submission is still queued, which is
-    the only window in which relative order matters.
-    """
-    counter_path = os.path.join(queue_dir, "counter")
-    persisted = 0
-    try:
-        with open(counter_path, "r", encoding="utf-8") as handle:
-            persisted = int(handle.read().strip() or 0)
-    except (OSError, ValueError):
-        persisted = 0
-    value = max(persisted, _scan_max_counter((pending_dir, inflight_dir)) + 1)
-    try:
-        atomic_write_json(counter_path, value + 1)
+        os.unlink(path)
     except OSError:
-        pass  # a read-only queue still orders by the directory scan
-    return value
+        pass
 
 
-def claim_next_pending(pending_dir: str, inflight_dir: str) -> Optional[str]:
-    """Atomically move the first pending file to ``inflight/``.
-
-    Returns the claimed in-flight path, or ``None`` when nothing is
-    claimable. Losing a rename race to another drainer just moves on
-    to the next file — two drainers can never claim the same task.
-    """
+def _names(directory: str) -> List[str]:
+    """The entries of ``directory`` (none when it is gone)."""
     try:
-        names = sorted(os.listdir(pending_dir))
+        return os.listdir(directory)
     except OSError:
-        return None
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        source = os.path.join(pending_dir, name)
-        target = os.path.join(inflight_dir, name)
-        try:
-            os.replace(source, target)
-        except OSError:
-            continue  # another drainer claimed it first
-        return target
-    return None
-
-
-def sweep_orphaned_inflight(
-    pending_dir: str,
-    inflight_dir: str,
-    orphan_age: float,
-    clock: Callable[[], float] = time.time,
-) -> int:
-    """Requeue in-flight files whose lease expired; returns the count.
-
-    The mtime of a claimed file is a *lease*: live drainers heartbeat
-    it (see :class:`InflightLease`), so only a claim whose drainer
-    stopped beating for ``orphan_age`` seconds is requeued. A slow
-    task under a live heartbeat is never double-run.
-    """
-    requeued = 0
-    now = clock()
-    try:
-        names = sorted(os.listdir(inflight_dir))
-    except OSError:
-        return 0
-    for name in names:
-        path = os.path.join(inflight_dir, name)
-        try:
-            age = now - os.path.getmtime(path)
-            if age >= orphan_age:
-                os.replace(path, os.path.join(pending_dir, name))
-                requeued += 1
-        except OSError:
-            continue  # raced with another janitor or drainer: fine
-    if requeued:
-        obs_metrics.registry().counter("queue.orphans_requeued").inc(requeued)
-    return requeued
+        return []
 
 
 class InflightLease:
@@ -263,6 +176,199 @@ class InflightLease:
             self._thread = None
 
 
+class WorkQueue:
+    """One queue directory: its layout and the steps its users share.
+
+    ``orphan_age`` is the lease threshold shared by the janitor
+    (:meth:`sweep`) and the heartbeat of :meth:`run_claim` (0 requeues
+    at once and disables the heartbeat); ``clock`` is the wall clock
+    both use (epoch seconds, comparable to file mtimes).
+    """
+
+    def __init__(
+        self,
+        queue_dir: str,
+        orphan_age: float = INFLIGHT_SWEEP_AGE_SECONDS,
+        clock: Callable[[], float] = time.time,
+    ) -> None:
+        self.root = queue_dir
+        self.pending_dir = os.path.join(queue_dir, "pending")
+        self.inflight_dir = os.path.join(queue_dir, "inflight")
+        for directory in (self.pending_dir, self.inflight_dir):
+            os.makedirs(directory, exist_ok=True)
+        self.results = ResultCache(os.path.join(queue_dir, "results"))
+        self.orphan_age = orphan_age
+        self._clock = clock
+
+    # ------------------------------------------------------------------
+    # Lookup
+    # ------------------------------------------------------------------
+    def lookup(self, backend_id: str, key: str) -> Optional[EvaluationResult]:
+        """The stored result of ``key`` run on ``backend_id``, or
+        ``None``: an absent, pruned or unreadable entry is a miss."""
+        return self.results.get_entry(backend_id, key)
+
+    def _task_files(self, key: str) -> List[str]:
+        suffix = f"-{key}.json"
+        found = []
+        for directory in (self.pending_dir, self.inflight_dir):
+            found.extend(
+                os.path.join(directory, name)
+                for name in _names(directory) if name.endswith(suffix)
+            )
+        return found
+
+    def in_flight(self, key: str) -> bool:
+        """True while a drainer holds the claim on ``key``'s task."""
+        return any(
+            os.path.dirname(path) == self.inflight_dir
+            for path in self._task_files(key)
+        )
+
+    def depth(self) -> int:
+        """Task files pending or claimed right now."""
+        return len(_names(self.pending_dir)) + len(_names(self.inflight_dir))
+
+    # ------------------------------------------------------------------
+    # Enqueue
+    # ------------------------------------------------------------------
+    def next_counter(self) -> int:
+        """Allocate the next FIFO tie-break counter.
+
+        The value is ``max(persisted counter file, highest counter still
+        queued + 1)`` — never a per-process zero — so submission order
+        survives restarts and holds across processes sharing the
+        directory. The ``counter`` file is advanced atomically; a lost
+        update between two racing submitters is caught by the directory
+        scan as long as the earlier submission is still queued, which is
+        the only window in which relative order matters.
+        """
+        counter_path = os.path.join(self.root, "counter")
+        try:
+            with open(counter_path, "r", encoding="utf-8") as handle:
+                value = int(handle.read().strip() or 0)
+        except (OSError, ValueError):
+            value = 0
+        for directory in (self.pending_dir, self.inflight_dir):
+            for name in _names(directory):
+                parts = name.split("-", 2)
+                if (len(parts) == 3 and parts[1].isdecimal()
+                        and name.endswith(".json")):
+                    value = max(value, int(parts[1]) + 1)
+        try:
+            atomic_write_json(counter_path, value + 1)
+        except OSError:
+            pass  # a read-only queue still orders by the directory scan
+        return value
+
+    def enqueue(
+        self, task: EvaluationTask, key: str
+    ) -> Tuple[Optional[EvaluationResult], bool]:
+        """Persist ``task`` (cache key ``key``) unless it coalesces.
+
+        Returns ``(stored, enqueued)``. ``stored`` is the answer
+        already in the results store, and then nothing is enqueued.
+        Otherwise ``enqueued`` is False when a task file for the key is
+        already pending or in flight (the submission rides on it) and
+        True when a new pending file was written.
+        """
+        stored = self.lookup(task.backend, key)
+        if stored is not None:
+            return stored, False
+        if self._task_files(key):
+            return None, False
+        name = f"{max(0, task.priority):06d}-{self.next_counter():08d}-{key}"
+        atomic_write_json(
+            os.path.join(self.pending_dir, f"{name}.json"),
+            task.to_json_dict(),
+        )
+        return None, True
+
+    # ------------------------------------------------------------------
+    # Claim and run
+    # ------------------------------------------------------------------
+    def sweep(self) -> int:
+        """Requeue in-flight files whose lease expired; returns the count.
+
+        The mtime of a claimed file is a *lease*: live drainers
+        heartbeat it (see :class:`InflightLease`), so only a claim whose
+        drainer stopped beating for ``orphan_age`` seconds is requeued.
+        A slow task under a live heartbeat is never double-run.
+        """
+        requeued = 0
+        now = self._clock()
+        for name in sorted(_names(self.inflight_dir)):
+            path = os.path.join(self.inflight_dir, name)
+            try:
+                if now - os.path.getmtime(path) >= self.orphan_age:
+                    os.replace(path, os.path.join(self.pending_dir, name))
+                    requeued += 1
+            except OSError:
+                continue  # raced with another janitor or drainer: fine
+        if requeued:
+            obs_metrics.registry().counter("queue.orphans_requeued").inc(
+                requeued
+            )
+        return requeued
+
+    def claim(self) -> Optional[str]:
+        """Atomically move the first pending file to ``inflight/``.
+
+        Returns the claimed in-flight path, or ``None`` when nothing is
+        claimable. Losing a rename race to another drainer just moves
+        on to the next file — two drainers can never claim the same
+        task.
+        """
+        for name in sorted(_names(self.pending_dir)):
+            if not name.endswith(".json"):
+                continue
+            target = os.path.join(self.inflight_dir, name)
+            try:
+                os.replace(os.path.join(self.pending_dir, name), target)
+            except OSError:
+                continue  # another drainer claimed it first
+            return target
+        return None
+
+    def run_claim(
+        self, claimed: str, run: Callable[[EvaluationTask], TaskResult]
+    ) -> Tuple[str, TaskResult]:
+        """Execute one claimed task file; returns ``(key, result)``.
+
+        Decodes the task, runs ``run(task)`` while an
+        :class:`InflightLease` heartbeats the claim (another drainer's
+        janitor must see a live lease, however slow the task), stores
+        an ok result and drops the claim. An unreadable task file is
+        dropped rather than left to poison the queue, and
+        :class:`~repro.exec.task.TaskError` says so.
+        """
+        try:
+            with open(claimed, "r", encoding="utf-8") as handle:
+                task = EvaluationTask.from_json_dict(json.load(handle))
+        except (OSError, ValueError) as exc:
+            _unlink(claimed)
+            raise TaskError(
+                f"dropped unreadable task file "
+                f"{os.path.basename(claimed)} ({exc})"
+            ) from exc
+        key = task.cache_key()
+        with InflightLease(claimed, self.orphan_age, self._clock):
+            result = run(task)
+        self.store(task.backend, key, result)
+        _unlink(claimed)
+        return key, result
+
+    def store(self, backend_id: str, key: str, result: TaskResult) -> None:
+        """File an ok result under ``key`` (failures are never stored,
+        and a full or read-only store must not fail the task)."""
+        if not result.ok:
+            return
+        try:
+            self.results.put_entry(backend_id, key, result.result)
+        except OSError:
+            pass
+
+
 class QueueExecutor:
     """Persistent on-disk queue executor with coalescing."""
 
@@ -295,40 +401,21 @@ class QueueExecutor:
         comparable to file mtimes).
         """
         self.queue_dir = queue_dir
+        self.queue = WorkQueue(queue_dir, orphan_age, clock)
         self.notes: List[str] = []
-        self._pending_dir = os.path.join(queue_dir, "pending")
-        self._inflight_dir = os.path.join(queue_dir, "inflight")
-        self._results_dir = os.path.join(queue_dir, "results")
-        for directory in (
-            self._pending_dir, self._inflight_dir, self._results_dir
-        ):
-            os.makedirs(directory, exist_ok=True)
         self._fault_plan = fault_plan
         self._run_task = run_task
-        self._orphan_age = orphan_age
-        self._clock = clock
         self._waiters: Dict[str, List[EvaluationTask]] = {}
-        self._served: Deque[Tuple[EvaluationTask, TaskResult]] = deque()
+        self._served: Deque[Tuple[EvaluationTask, EvaluationResult]] = deque()
         self._executed = 0
         self._coalesced = 0
-        self._orphans_requeued = 0
         self._depth_high_water = 0
-        self._sweep_orphaned_inflight()
-
-    # ------------------------------------------------------------------
-    # Janitor
-    # ------------------------------------------------------------------
-    def _sweep_orphaned_inflight(self) -> None:
-        """Requeue task files whose lease expired (crashed drainer)."""
-        requeued = sweep_orphaned_inflight(
-            self._pending_dir, self._inflight_dir, self._orphan_age,
-            clock=self._clock,
-        )
-        if requeued:
-            self._orphans_requeued = requeued
+        # Janitor: requeue task files whose lease expired (crashed drainer).
+        self._orphans_requeued = self.queue.sweep()
+        if self._orphans_requeued:
             self.notes.append(
-                f"work queue janitor: requeued {requeued} orphaned "
-                f"in-flight task(s) in {self.queue_dir}"
+                f"work queue janitor: requeued {self._orphans_requeued} "
+                f"orphaned in-flight task(s) in {self.queue_dir}"
             )
 
     # ------------------------------------------------------------------
@@ -348,70 +435,24 @@ class QueueExecutor:
             waiters.append(task)
             self._coalesced += 1
             return
-        stored = self._load_stored(key)
+        stored, enqueued = self.queue.enqueue(task, key)
         if stored is not None:
             self._served.append((task, stored))
             self._coalesced += 1
             return
         self._waiters[key] = [task]
-        if self._queued_files(key):
+        if not enqueued:
             # Persisted by an earlier (possibly crashed) submitter:
             # ride on that file instead of enqueueing a duplicate.
             self._coalesced += 1
-        else:
-            self._write_pending(task, key)
-        depth = len(os.listdir(self._pending_dir)) + len(
-            os.listdir(self._inflight_dir)
+        self._depth_high_water = max(
+            self._depth_high_water, self.queue.depth()
         )
-        self._depth_high_water = max(self._depth_high_water, depth)
 
     @property
     def pending(self) -> int:
         """Submissions not yet yielded by :meth:`drain`."""
         return sum(len(w) for w in self._waiters.values()) + len(self._served)
-
-    # ------------------------------------------------------------------
-    # File plumbing
-    # ------------------------------------------------------------------
-    def _queued_files(self, key: str) -> List[str]:
-        suffix = f"-{key}.json"
-        found = []
-        for directory in (self._pending_dir, self._inflight_dir):
-            for name in os.listdir(directory):
-                if name.endswith(suffix):
-                    found.append(os.path.join(directory, name))
-        return found
-
-    def _write_pending(self, task: EvaluationTask, key: str) -> None:
-        counter = next_counter(
-            self.queue_dir, self._pending_dir, self._inflight_dir
-        )
-        name = pending_name(task.priority, counter, key)
-        atomic_write_json(
-            os.path.join(self._pending_dir, name), task.to_json_dict()
-        )
-
-    def _load_stored(self, key: str) -> Optional[TaskResult]:
-        path = os.path.join(self._results_dir, f"{key}.json")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            return TaskResult.from_json_dict(payload)
-        except (OSError, ValueError, TaskError):
-            return None  # absent or unreadable: evaluate fresh
-
-    def _store_result(self, key: str, result: TaskResult) -> None:
-        try:
-            atomic_write_json(
-                os.path.join(self._results_dir, f"{key}.json"),
-                result.to_json_dict(),
-            )
-        except OSError:
-            pass  # a full or read-only store must not fail the task
-
-    def _claim_next(self) -> Optional[str]:
-        """Atomically move the first pending file to ``inflight/``."""
-        return claim_next_pending(self._pending_dir, self._inflight_dir)
 
     # ------------------------------------------------------------------
     # Execution
@@ -448,54 +489,27 @@ class QueueExecutor:
         while self._waiters or self._served:
             while self._served:
                 waiter, stored = self._served.popleft()
-                yield replace(
-                    stored,
-                    index=waiter.index,
-                    series=waiter.series,
-                    x=waiter.x,
-                    attempt=waiter.attempt,
-                    coalesced=True,
+                yield TaskResult.from_evaluation(
+                    waiter, stored, coalesced=True
                 )
             if not self._waiters:
                 continue
-            claimed = self._claim_next()
+            claimed = self.queue.claim()
             if claimed is None:
                 # Waiters remain but no file is claimable (lost to a
                 # crash before the janitor threshold, or claimed by a
                 # foreign drainer that died): evaluate from the
                 # in-memory submission so the sweep always completes.
                 key = next(iter(self._waiters))
-                result = self._run(self._waiters[key][0])
-                if result.ok:
-                    self._store_result(key, result)
-                for stamped in self._dispatch(key, result):
-                    yield stamped
-                continue
-            try:
-                with open(claimed, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                task = EvaluationTask.from_json_dict(payload)
-            except (OSError, ValueError, TaskError) as exc:
-                self.notes.append(
-                    f"work queue: dropped unreadable task file "
-                    f"{os.path.basename(claimed)} ({exc})"
-                )
-                try:
-                    os.unlink(claimed)
-                except OSError:
-                    pass
-                continue
-            key = task.cache_key()
-            # Heartbeat the claim while it runs: another drainer's
-            # janitor must see a live lease, however slow the task.
-            with InflightLease(claimed, self._orphan_age, self._clock):
+                task = self._waiters[key][0]
                 result = self._run(task)
-            if result.ok:
-                self._store_result(key, result)
-            try:
-                os.unlink(claimed)
-            except OSError:
-                pass
+                self.queue.store(task.backend, key, result)
+            else:
+                try:
+                    key, result = self.queue.run_claim(claimed, self._run)
+                except TaskError as exc:
+                    self.notes.append(f"work queue: {exc}")
+                    continue
             for stamped in self._dispatch(key, result):
                 yield stamped
 

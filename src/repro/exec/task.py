@@ -25,10 +25,15 @@ makes exactly one attempt: retries and fallbacks belong to
 from __future__ import annotations
 
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
-from ..backends import EvaluationPlan, ResultCache, get_backend
+from ..backends import (
+    EvaluationPlan,
+    EvaluationResult,
+    ResultCache,
+    get_backend,
+)
 from ..backends.cache import request_digest
 from ..core.parameters import ModelParameters
 from ..core.simulation import SimulationPlan
@@ -46,8 +51,8 @@ __all__ = [
     "tighten_budget",
 ]
 
-#: Version of the task / result JSON schema. Bump when a field changes
-#: meaning; readers reject foreign versions instead of guessing.
+#: Version of the task JSON schema. Bump when a field changes meaning;
+#: readers reject foreign versions instead of guessing.
 TASK_SCHEMA_VERSION = 1
 
 #: A point outcome as journaled and assembled:
@@ -56,8 +61,9 @@ Outcome = Tuple[str, float, float, float]
 
 
 class TaskError(ValueError):
-    """A task or result payload cannot be decoded (wrong schema
-    version, missing fields, malformed structure)."""
+    """A task payload cannot be decoded (wrong schema version, missing
+    fields, malformed structure), or an error result was asked for an
+    outcome."""
 
 
 def derive_attempt_seed(base_seed: int, attempt: int) -> int:
@@ -252,15 +258,16 @@ class EvaluationTask:
 class TaskResult:
     """What executing one :class:`EvaluationTask` produced.
 
-    ``status`` is ``"ok"`` or ``"error"``. An ok result carries the
-    figure outcome (``mean`` / ``half_width``) plus the full
-    serialised :class:`~repro.backends.base.EvaluationResult` under
-    ``result``; an error result carries the structured
-    :func:`failure_payload` under ``failure``. Provenance travels with
-    the envelope: which attempt ran, under which derived seed, and
-    whether the result was ``coalesced`` (served from another
-    submission's evaluation or a persistent queue's result store
-    rather than evaluated for this submission).
+    ``status`` is ``"ok"`` or ``"error"``. An ok result is built by
+    :meth:`from_evaluation` and carries the figure outcome (``mean`` /
+    ``half_width``) plus the full
+    :class:`~repro.backends.base.EvaluationResult` under ``result``; an
+    error result carries the structured :func:`failure_payload` under
+    ``failure``. Provenance travels with the envelope: which attempt
+    ran, under which derived seed, and whether the result was
+    ``coalesced`` (served from another submission's evaluation or a
+    persistent queue's result store rather than evaluated for this
+    submission).
     """
 
     status: str
@@ -271,10 +278,29 @@ class TaskResult:
     seed_used: int
     mean: Optional[float] = None
     half_width: Optional[float] = None
-    result: Optional[Dict[str, Any]] = None
+    result: Optional[EvaluationResult] = None
     failure: Optional[Dict[str, str]] = None
     coalesced: bool = False
-    schema_version: int = field(default=TASK_SCHEMA_VERSION)
+
+    @classmethod
+    def from_evaluation(cls, task: EvaluationTask, result: EvaluationResult,
+                        coalesced: bool = False) -> "TaskResult":
+        """The ok result of ``task`` carrying ``result``, fresh from a
+        backend or read back from a store; the outcome is the task's
+        first plan metric."""
+        value = result.metric(task.plan.metrics[0])
+        return cls(
+            status="ok",
+            index=task.index,
+            series=task.series,
+            x=task.x,
+            attempt=task.attempt,
+            seed_used=task.seed,
+            mean=value.mean,
+            half_width=value.half_width,
+            result=result,
+            coalesced=coalesced,
+        )
 
     @property
     def ok(self) -> bool:
@@ -294,57 +320,6 @@ class TaskResult:
                 f"status={self.status!r}"
             )
         return (self.series, self.x, self.mean, self.half_width)
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict that :meth:`from_json_dict` reverses."""
-        return {
-            "schema_version": self.schema_version,
-            "status": self.status,
-            "index": self.index,
-            "series": self.series,
-            "x": self.x,
-            "attempt": self.attempt,
-            "seed_used": self.seed_used,
-            "mean": self.mean,
-            "half_width": self.half_width,
-            "result": self.result,
-            "failure": self.failure,
-            "coalesced": self.coalesced,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Dict[str, Any]) -> "TaskResult":
-        """Rebuild a result envelope from :meth:`to_json_dict` output.
-
-        Raises :class:`TaskError` on foreign schema versions or
-        malformed payloads, mirroring :meth:`EvaluationTask.from_json_dict`.
-        """
-        if not isinstance(payload, dict):
-            raise TaskError(
-                f"result payload must be an object, got {type(payload).__name__}"
-            )
-        version = payload.get("schema_version")
-        if version != TASK_SCHEMA_VERSION:
-            raise TaskError(
-                f"result schema version {version!r} is not readable by this "
-                f"package (expected {TASK_SCHEMA_VERSION})"
-            )
-        try:
-            return cls(
-                status=payload["status"],
-                index=int(payload["index"]),
-                series=payload["series"],
-                x=float(payload["x"]),
-                attempt=int(payload["attempt"]),
-                seed_used=int(payload["seed_used"]),
-                mean=payload.get("mean"),
-                half_width=payload.get("half_width"),
-                result=payload.get("result"),
-                failure=payload.get("failure"),
-                coalesced=bool(payload.get("coalesced", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TaskError(f"malformed result payload: {exc}") from exc
 
 
 def execute_task(
@@ -372,7 +347,7 @@ def execute_task(
         result = backend.evaluate(task.params, seeded_plan)
         if fault_plan is not None:
             result = fault_plan.after_task(task, result)
-        metric_value = result.metric(seeded_plan.metrics[0])
+        evaluated = TaskResult.from_evaluation(task, result)
         if task.cache_dir:
             try:
                 ResultCache(task.cache_dir).put(
@@ -380,17 +355,7 @@ def execute_task(
                 )
             except OSError:
                 pass  # a full or read-only cache must not fail the point
-        return TaskResult(
-            status="ok",
-            index=task.index,
-            series=task.series,
-            x=task.x,
-            attempt=task.attempt,
-            seed_used=task.seed,
-            mean=metric_value.mean,
-            half_width=metric_value.half_width,
-            result=result.to_json_dict(),
-        )
+        return evaluated
     except Exception as exc:
         return TaskResult(
             status="error",

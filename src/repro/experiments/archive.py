@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional
 
+from .._atomic import atomic_write
 from .._version import __version__
 from ..obs import write_manifest
 from .resilience import FailureReport
@@ -73,19 +73,10 @@ def save_figure(figure: FigureResult, directory: str) -> str:
         "notes": list(figure.notes),
         "failures": [asdict(report) for report in figure.failures],
     }
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=f".{figure.figure_id}.", suffix=".json.tmp"
+    atomic_write(
+        path, json.dumps(payload, indent=2, sort_keys=True),
+        prefix=f".{figure.figure_id}.", suffix=".json.tmp",
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
     if figure.manifest is not None:
         write_manifest(figure.manifest, directory)
     return path

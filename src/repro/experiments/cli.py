@@ -251,7 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result cache the workers should use",
     )
     job_status_p = job_sub.add_parser(
-        "status", help="poll one job against the queue's results store"
+        "status",
+        help=(
+            "poll one job: a point is done once its result reads back "
+            "from the queue's result cache (DIR/results)"
+        ),
     )
     job_status_p.add_argument("job_id", help="job id printed by submit")
     job_status_p.add_argument(
@@ -275,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     job_collect = job_sub.add_parser(
         "collect",
-        help="assemble the finished job's figure from the results store",
+        help=(
+            "assemble the finished job's figure from the queue's result "
+            "cache; a pruned or unreadable entry leaves the job "
+            "unfinished until a re-submit evaluates it again"
+        ),
     )
     job_collect.add_argument("job_id", help="job id printed by submit")
     job_collect.add_argument(
@@ -534,9 +542,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help=(
-            "directory backing the 'queue' executor (pending/, inflight/ "
-            "and results/ live under it; survives crashes and dedups "
-            "repeated submissions of the same point)"
+            "directory backing the 'queue' executor (pending/ and "
+            "inflight/ task files and a results/ result cache live under "
+            "it; survives crashes and dedups repeated submissions of the "
+            "same point)"
         ),
     )
     parser.add_argument(

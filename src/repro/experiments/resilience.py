@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from .._atomic import atomic_write
 from ..exec.base import Executor, ExecutorError
 from ..exec.pool import PoolExecutor, shutdown_pool
 from ..exec.serial import SerialExecutor
@@ -369,21 +369,10 @@ class CheckpointJournal:
 
     def _rewrite(self, lines: Sequence[str]) -> None:
         """Atomically replace the journal with the given valid prefix."""
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".journal-", suffix=".tmp"
+        atomic_write(
+            self.path, "".join(line + "\n" for line in lines),
+            prefix=".journal-",
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
 
     # ------------------------------------------------------------------
     # Writing

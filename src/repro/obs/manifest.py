@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .._atomic import atomic_write
 from .._version import __version__
 
 __all__ = [
@@ -260,20 +260,11 @@ def write_manifest(manifest: RunManifest, directory: str) -> str:
         manifest.git_version = git_describe()
     os.makedirs(directory, exist_ok=True)
     path = manifest_path(directory, manifest.figure_id)
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=f".{manifest.figure_id}.manifest.", suffix=".tmp"
+    atomic_write(
+        path,
+        json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        prefix=f".{manifest.figure_id}.manifest.",
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(manifest.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
     return path
 
 

@@ -11,15 +11,18 @@ into a small multi-process evaluation *service*:
   task.
 * :mod:`repro.service.jobs` — the job API: submit a figure sweep as
   a named, tenant-labelled job (a JSON record next to the queue),
-  poll its status against the results store, and collect the
+  poll its status against the queue's result cache, and collect the
   finished figure without ever blocking a worker. Collected archives
   are bit-identical to a serial run of the same figure.
 
-Everything speaks the queue's existing on-disk contract — atomic
+Neither module knows how a queue directory is laid out: both go
+through :class:`~repro.exec.queue.WorkQueue`, the same enqueue, claim
+and lookup steps :class:`~repro.exec.QueueExecutor` uses — atomic
 renames for claims, heartbeat leases for crash recovery, canonical
-cache keys for dedup — so executors, workers and jobs can share one
-queue directory concurrently. See ``docs/EXECUTION.md`` ("Service
-mode") for the operational walk-through.
+cache keys for dedup, a :class:`~repro.backends.ResultCache` for
+results — so executors, workers and jobs can share one queue
+directory concurrently. See ``docs/EXECUTION.md`` ("Service mode")
+for the operational walk-through.
 """
 
 from .jobs import (

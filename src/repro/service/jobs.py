@@ -1,17 +1,21 @@
 """The job API of the evaluation service: submit, poll, collect.
 
 A *job* is one figure sweep submitted to a shared queue directory as
-a named, tenant-labelled unit: the submitter persists every point's
-:class:`~repro.exec.EvaluationTask` into the queue (coalescing
-against work already queued or already answered) and writes a JSON
-*job record* next to the queue — ``<queue_dir>/jobs/<job_id>.json`` —
+a named, tenant-labelled unit: the submitter writes a JSON *job
+record* next to the queue — ``<queue_dir>/jobs/<job_id>.json`` —
 holding the point list, their cache keys, the priority, the tenant
-label, and submitted/started/finished timestamps. Workers
+label, and submitted/started/finished timestamps, then enqueues every
+point's :class:`~repro.exec.EvaluationTask` through
+:meth:`~repro.exec.queue.WorkQueue.enqueue` (coalescing against work
+already queued or already answered). Workers
 (:mod:`repro.service.worker`) drain the queue without knowing about
-jobs at all; a job is *observed* to completion by polling the queue's
-results store (:func:`job_status`) and its figure is assembled from
-those stored results (:func:`collect_job`) without ever blocking a
-worker.
+jobs at all; a job is *observed* to completion by looking its keys up
+in the queue's results store (:func:`job_status`) and its figure is
+assembled from those stored results (:func:`collect_job`) without ever
+blocking a worker. Every lookup goes through
+:meth:`~repro.exec.queue.WorkQueue.lookup`, so a pruned or unreadable
+entry is a point still to answer, and re-submitting the job enqueues
+it again.
 
 Because tasks are built by the exact recipe the in-process sweep uses
 (:func:`repro.experiments.runner.build_sweep_tasks`) and results are
@@ -37,8 +41,8 @@ import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..exec import TaskError, TaskResult
-from ..exec.queue import atomic_write_json, next_counter, pending_name
+from ..backends import DERIVED_METRICS
+from ..exec.queue import WorkQueue, atomic_write_json
 from ..obs import metrics as obs_metrics
 from ..obs.manifest import RunManifest
 
@@ -278,34 +282,6 @@ def list_jobs(queue_dir: str) -> List[str]:
     )
 
 
-def _result_path(queue_dir: str, key: str) -> str:
-    return os.path.join(queue_dir, "results", f"{key}.json")
-
-
-def _load_result(queue_dir: str, key: str) -> Optional[TaskResult]:
-    import json
-
-    try:
-        with open(_result_path(queue_dir, key), "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return TaskResult.from_json_dict(payload)
-    except (OSError, ValueError, TaskError):
-        return None
-
-
-def _queued_key_files(queue_dir: str, key: str) -> List[str]:
-    suffix = f"-{key}.json"
-    found = []
-    for sub in ("pending", "inflight"):
-        directory = os.path.join(queue_dir, sub)
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            continue
-        found.extend(name for name in names if name.endswith(suffix))
-    return found
-
-
 def submit_job(
     queue_dir: str,
     figure_id: str,
@@ -322,14 +298,17 @@ def submit_job(
 ) -> JobRecord:
     """Submit one figure sweep as a named job; returns its record.
 
-    Every point becomes a persisted pending task (FIFO counter and
-    priority exactly as a :class:`~repro.exec.QueueExecutor`
-    submission would write them, so executors and jobs share one
-    schedule). A point whose cache key is already answered in the
-    results store is counted ``served_from_cache`` and not enqueued; a
-    key already queued (pending or in flight) is counted ``coalesced``
-    and ridden on. Custom (non-sweep) figures raise :class:`JobError`
-    — they are solved, not swept, and have nothing to enqueue.
+    The record, with every point's key, is saved before the first
+    task is enqueued, so a worker that claims a task at once already
+    finds its tenant; it is saved again with the counts at the end.
+    Every point goes through :meth:`~repro.exec.queue.WorkQueue.enqueue`,
+    the step a :class:`~repro.exec.QueueExecutor` submission takes, so
+    executors and jobs share one schedule. A point whose cache key is
+    already answered in the results store is counted
+    ``served_from_cache`` and not enqueued; a key already queued
+    (pending or in flight) is counted ``coalesced`` and ridden on.
+    Custom (non-sweep) figures raise :class:`JobError` — they are
+    solved, not swept, and have nothing to enqueue.
     """
     # Deferred imports: repro.service must stay importable without
     # dragging the whole experiments layer in at module import time.
@@ -363,13 +342,7 @@ def submit_job(
         cache_dir=cache_dir, priority=priority,
     )
 
-    pending_dir = os.path.join(queue_dir, "pending")
-    inflight_dir = os.path.join(queue_dir, "inflight")
-    for directory in (
-        pending_dir, inflight_dir, os.path.join(queue_dir, "results")
-    ):
-        os.makedirs(directory, exist_ok=True)
-
+    queue = WorkQueue(queue_dir)
     if job_id is None:
         job_id = f"{name or figure_id}-{uuid.uuid4().hex[:12]}"
     record = JobRecord(
@@ -388,12 +361,11 @@ def submit_job(
         backend_version=backend_obj.backend_version,
         priority=priority,
         plan=asdict(plan),
+        submitted=len(tasks),
         submitted_unix=now(),
     )
-
-    reg = obs_metrics.registry()
-    for task, point in zip(tasks, points):
-        key = task.cache_key()
+    keys = [task.cache_key() for task in tasks]
+    for task, point, key in zip(tasks, points, keys):
         record.points.append({
             "index": task.index,
             "series": point.series,
@@ -401,20 +373,17 @@ def submit_job(
             "key": key,
             "n_processors": point.params.n_processors,
         })
-        record.submitted += 1
-        reg.counter(f"tenant.{tenant}.submitted").inc()
-        if os.path.isfile(_result_path(queue_dir, key)):
+    record.save(queue_dir)
+
+    reg = obs_metrics.registry()
+    reg.counter(f"tenant.{tenant}.submitted").inc(len(tasks))
+    for task, key in zip(tasks, keys):
+        stored, enqueued = queue.enqueue(task, key)
+        if stored is not None:
             record.served_from_cache += 1
             reg.counter(f"tenant.{tenant}.served_from_cache").inc()
-            continue
-        if _queued_key_files(queue_dir, key):
+        elif not enqueued:
             record.coalesced += 1
-            continue
-        counter = next_counter(queue_dir, pending_dir, inflight_dir)
-        atomic_write_json(
-            os.path.join(pending_dir, pending_name(priority, counter, key)),
-            task.to_json_dict(),
-        )
     record.save(queue_dir)
     write_metrics_snapshot(queue_dir, f"submit-{job_id}")
     return record
@@ -427,22 +396,21 @@ def job_status(
 ) -> JobStatus:
     """Poll one job against the results store; never blocks a worker.
 
-    Updates the record's ``started_unix`` / ``finished_unix``
-    timestamps (best effort, atomic rewrite) as progress is first
-    observed.
+    A point is done when its key looks up in the results store (an
+    unreadable entry is not done), in flight while a worker holds its
+    claim, and pending otherwise. Updates the record's
+    ``started_unix`` / ``finished_unix`` timestamps (best effort,
+    atomic rewrite) as progress is first observed.
     """
     record = load_job(queue_dir, job_id)
+    queue = WorkQueue(queue_dir)
     done = 0
     inflight = 0
     pending = 0
     for point in record.points:
-        key = point["key"]
-        if os.path.isfile(_result_path(queue_dir, key)):
+        if queue.lookup(record.backend, point["key"]) is not None:
             done += 1
-            continue
-        queued = _queued_key_files(queue_dir, key)
-        if any(os.path.isfile(os.path.join(queue_dir, "inflight", name))
-               for name in queued):
+        elif queue.in_flight(point["key"]):
             inflight += 1
         else:
             pending += 1
@@ -480,14 +448,19 @@ def collect_job(queue_dir: str, job_id: str):
     unvalidated-interval stamp — so saving it produces an archive
     bit-identical to a serial run of the same figure. Raises
     :class:`JobError` naming the missing points when the job is not
-    finished.
+    finished: a point whose stored result was pruned or is unreadable
+    counts as missing, and re-submitting the job enqueues it again.
     """
     from ..experiments.runner import FigureResult
 
     record = load_job(queue_dir, job_id)
+    queue = WorkQueue(queue_dir)
+    stored = [
+        queue.lookup(record.backend, point["key"]) for point in record.points
+    ]
     missing = [
-        point for point in record.points
-        if not os.path.isfile(_result_path(queue_dir, point["key"]))
+        point for point, result in zip(record.points, stored)
+        if result is None
     ]
     if missing:
         shown = ", ".join(
@@ -510,19 +483,15 @@ def collect_job(queue_dir: str, job_id: str):
             "carry no statistical information and archive comparison will "
             "not claim interval overlap from them"
         )
-    for point in record.points:
-        result = _load_result(queue_dir, point["key"])
-        if result is None or not result.ok:
-            raise JobError(
-                f"job {job_id!r}: stored result for {point['series']!r}@"
-                f"x={point['x']:g} is unreadable; re-submit the job"
-            )
+    base_metric = DERIVED_METRICS.get(record.metric, record.metric)
+    for point, result in zip(record.points, stored):
+        value = result.metric(base_metric)
         x = point["x"]  # the record's raw x, type-preserving
         if record.metric == "total_useful_work":
             factor = point["n_processors"]
-            entry = (x, result.mean * factor, result.half_width * factor)
+            entry = (x, value.mean * factor, value.half_width * factor)
         else:
-            entry = (x, result.mean, result.half_width)
+            entry = (x, value.mean, value.half_width)
         figure.series.setdefault(point["series"], []).append(entry)
     for label in figure.series:
         figure.series[label].sort(key=lambda p: p[0])

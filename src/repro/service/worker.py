@@ -4,19 +4,22 @@
 smallest thing that is correct against the queue's concurrency
 contract:
 
-1. sweep expired in-flight leases back to ``pending/`` (the shared
-   janitor from :mod:`repro.exec.queue` — only claims whose drainer
-   stopped heartbeating are requeued);
-2. claim the first pending file by atomic rename (losing the race to
+1. sweep expired in-flight leases back to the pending tasks (the
+   janitor of :class:`~repro.exec.queue.WorkQueue` — only claims
+   whose drainer stopped heartbeating are requeued);
+2. claim the first pending task by atomic rename (losing the race to
    a sibling worker just means trying the next file);
-3. execute the task through the standard
+3. run the claim through :meth:`~repro.exec.queue.WorkQueue.run_claim`,
+   the same step :class:`~repro.exec.QueueExecutor` drains with: the
+   task executes through the standard
    :func:`~repro.exec.task.execute_task` (with ``--point-timeout`` as
    the plan's wall-clock budget) while an
    :class:`~repro.exec.InflightLease` heartbeats the claim, so
-   however slow the point is, no other janitor steals it;
-4. store an ok result in ``results/<key>.json`` (the same store
-   executors and the job API read), drop the claim, and append one
-   line to the worker's evaluation log.
+   however slow the point is, no other janitor steals it; an ok
+   result goes into the queue's results store (the store executors
+   and the job API look up) and the claim is dropped;
+4. count the task for its tenant and append one line to the worker's
+   evaluation log.
 
 Several workers share one queue directory safely: the rename in step
 2 is the mutual exclusion, and the integration tests assert the
@@ -46,13 +49,8 @@ import time
 from dataclasses import replace
 from typing import Callable, Dict, Optional
 
-from ..exec import InflightLease, TaskError, TaskResult
-from ..exec.queue import (
-    INFLIGHT_SWEEP_AGE_SECONDS,
-    atomic_write_json,
-    claim_next_pending,
-    sweep_orphaned_inflight,
-)
+from ..exec import TaskError, TaskResult
+from ..exec.queue import INFLIGHT_SWEEP_AGE_SECONDS, WorkQueue
 from ..exec.task import EvaluationTask, execute_task, tighten_budget
 from ..obs import metrics as obs_metrics
 from .jobs import write_metrics_snapshot
@@ -115,17 +113,11 @@ class ServiceWorker:
         self._stop_requested = False
         self.executed = 0
         self.failed = 0
-        self._pending_dir = os.path.join(queue_dir, "pending")
-        self._inflight_dir = os.path.join(queue_dir, "inflight")
-        self._results_dir = os.path.join(queue_dir, "results")
-        self._workers_dir = os.path.join(queue_dir, "workers")
-        for directory in (
-            self._pending_dir, self._inflight_dir, self._results_dir,
-            self._workers_dir,
-        ):
-            os.makedirs(directory, exist_ok=True)
+        self.queue = WorkQueue(queue_dir, orphan_age, clock)
+        workers_dir = os.path.join(queue_dir, "workers")
+        os.makedirs(workers_dir, exist_ok=True)
         self._log_path = os.path.join(
-            self._workers_dir, f"{self.worker_id}.log.jsonl"
+            workers_dir, f"{self.worker_id}.log.jsonl"
         )
         # key -> tenant label, lazily rebuilt from the job records so
         # accounting follows jobs submitted after the worker started.
@@ -203,46 +195,26 @@ class ServiceWorker:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
+    def _run(self, task: EvaluationTask) -> TaskResult:
+        return self._run_task(
+            replace(task, plan=tighten_budget(task.plan, self.point_timeout))
+        )
+
     def _execute_claim(self, claimed: str) -> None:
         try:
-            with open(claimed, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            task = EvaluationTask.from_json_dict(payload)
-        except (OSError, ValueError, TaskError):
-            # Unreadable task file: drop it rather than poison the
-            # queue — the same policy as QueueExecutor.drain.
-            try:
-                os.unlink(claimed)
-            except OSError:
-                pass
-            return
-        key = task.cache_key()
-        task = replace(
-            task, plan=tighten_budget(task.plan, self.point_timeout)
-        )
-        with InflightLease(claimed, self.orphan_age, self._clock):
-            result = self._run_task(task)
+            key, result = self.queue.run_claim(claimed, self._run)
+        except TaskError:
+            return  # unreadable task file: dropped, not counted
         self.executed += 1
         tenant = self._tenant_of(key)
         reg = obs_metrics.registry()
         if result.ok:
-            try:
-                atomic_write_json(
-                    os.path.join(self._results_dir, f"{key}.json"),
-                    result.to_json_dict(),
-                )
-            except OSError:
-                pass
             reg.counter(f"tenant.{tenant}.evaluated").inc()
             self._log_evaluation(key, "ok")
         else:
             self.failed += 1
             reg.counter(f"tenant.{tenant}.failed").inc()
             self._log_evaluation(key, "error")
-        try:
-            os.unlink(claimed)
-        except OSError:
-            pass
         self._snapshot()
 
     def run(self) -> int:
@@ -258,11 +230,8 @@ class ServiceWorker:
             # hygiene, not a hot path.
             if self.orphan_age > 0 and now - last_sweep >= self.orphan_age:
                 last_sweep = now
-                sweep_orphaned_inflight(
-                    self._pending_dir, self._inflight_dir, self.orphan_age,
-                    clock=self._clock,
-                )
-            claimed = claim_next_pending(self._pending_dir, self._inflight_dir)
+                self.queue.sweep()
+            claimed = self.queue.claim()
             if claimed is not None:
                 self._execute_claim(claimed)
                 last_work = self._clock()

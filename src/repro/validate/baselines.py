@@ -19,12 +19,11 @@ backend at one configuration and seed.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .._atomic import atomic_write
 from .._version import __version__
 from .differential import DifferentialCase, run_case
 from .stats import SampleSummary
@@ -101,19 +100,10 @@ def _summary_from_payload(payload: Dict[str, object]) -> SampleSummary:
 def _write_atomic(path: Path, payload: Dict[str, object]) -> None:
     """Temp file + fsync + rename, the manifest crash discipline."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=str(path.parent)
+    atomic_write(
+        str(path), json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        prefix=path.name + ".",
     )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
 
 
 def _load_baseline(path: Path) -> Dict[str, object]:

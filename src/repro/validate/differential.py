@@ -381,9 +381,7 @@ def _evaluate_participants(
                     f"{failure.get('error_type', 'Exception')}: "
                     f"{failure.get('error_message', 'unknown error')}"
                 )
-            results[task_result.series] = EvaluationResult.from_json_dict(
-                task_result.result
-            )
+            results[task_result.series] = task_result.result
     finally:
         if owned:
             instance.close()

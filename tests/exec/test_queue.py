@@ -2,24 +2,26 @@
 
 The on-disk contract: pending task files sort lexicographically into
 the schedule, identical submissions coalesce on the canonical cache
-key, ok results persist in the results store so later executors (or a
-second run of the same figure) are served without re-evaluating, and
-a startup janitor requeues in-flight files orphaned by a crashed
-drainer.
+key, ok results persist in the results store (a result-cache root) so
+later executors (or a second run of the same figure) are served
+without re-evaluating, and a startup janitor requeues in-flight files
+orphaned by a crashed drainer.
 """
 
 import json
 import os
 import time
 
-from repro.backends import EvaluationPlan
+from repro.backends import EvaluationPlan, EvaluationResult, MetricValue
 from repro.core import HOUR, ModelParameters, SimulationPlan
-from repro.exec import EvaluationTask, InflightLease, QueueExecutor, TaskResult
-from repro.exec.queue import (
-    INFLIGHT_SWEEP_AGE_SECONDS,
-    next_counter,
-    sweep_orphaned_inflight,
+from repro.exec import (
+    EvaluationTask,
+    InflightLease,
+    QueueExecutor,
+    TaskResult,
+    WorkQueue,
 )
+from repro.exec.queue import INFLIGHT_SWEEP_AGE_SECONDS
 
 TINY_SIM = SimulationPlan(warmup=2 * HOUR, observation=20 * HOUR, replications=2)
 TINY = EvaluationPlan(simulation=TINY_SIM)
@@ -41,12 +43,21 @@ def make_task(index=0, n_processors=8192, priority=0, base_seed=11, attempt=0):
 
 def ok_result(task, fault_plan=None):
     """Canned evaluation: the task's index encoded as the mean."""
-    return TaskResult(
-        status="ok", index=task.index, series=task.series, x=task.x,
-        attempt=task.attempt, seed_used=task.seed,
-        mean=float(task.index), half_width=0.0,
-        result={"backend": task.backend},
+    evaluation = EvaluationResult(
+        backend=task.backend,
+        metrics={task.plan.metrics[0]: MetricValue(mean=float(task.index))},
     )
+    return TaskResult.from_evaluation(task, evaluation)
+
+
+def stored_entries(queue_dir):
+    """Entry files in the queue's results store (a result-cache root)."""
+    return [
+        name
+        for _, _, names in os.walk(os.path.join(queue_dir, "results"))
+        for name in names
+        if name.endswith(".json") and not name.startswith(".")
+    ]
 
 
 class TestCoalescing:
@@ -150,7 +161,7 @@ class TestCrashResume:
         assert [r.ok for r in results] == [True, True]
         assert os.listdir(tmp_path / "pending") == []
         # Both answers persist for the *next* crashed run.
-        assert len(os.listdir(tmp_path / "results")) == 2
+        assert len(stored_entries(tmp_path)) == 2
 
     def test_error_results_are_not_persisted(self, tmp_path):
         def flaky(task, *args):
@@ -171,7 +182,7 @@ class TestCrashResume:
         assert not results[1].ok
         # Only the ok result landed in the store: failures must be
         # re-evaluated, never replayed.
-        assert len(os.listdir(tmp_path / "results")) == 1
+        assert len(stored_entries(tmp_path)) == 1
 
     def test_unreadable_task_file_is_dropped_with_note(self, tmp_path):
         executor = QueueExecutor(str(tmp_path))
@@ -245,13 +256,7 @@ class TestPersistentCounter:
         return sorted(os.listdir(tmp_path / "pending"))
 
     def test_next_counter_is_monotonic_and_persisted(self, tmp_path):
-        pending = str(tmp_path / "pending")
-        inflight = str(tmp_path / "inflight")
-        os.makedirs(pending)
-        os.makedirs(inflight)
-        values = [
-            next_counter(str(tmp_path), pending, inflight) for _ in range(3)
-        ]
+        values = [WorkQueue(str(tmp_path)).next_counter() for _ in range(3)]
         assert values == [0, 1, 2]
 
     def test_counter_recovers_from_queued_filenames(self, tmp_path):
@@ -261,12 +266,7 @@ class TestPersistentCounter:
         executor.submit(make_task(index=0, n_processors=8192))
         executor.submit(make_task(index=1, n_processors=16384))
         os.unlink(tmp_path / "counter")
-        value = next_counter(
-            str(tmp_path),
-            str(tmp_path / "pending"),
-            str(tmp_path / "inflight"),
-        )
-        assert value == 2
+        assert executor.queue.next_counter() == 2
 
     def test_two_executors_interleave_in_submission_order(self, tmp_path):
         # Two processes (modelled by two instances) submit alternately
@@ -347,21 +347,15 @@ class TestInflightLease:
         # terms, but its lease was beaten one second ago: keep it.
         now = 1_000_000.0
         path = self.plant(tmp_path, mtime=now - 1.0)
-        requeued = sweep_orphaned_inflight(
-            str(tmp_path / "pending"), str(tmp_path / "inflight"),
-            orphan_age=60.0, clock=lambda: now,
-        )
-        assert requeued == 0
+        queue = WorkQueue(str(tmp_path), orphan_age=60.0, clock=lambda: now)
+        assert queue.sweep() == 0
         assert path.exists()
 
     def test_crashed_claim_is_requeued(self, tmp_path):
         now = 1_000_000.0
         path = self.plant(tmp_path, mtime=now - 120.0)
-        requeued = sweep_orphaned_inflight(
-            str(tmp_path / "pending"), str(tmp_path / "inflight"),
-            orphan_age=60.0, clock=lambda: now,
-        )
-        assert requeued == 1
+        queue = WorkQueue(str(tmp_path), orphan_age=60.0, clock=lambda: now)
+        assert queue.sweep() == 1
         assert not path.exists()
         assert len(os.listdir(tmp_path / "pending")) == 1
 
@@ -425,3 +419,29 @@ class TestInflightLease:
         [result] = list(executor.drain())
         assert result.ok
         assert executor.stats()["tasks_executed"] == 1
+
+
+class TestResultsStore:
+    def test_results_store_is_a_result_cache(self, tmp_path):
+        # The queue stores the same EvaluationResult files a cache
+        # directory holds, at the same relative paths.
+        from repro.experiments.figures import run_figure
+        from repro.experiments.resilience import ResilienceOptions
+
+        queue_dir = tmp_path / "queue"
+        cache_dir = tmp_path / "cache"
+        run_figure(
+            "fig4a", preset="quick", seed=1, max_points=4,
+            executor="queue", queue_dir=str(queue_dir),
+            resilience=ResilienceOptions(cache_dir=str(cache_dir)),
+        )
+        results = queue_dir / "results"
+        stored = [
+            path.relative_to(results) for path in results.rglob("*.json")
+            if not path.name.startswith(".")
+        ]
+        assert len(stored) == 4
+        for relative in stored:
+            assert (cache_dir / relative).read_bytes() == (
+                results / relative
+            ).read_bytes()

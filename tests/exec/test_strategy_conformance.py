@@ -86,8 +86,7 @@ class TestStrategyStampedTask:
     def test_execute_task_runs_a_strategy_stamped_task(self):
         outcome = execute_task(make_task(strategy=STRATEGY))
         assert outcome.ok, outcome.failure
-        result = EvaluationResult.from_json_dict(outcome.result)
-        assert 0.0 < result.metric("useful_work_fraction").mean < 1.0
+        assert 0.0 < outcome.result.metric("useful_work_fraction").mean < 1.0
 
     def test_strategy_changes_the_answer_through_the_task_path(self):
         # Not just the key: the serialized task must actually run the
@@ -96,12 +95,8 @@ class TestStrategyStampedTask:
         flat = execute_task(make_task(strategy="flat"))
         zoo = execute_task(make_task(strategy=STRATEGY))
         assert flat.ok and zoo.ok
-        flat_uwf = EvaluationResult.from_json_dict(flat.result).metric(
-            "useful_work_fraction"
-        )
-        zoo_uwf = EvaluationResult.from_json_dict(zoo.result).metric(
-            "useful_work_fraction"
-        )
+        flat_uwf = flat.result.metric("useful_work_fraction")
+        zoo_uwf = zoo.result.metric("useful_work_fraction")
         assert flat_uwf.mean != zoo_uwf.mean
 
 

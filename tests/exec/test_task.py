@@ -14,7 +14,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.backends import EvaluationPlan, ResultCache, get_backend
+from repro.backends import (
+    EvaluationPlan,
+    EvaluationResult,
+    MetricValue,
+    ResultCache,
+    get_backend,
+)
 from repro.core import HOUR, ModelParameters, SimulationPlan
 from repro.exec import (
     TASK_SCHEMA_VERSION,
@@ -106,24 +112,18 @@ class TestEvaluationTask:
 
 
 class TestTaskResult:
-    def test_json_round_trip(self):
-        result = TaskResult(
-            status="ok", index=1, series="s", x=2.0, attempt=0,
-            seed_used=5, mean=0.75, half_width=0.01,
-            result={"backend": "analytical"},
+    def test_from_evaluation_carries_the_outcome(self):
+        task = make_task(series="s", x=2.0, attempt=0)
+        evaluation = EvaluationResult(
+            backend="analytical",
+            metrics={"useful_work_fraction": MetricValue(0.75, 0.01)},
         )
-        rebuilt = TaskResult.from_json_dict(result.to_json_dict())
-        assert rebuilt == result
-        assert rebuilt.ok
-        assert rebuilt.outcome == ("s", 2.0, 0.75, 0.01)
-
-    def test_foreign_schema_version_rejected(self):
-        payload = TaskResult(
-            status="ok", index=0, series="s", x=1.0, attempt=0, seed_used=0
-        ).to_json_dict()
-        payload["schema_version"] = TASK_SCHEMA_VERSION + 1
-        with pytest.raises(TaskError):
-            TaskResult.from_json_dict(payload)
+        result = TaskResult.from_evaluation(task, evaluation)
+        assert result.ok
+        assert result.outcome == ("s", 2.0, 0.75, 0.01)
+        assert result.seed_used == task.seed
+        assert result.result is evaluation
+        assert not result.coalesced
 
     def test_error_result_has_no_outcome(self):
         failed = TaskResult(
@@ -142,7 +142,7 @@ class TestExecuteTask:
         assert result.seed_used == 17
         assert result.x == 8192
         assert 0 < result.mean <= 1
-        assert result.result["backend"] == "analytical"
+        assert result.result.backend == "analytical"
 
     def test_never_raises(self):
         bad = make_task(backend="no-such-backend")

@@ -4,7 +4,7 @@ The contract under test: a submitted job persists every point as a
 queue task plus a JSON record next to the queue; status is a
 non-blocking poll of the results store; collect assembles a figure
 identical to what the in-process sweep produces from the same
-results.
+results. A stored result that cannot be read is a miss for all three.
 """
 
 import json
@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from repro.exec import EvaluationTask
+from repro.exec import EvaluationTask, WorkQueue
+from repro.exec import queue as queue_module
 from repro.service import (
     JOB_SCHEMA_VERSION,
     JobError,
@@ -23,6 +24,7 @@ from repro.service import (
     load_job,
     submit_job,
 )
+from repro.service import jobs as jobs_module
 from repro.service.worker import ServiceWorker
 
 
@@ -88,6 +90,36 @@ class TestSubmit:
         with pytest.raises(JobError, match="not a sweep"):
             submit_job(str(tmp_path), "fig3")
 
+    def test_a_worker_claiming_mid_submit_counts_the_tenant(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker that claims the first pending file before the
+        # submitter has finished must still find the job's tenant.
+        from repro.obs import metrics
+
+        reg = metrics.registry()
+        evaluated = reg.counter("tenant.ci.evaluated")
+        anonymous = reg.counter("tenant.anonymous.evaluated")
+        before = (evaluated.value, anonymous.value)
+        real_write = queue_module.atomic_write_json
+        steps = []
+
+        def write_then_step(path, payload):
+            real_write(path, payload)
+            pending = os.path.basename(os.path.dirname(path)) == "pending"
+            if pending and not steps:
+                steps.append(ServiceWorker(
+                    str(tmp_path), idle_exit=0.0, max_tasks=1
+                ).run())
+
+        # Hook whichever module writes the pending files.
+        for module in (queue_module, jobs_module):
+            monkeypatch.setattr(module, "atomic_write_json", write_then_step)
+        submit_small(tmp_path, max_points=2, tenant="ci")
+        assert steps == [1]
+        assert evaluated.value - before[0] == 1
+        assert anonymous.value == before[1]
+
     def test_tenant_counters_on_submit(self, tmp_path):
         from repro.obs import metrics
 
@@ -150,6 +182,30 @@ class TestStatusAndCollect:
         assert collected.metric == serial.metric
         assert collected.backend == serial.backend
         assert collected.unvalidated_intervals == serial.unvalidated_intervals
+
+    def test_unreadable_stored_result_is_a_miss_everywhere(self, tmp_path):
+        from repro.experiments.figures import run_figure
+
+        record = submit_small(tmp_path, max_points=2)
+        ServiceWorker(str(tmp_path), idle_exit=0.0).run()
+        entry = WorkQueue(str(tmp_path)).results.entry_path(
+            record.backend, record.points[0]["key"]
+        )
+        with open(entry, "w", encoding="utf-8") as handle:
+            handle.write("{not json")
+
+        assert not job_status(str(tmp_path), record.job_id).finished
+        again = submit_small(tmp_path, max_points=2)
+        assert again.served_from_cache == 1
+        assert len(os.listdir(tmp_path / "pending")) == 1
+
+        ServiceWorker(str(tmp_path), idle_exit=0.0).run()
+        collected = collect_job(str(tmp_path), record.job_id)
+        serial = run_figure(
+            "fig4a", preset="quick", seed=3, max_points=2,
+            backend="analytical",
+        )
+        assert collected.series == serial.series
 
     def test_collect_carries_a_manifest(self, tmp_path):
         record = submit_small(tmp_path)

@@ -5,6 +5,7 @@ import os
 import signal
 import time
 
+from repro.backends import EvaluationResult, MetricValue
 from repro.exec import TaskResult
 from repro.service import submit_job
 from repro.service.worker import ServiceWorker
@@ -21,19 +22,29 @@ def submit_small(queue_dir, **kwargs):
 
 def canned(status="ok"):
     def run(task, *args):
+        if status == "ok":
+            return TaskResult.from_evaluation(task, EvaluationResult(
+                backend=task.backend,
+                metrics={task.plan.metrics[0]: MetricValue(mean=0.5)},
+            ))
         return TaskResult(
             status=status, index=task.index, series=task.series, x=task.x,
             attempt=task.attempt, seed_used=task.seed,
-            mean=0.5 if status == "ok" else None,
-            half_width=0.0 if status == "ok" else None,
-            result={"backend": task.backend} if status == "ok" else None,
-            failure=(
-                None if status == "ok"
-                else {"error_type": "RuntimeError", "error_message": "boom"}
-            ),
+            failure={"error_type": "RuntimeError", "error_message": "boom"},
         )
 
     return run
+
+
+def stored_keys(queue_dir):
+    """Keys with an entry in the queue's results store (a result-cache
+    root), sorted."""
+    return sorted(
+        name[: -len(".json")]
+        for _, _, names in os.walk(os.path.join(queue_dir, "results"))
+        for name in names
+        if name.endswith(".json") and not name.startswith(".")
+    )
 
 
 class TestDrainLoop:
@@ -43,9 +54,8 @@ class TestDrainLoop:
         assert worker.run() == 2
         assert os.listdir(tmp_path / "pending") == []
         assert os.listdir(tmp_path / "inflight") == []
-        stored = sorted(os.listdir(tmp_path / "results"))
-        assert stored == sorted(
-            f"{point['key']}.json" for point in record.points
+        assert stored_keys(tmp_path) == sorted(
+            point["key"] for point in record.points
         )
 
     def test_max_tasks_bounds_the_run(self, tmp_path):
@@ -68,7 +78,7 @@ class TestDrainLoop:
         )
         worker.run()
         assert worker.failed == 2
-        assert os.listdir(tmp_path / "results") == []
+        assert stored_keys(tmp_path) == []
         assert failed_counter.value == before + 2
         log = (tmp_path / "workers" / "w-fail.log.jsonl").read_text()
         statuses = [json.loads(line)["status"] for line in log.splitlines()]
@@ -159,7 +169,7 @@ class TestShutdown:
         # The first claimed task completes (and is stored) before the
         # loop honours the stop flag.
         assert worker.run() == 1
-        assert len(os.listdir(tmp_path / "results")) == 1
+        assert len(stored_keys(tmp_path)) == 1
         assert os.listdir(tmp_path / "inflight") == []
 
     def test_sigterm_routes_to_request_stop(self, tmp_path):
@@ -199,11 +209,7 @@ class TestLeaseIntegration:
                 str(tmp_path), idle_exit=None, orphan_age=orphan_age
             )
             # Force the sibling's janitor right now.
-            from repro.exec.queue import sweep_orphaned_inflight
-
-            observed["requeued"] = sweep_orphaned_inflight(
-                sibling._pending_dir, sibling._inflight_dir, orphan_age
-            )
+            observed["requeued"] = sibling.queue.sweep()
             observed["pending"] = os.listdir(tmp_path / "pending")
             return canned()(task, *args)
 
@@ -222,9 +228,7 @@ class TestLeaseIntegration:
         claimed = ServiceWorker(
             str(tmp_path), idle_exit=0.0, max_tasks=0
         )
-        from repro.exec.queue import claim_next_pending
-
-        path = claim_next_pending(claimed._pending_dir, claimed._inflight_dir)
+        path = claimed.queue.claim()
         assert path is not None
         stale = time.time() - 3600.0
         os.utime(path, (stale, stale))
@@ -234,7 +238,4 @@ class TestLeaseIntegration:
         # pass by making the loop believe a period elapsed.
         assert worker.run() == 1
         assert os.listdir(tmp_path / "inflight") == []
-        assert len(os.listdir(tmp_path / "results")) == 1
-        assert record.points[0]["key"] + ".json" in os.listdir(
-            tmp_path / "results"
-        )
+        assert stored_keys(tmp_path) == [record.points[0]["key"]]
