@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 try:  # Protocol is 3.8+; keep the import local to one place.
@@ -38,7 +38,7 @@ except ImportError:  # pragma: no cover - Python < 3.8 fallback
 
 
 from .._version import __version__
-from ..core.parameters import ModelParameters
+from ..core.parameters import ModelParameters, require_finite
 from ..core.simulation import SimulationPlan
 from ..obs import metrics as _obs_metrics
 
@@ -177,10 +177,14 @@ class EvaluationPlan:
     seed: int = 0
     duration: Optional[float] = None
 
+    #: Every float field, checked for NaN and infinity.
+    _FLOAT_FIELDS = ("duration",)
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.metrics:
             raise ValueError("an evaluation plan needs at least one metric")
+        require_finite(self, self._FLOAT_FIELDS)
         if self.duration is not None and self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
 
@@ -411,18 +415,43 @@ class BaseBackend:
         )
 
 
+#: Field names of each request dataclass, in declaration order,
+#: recorded on first use: a dataclass's fields are fixed once the
+#: class is defined.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _field_dict(obj: object) -> Dict[str, object]:
+    """``obj``'s fields by name, read directly.
+
+    Equal to ``dataclasses.asdict`` for a dataclass whose fields hold
+    immutable scalars and tuples of them, as every field of
+    :class:`ModelParameters`, :class:`SimulationPlan` and
+    :class:`EvaluationPlan` except ``EvaluationPlan.simulation`` does,
+    without ``asdict``'s deep copy of every value.
+    """
+    names = _FIELD_NAMES.get(type(obj))
+    if names is None:
+        names = _FIELD_NAMES[type(obj)] = tuple(
+            spec.name for spec in fields(obj)
+        )
+    return {name: getattr(obj, name) for name in names}
+
+
 def plan_key_dict(params: ModelParameters, plan: EvaluationPlan) -> Dict[str, object]:
     """The canonical JSON-able identity of one evaluation request
-    (used by the result cache and anything else that hashes requests).
+    (used by the result cache and anything else that hashes requests):
+    ``{"params": asdict(params), "plan": asdict(plan)}``.
 
     The simulation's ``wall_clock_budget`` decides whether a run
     finishes, never its value, so it is normalised to ``None``: a
     budgeted request shares its digest with the budget-less one.
     """
-    plan_dict = asdict(plan)
-    if plan.simulation.wall_clock_budget is not None:
-        plan_dict["simulation"]["wall_clock_budget"] = None
-    return {"params": asdict(params), "plan": plan_dict}
+    simulation = _field_dict(plan.simulation)
+    simulation["wall_clock_budget"] = None
+    plan_dict = _field_dict(plan)
+    plan_dict["simulation"] = simulation
+    return {"params": _field_dict(params), "plan": plan_dict}
 
 
 def non_flat_strategy(plan: EvaluationPlan) -> Optional[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "MINUTE",
@@ -26,6 +26,7 @@ __all__ = [
     "GB",
     "CoordinationMode",
     "ModelParameters",
+    "require_finite",
 ]
 
 MINUTE = 60.0
@@ -36,6 +37,15 @@ YEAR = 365.0 * DAY
 
 MB = 1e6
 GB = 1e9
+
+
+def require_finite(obj: Any, names: Tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first field in ``names`` whose
+    value on ``obj`` is NaN or infinite; ``None`` passes."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class CoordinationMode:
@@ -201,10 +211,38 @@ class ModelParameters:
     checkpoint_write_factor: float = 1.0
     recovery_read_factor: float = 1.0
 
+    #: Every float field. NaN slips through each ``< 0`` / ``<= 0``
+    #: check below and an infinity through most of them, so these are
+    #: checked for finiteness first.
+    _FLOAT_FIELDS = (
+        "checkpoint_interval",
+        "mttf_node",
+        "mttr",
+        "mttr_io",
+        "mttq",
+        "timeout",
+        "broadcast_overhead",
+        "software_overhead",
+        "app_io_cycle_period",
+        "compute_fraction",
+        "prob_correlated_failure",
+        "frate_correlated_factor",
+        "correlated_failure_window",
+        "generic_correlated_coefficient",
+        "system_reboot_time",
+        "bandwidth_compute_to_io",
+        "bandwidth_io_to_fs",
+        "checkpoint_size_per_node",
+        "app_io_data_per_node",
+        "checkpoint_write_factor",
+        "recovery_read_factor",
+    )
+
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
+        require_finite(self, self._FLOAT_FIELDS)
         if self.n_processors < 1:
             raise ValueError(f"n_processors must be >= 1, got {self.n_processors}")
         if self.processors_per_node < 1:

@@ -29,7 +29,7 @@ from ..san import (
 )
 from ..san import profiling
 from .ledger import LedgerCounters
-from .parameters import HOUR, ModelParameters
+from .parameters import HOUR, ModelParameters, require_finite
 from .submodels import USEFUL_WORK, breakdown_rewards, useful_work_reward
 from .system import build_system
 
@@ -116,7 +116,11 @@ class SimulationPlan:
     batch_size: Optional[int] = None
     strategy: str = "flat"
 
+    #: Every float field, checked for NaN and infinity first.
+    _FLOAT_FIELDS = ("warmup", "observation", "confidence", "wall_clock_budget")
+
     def __post_init__(self) -> None:
+        require_finite(self, self._FLOAT_FIELDS)
         if self.warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         if self.observation <= 0:

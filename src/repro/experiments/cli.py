@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import sys
 import time
@@ -52,6 +53,23 @@ from .report import (
 from .validation import validate_figure
 
 __all__ = ["main", "build_parser"]
+
+
+def finite_float(text: str) -> float:
+    """The ``type`` of every float option: ``float`` without ``nan``
+    and ``inf``, which no option means. argparse reports a rejected
+    value as a usage error (exit 2) naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=0, help="root random seed")
     chaos.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=finite_float, default=1.0,
         help="scale the simulation effort (CI smoke uses <1)",
     )
     chaos.add_argument(
@@ -106,28 +124,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="slice the sweep to its first N points",
     )
     chaos.add_argument(
-        "--crash", type=float, default=0.5, metavar="FRACTION",
+        "--crash", type=finite_float, default=0.5, metavar="FRACTION",
         help="fraction of evaluations that crash on every attempt "
              "(only a fallback backend escapes; default 0.5)",
     )
     chaos.add_argument(
-        "--hang", type=float, default=0.0, metavar="FRACTION",
+        "--hang", type=finite_float, default=0.0, metavar="FRACTION",
         help="fraction of evaluations that hang on every attempt",
     )
     chaos.add_argument(
-        "--hang-seconds", type=float, default=3600.0, metavar="SECONDS",
+        "--hang-seconds", type=finite_float, default=3600.0, metavar="SECONDS",
         help="how long an injected hang sleeps (default: 3600)",
     )
     chaos.add_argument(
-        "--slow", type=float, default=0.0, metavar="FRACTION",
+        "--slow", type=finite_float, default=0.0, metavar="FRACTION",
         help="fraction of evaluations delayed by --slow-seconds",
     )
     chaos.add_argument(
-        "--slow-seconds", type=float, default=0.0, metavar="SECONDS",
+        "--slow-seconds", type=finite_float, default=0.0, metavar="SECONDS",
         help="latency added to slow-afflicted evaluations",
     )
     chaos.add_argument(
-        "--corrupt", type=float, default=0.0, metavar="FRACTION",
+        "--corrupt", type=finite_float, default=0.0, metavar="FRACTION",
         help="fraction of evaluations whose result means are corrupted "
              "(only the tolerance comparison can catch these)",
     )
@@ -136,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="vary the deterministic fault pattern at the same fractions",
     )
     chaos.add_argument(
-        "--deadline", type=float, default=30.0, metavar="SECONDS",
+        "--deadline", type=finite_float, default=30.0, metavar="SECONDS",
         help="point timeout: the pool kills an attempt still running "
              "after it (default: 30)",
     )
@@ -153,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos.add_argument(
-        "--tolerance", type=float, default=0.15,
+        "--tolerance", type=finite_float, default=0.15,
         help="relative tolerance of the archive comparison",
     )
     chaos.add_argument(
@@ -180,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: worker-<pid>)",
     )
     worker.add_argument(
-        "--poll-interval", type=float, default=0.2, metavar="SECONDS",
+        "--poll-interval", type=finite_float, default=0.2, metavar="SECONDS",
         help="sleep between polls of an empty queue (default: 0.2)",
     )
     worker.add_argument(
-        "--idle-exit", type=float, default=None, metavar="SECONDS",
+        "--idle-exit", type=finite_float, default=None, metavar="SECONDS",
         help="exit after this long with nothing claimable "
              "(default: run until signalled)",
     )
@@ -193,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after executing N tasks (default: unlimited)",
     )
     worker.add_argument(
-        "--orphan-age", type=float, default=None, metavar="SECONDS",
+        "--orphan-age", type=finite_float, default=None, metavar="SECONDS",
         help="in-flight lease threshold shared by janitor and heartbeat "
              "(default: 60)",
     )
     worker.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SECONDS",
+        "--point-timeout", type=finite_float, default=None, metavar="SECONDS",
         help="wall-clock limit per task, applied as the simulation's "
              "wall-clock budget (cooperative)",
     )
@@ -270,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll until the job finishes (exit 1 on --timeout)",
     )
     job_status_p.add_argument(
-        "--timeout", type=float, default=300.0, metavar="SECONDS",
+        "--timeout", type=finite_float, default=300.0, metavar="SECONDS",
         help="give up waiting after this long (default: 300)",
     )
     job_status_p.add_argument(
-        "--poll-interval", type=float, default=0.5, metavar="SECONDS",
+        "--poll-interval", type=finite_float, default=0.5, metavar="SECONDS",
         help="sleep between polls with --wait (default: 0.5)",
     )
     job_collect = job_sub.add_parser(
@@ -362,18 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("reference", help="reference archive directory")
     compare.add_argument("candidate", help="candidate archive directory")
-    compare.add_argument("--tolerance", type=float, default=0.15,
+    compare.add_argument("--tolerance", type=finite_float, default=0.15,
                          help="relative tolerance per point")
 
     design = sub.add_parser(
         "design", help="explore the interval x machine-size design space"
     )
-    design.add_argument("--mttf-years", type=float, default=1.0,
+    design.add_argument("--mttf-years", type=finite_float, default=1.0,
                         help="per-node MTTF in years")
-    design.add_argument("--mttr-minutes", type=float, default=10.0,
+    design.add_argument("--mttr-minutes", type=finite_float, default=10.0,
                         help="system MTTR in minutes")
     design.add_argument("--processors-per-node", type=int, default=8)
-    design.add_argument("--overhead-seconds", type=float, default=57.0,
+    design.add_argument("--overhead-seconds", type=finite_float, default=57.0,
                         help="blocking checkpoint overhead (quiesce + dump)")
 
     sensitivity = sub.add_parser(
@@ -381,18 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sensitivity.add_argument("--processors", type=int, default=65536)
     sensitivity.add_argument("--processors-per-node", type=int, default=8)
-    sensitivity.add_argument("--mttf-years", type=float, default=1.0)
-    sensitivity.add_argument("--mttr-minutes", type=float, default=10.0)
-    sensitivity.add_argument("--interval-minutes", type=float, default=30.0)
-    sensitivity.add_argument("--overhead-seconds", type=float, default=57.0)
+    sensitivity.add_argument("--mttf-years", type=finite_float, default=1.0)
+    sensitivity.add_argument("--mttr-minutes", type=finite_float, default=10.0)
+    sensitivity.add_argument("--interval-minutes", type=finite_float, default=30.0)
+    sensitivity.add_argument("--overhead-seconds", type=finite_float, default=57.0)
 
     completion = sub.add_parser(
         "completion", help="terminating job-completion-time study"
     )
-    completion.add_argument("--work-hours", type=float, default=24.0,
+    completion.add_argument("--work-hours", type=finite_float, default=24.0,
                             help="job size in hours of whole-machine work")
     completion.add_argument("--processors", type=int, default=65536)
-    completion.add_argument("--mttf-years", type=float, default=1.0)
+    completion.add_argument("--mttf-years", type=finite_float, default=1.0)
     completion.add_argument("--replications", type=int, default=5)
     completion.add_argument("--seed", type=int, default=0)
 
@@ -441,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     validate.add_argument(
-        "--scale", type=float, default=1.0,
+        "--scale", type=finite_float, default=1.0,
         help="scale the simulation effort of every case (CI smoke uses <1)",
     )
     validate.add_argument(
@@ -597,14 +615,14 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retry-backoff",
-        type=float,
+        type=finite_float,
         default=0.5,
         metavar="SECONDS",
         help="initial backoff before a retry; doubles per attempt",
     )
     parser.add_argument(
         "--point-timeout",
-        type=float,
+        type=finite_float,
         default=None,
         metavar="SECONDS",
         help=(
@@ -615,7 +633,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--wall-clock-budget",
-        type=float,
+        type=finite_float,
         default=None,
         metavar="SECONDS",
         help="real-time budget per replication inside the simulator",

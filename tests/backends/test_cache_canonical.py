@@ -50,6 +50,8 @@ class TestCanonicalize:
     def test_nan_error_names_location(self):
         with pytest.raises(ValueError, match=r"\$\.plan\.x"):
             canonicalize({"plan": {"x": math.nan}})
+        with pytest.raises(ValueError, match=r"\$\.a\[1\]\.b"):
+            canonicalize({"a": [1, {"b": math.nan}]})
 
     def test_numpy_scalars_normalize(self):
         assert canonicalize(np.int64(7)) == 7

@@ -7,6 +7,7 @@ errors to exit code 2, validation failures to 1, usage errors to the
 argparse SystemExit.
 """
 
+import argparse
 import json
 
 import pytest
@@ -293,3 +294,63 @@ def test_removed_option_is_a_usage_error(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def _never_reached(*args, **kwargs):
+    raise AssertionError("a non-finite flag value reached the command")
+
+
+#: Commands that accepted ``nan`` before, with the flag carrying it:
+#: ``design`` printed eight designs at predicted UWF 1.000,
+#: ``completion`` never finished, and ``run-figure`` ran with a
+#: wall-clock budget that never trips.
+NON_FINITE_ARGV = [
+    ("--mttf-years", ["design", "--mttf-years", "nan"]),
+    ("--mttf-years", ["completion", "--mttf-years", "nan",
+                      "--work-hours", "1", "--replications", "2"]),
+    ("--wall-clock-budget", ["run-figure", "fig4a", "--max-points", "1",
+                             "--no-validate", "--wall-clock-budget", "nan"]),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, argv", NON_FINITE_ARGV,
+    ids=[argv[0] for _, argv in NON_FINITE_ARGV],
+)
+def test_non_finite_float_flag_is_a_usage_error(flag, argv, monkeypatch,
+                                                capsys):
+    import repro.analytical.design
+    import repro.core
+
+    # Should parsing let the value through, fail fast instead of
+    # running (the completion study would never finish).
+    monkeypatch.setattr(repro.analytical.design, "explore", _never_reached)
+    monkeypatch.setattr(repro.core, "completion_study", _never_reached)
+    monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", _never_reached)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be a finite number" in (
+        capsys.readouterr().err
+    )
+
+
+def test_every_float_option_rejects_non_finite_values():
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action.choices, dict):  # a subcommand table
+                for subparser in action.choices.values():
+                    yield from actions(subparser)
+
+    float_options = [
+        action for action in actions(cli.build_parser())
+        if action.type in (float, cli.finite_float)
+    ]
+    # 29 options in cli.py, some of them on several commands.
+    assert len(float_options) >= 29
+    assert all(action.type is cli.finite_float for action in float_options)
+    assert cli.finite_float("1e-3") == 0.001
+    for text in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            cli.finite_float(text)
