@@ -7,23 +7,15 @@ gates: it records the kernel's own ``events_per_sec`` counter (see
 than the threshold against ``BENCH_engine_baseline.json``.
 ``test_san_event_throughput_full_kernel`` times the full-rescan
 reference kernel so the dependency index's speedup stays visible in
-the same report, and the ``test_san_event_throughput_batched_n*``
-family times the structure-of-arrays kernel at batch widths 1, 16 and
-64 — the N=64 point feeds the batched/incremental and batched/full
-speedup ratios the CI bench gate holds.
+the same report.
 """
 
-import pytest
-
-from dataclasses import replace
-
 from repro.core import HOUR, ModelParameters, SimulationPlan
-from repro.core.simulation import run_single, simulate_batched
+from repro.core.simulation import run_single
 from repro.core.system import build_system
 from repro.cluster import ClusterSimulator, Engine, SharedLink
 from repro.core import YEAR
 from repro.san import Simulator, StreamRegistry
-from repro.san.batched import numpy_available
 
 # 400 simulated hours ≈ 30k+ events per replication: long enough that
 # the events/sec figure is dominated by the steady-state event loop,
@@ -66,50 +58,6 @@ def test_san_event_throughput_full_kernel(benchmark):
     benchmark.extra_info["events"] = stats.events
     benchmark.extra_info["events_per_sec"] = stats.events_per_sec
     assert output.event_count > 1000
-
-
-def _run_batched(benchmark, width: int) -> None:
-    """Time the SoA kernel advancing ``width`` replications in lockstep.
-
-    Throughput is the kernel's own counter: *row*-events per wall
-    second, i.e. the effective rate across the whole batch — the
-    number the batched kernel exists to multiply.
-    """
-    if not numpy_available():
-        pytest.skip("batched kernel requires numpy")
-    plan = replace(
-        _SAN_PLAN, replications=width, kernel="batched", batch_size=width
-    )
-
-    def run():
-        return simulate_batched(ModelParameters(), plan, seed=1)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    stats = simulate_batched.last_kernel_stats
-    benchmark.extra_info["kernel"] = stats.kernel
-    benchmark.extra_info["batch_width"] = stats.batch_width
-    benchmark.extra_info["events"] = stats.events
-    benchmark.extra_info["events_per_sec"] = stats.events_per_sec
-    benchmark.extra_info["batch_occupancy"] = stats.batch_occupancy
-    benchmark.extra_info["scalar_fallback_rate"] = stats.scalar_fallback_rate
-    assert stats.kernel == "batched"
-    assert stats.batch_width == width
-    assert sum(result.event_counts) > 1000 * width
-
-
-def test_san_event_throughput_batched_n1(benchmark):
-    """Degenerate width-1 batch: the SoA kernel's overhead floor."""
-    _run_batched(benchmark, 1)
-
-
-def test_san_event_throughput_batched_n16(benchmark):
-    """16 replications in lockstep."""
-    _run_batched(benchmark, 16)
-
-
-def test_san_event_throughput_batched_n64(benchmark):
-    """64 replications in lockstep — the gated headline batch width."""
-    _run_batched(benchmark, 64)
 
 
 def test_cluster_event_throughput(benchmark):

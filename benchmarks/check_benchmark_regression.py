@@ -14,13 +14,11 @@ Two gates are applied:
   value. Meaningful when run on hardware comparable to the machine
   that produced the baseline (a dev box refreshes it with
   ``--update``).
-* **relative** — the kernel speedup ratios, computed within one run so
-  machine speed cancels out: incremental over full (the dependency
-  index's advantage), and the batched SoA kernel at width 64 over both
-  scalar kernels (the lockstep kernel's effective-throughput
-  advantage). This is the gate CI relies on (``--ratio-only``): hosted
-  runners vary too much for absolute numbers, but a kernel's relative
-  advantage must not erode wherever the suite runs.
+* **relative** — the incremental/full kernel speedup ratio, computed
+  within one run so machine speed cancels out. This is the gate CI
+  relies on (``--ratio-only``): hosted runners vary too much for
+  absolute numbers, but the dependency index's advantage over the
+  full-rescan reference must not erode wherever the suite runs.
 
 Usage::
 
@@ -40,15 +38,12 @@ from pathlib import Path
 BASELINE_PATH = Path(__file__).parent / "BENCH_engine_baseline.json"
 INCREMENTAL_TEST = "test_san_event_throughput"
 FULL_TEST = "test_san_event_throughput_full_kernel"
-BATCHED_TEST = "test_san_event_throughput_batched_n64"
 
 #: Gated within-run speedup ratios: baseline key -> (numerator test,
 #: denominator test). Each ratio is recorded by ``--update`` and gated
 #: whenever the baseline carries it and the run produced both tests.
 RATIOS = {
     "speedup_incremental_over_full": (INCREMENTAL_TEST, FULL_TEST),
-    "speedup_batched_over_incremental": (BATCHED_TEST, INCREMENTAL_TEST),
-    "speedup_batched_over_full": (BATCHED_TEST, FULL_TEST),
 }
 
 
@@ -167,7 +162,7 @@ def main(argv=None) -> int:
         elif base_ratio is not None:
             # The baseline gates this ratio but the run lacks one of
             # its tests — fail loudly rather than silently un-gate
-            # (e.g. the batched benches skipped for want of numpy).
+            # (e.g. a renamed or skipped kernel bench).
             failures.append(
                 f"{label} speedup unavailable: run is missing "
                 f"{' or '.join(t for t in RATIOS[key] if t not in throughputs)}"

@@ -7,9 +7,7 @@ this repository evaluates a checkpoint-system configuration:
 ``san-sim``
     Stochastic discrete-event simulation of the full SAN model
     (incremental kernel); ``san-sim-full`` is the same simulation on
-    the full-rescan reference kernel (bit-identical per seed);
-    ``san-sim-batched`` advances whole replication batches in numpy
-    lockstep (statistically equivalent, not bit-identical).
+    the full-rescan reference kernel (bit-identical per seed).
 ``ctmc``
     Exact steady state of the exponential checkpoint chain via the
     state-space generator.
@@ -98,7 +96,6 @@ def _register_defaults() -> None:
     defaults = (
         SanSimulationBackend(),
         SanSimulationBackend(id="san-sim-full", kernel="full"),
-        SanSimulationBackend(id="san-sim-batched", kernel="batched"),
         CTMCBackend(),
         ClusterBackend(),
         AnalyticalBackend(),

@@ -128,10 +128,11 @@ class UnsupportedParametersError(BackendError, ValueError):
 
 
 class UnsupportedBackendError(BackendError, RuntimeError):
-    """The backend is registered but cannot run in this environment
-    (a missing optional dependency, e.g. numpy for the batched
-    kernel). Registration and ``repro backends`` listing still work;
-    only evaluation refuses, naming what is missing."""
+    """The backend is registered but its model cannot run this
+    request (e.g. a non-flat checkpointing strategy on a backend that
+    models only the flat protocol; see :func:`non_flat_strategy`).
+    Registration and ``repro backends`` listing still work; only
+    evaluation refuses, naming what is missing."""
 
 
 class SchemaMismatchError(BackendError, ValueError):
@@ -446,9 +447,13 @@ def plan_key_dict(params: ModelParameters, plan: EvaluationPlan) -> Dict[str, ob
     The simulation's ``wall_clock_budget`` decides whether a run
     finishes, never its value, so it is normalised to ``None``: a
     budgeted request shares its digest with the budget-less one.
+    ``batch_size`` belonged to a removed simulation kernel; every key
+    filed while it existed carries it as ``null``, so it stays pinned
+    there and those keys stay valid.
     """
     simulation = _field_dict(plan.simulation)
     simulation["wall_clock_budget"] = None
+    simulation["batch_size"] = None
     plan_dict = _field_dict(plan)
     plan_dict["simulation"] = simulation
     return {"params": _field_dict(params), "plan": plan_dict}
@@ -462,8 +467,7 @@ def non_flat_strategy(plan: EvaluationPlan) -> Optional[str]:
     checkpoint (the exact chain, the closed forms, the message-level
     cluster protocol) veto non-flat strategies with this — a
     ``supports`` reason for sweeps to skip on, and an
-    :class:`UnsupportedBackendError` on the evaluate path, the same
-    discipline as the batched kernel's numpy veto.
+    :class:`UnsupportedBackendError` on the evaluate path.
     """
     spec = plan.simulation.strategy
     return None if spec == "flat" else spec

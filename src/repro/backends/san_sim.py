@@ -6,23 +6,12 @@ the *entire* parameter space (timeouts, correlated failures, every
 coordination mode) and reports confidence intervals; its cost is
 simulation time.
 
-Three registrations share this class: ``san-sim`` (the default,
-incremental event kernel), ``san-sim-full`` (the full-rescan
-reference kernel) and ``san-sim-batched`` (the numpy
-structure-of-arrays kernel that advances whole replication batches in
-lockstep). The scalar pair is trajectory-preserving, so ``san-sim``
-and ``san-sim-full`` produce bit-identical results for the same seed.
-The batched kernel preserves the seed policy (replication ``k`` draws
-from ``StreamRegistry(seed).spawn(k)``) but schedules draws in a
-different order, so its results are *statistically equivalent, not
-bit-identical* — the ``batched-vs-incremental`` differential case in
-``repro validate`` holds the two within tolerance bands.
-
-``san-sim-batched`` requires numpy; when numpy is absent the backend
-stays registered and listable but refuses to evaluate with
-:class:`~repro.backends.base.UnsupportedBackendError` (never a bare
-``ImportError``), and its ``supports`` veto lets sweeps skip it with
-a reported reason instead of crashing.
+Two registrations share this class: ``san-sim`` (the default,
+incremental event kernel) and ``san-sim-full`` (the full-rescan
+reference kernel). Both kernels are trajectory-preserving, so the
+two backends produce bit-identical results for the same seed; the
+second exists for A/B verification through the same interface the
+figures use.
 """
 
 from __future__ import annotations
@@ -31,8 +20,7 @@ from dataclasses import replace
 from typing import Optional
 
 from ..core.parameters import ModelParameters
-from ..core.simulation import simulate, simulate_batched
-from ..san.batched import numpy_available
+from ..core.simulation import simulate
 from .base import (
     observed,
     BackendCapabilities,
@@ -42,7 +30,6 @@ from .base import (
     MetricValue,
     TOTAL_USEFUL_WORK,
     USEFUL_WORK_FRACTION,
-    UnsupportedBackendError,
 )
 
 __all__ = ["SanSimulationBackend"]
@@ -61,8 +48,8 @@ class SanSimulationBackend(BaseBackend):
     """Stochastic simulation of the composed SAN model.
 
     ``kernel`` pins the event kernel for every evaluation
-    (``"incremental"``, ``"full"`` or ``"batched"``); ``None`` leaves
-    the choice to ``plan.simulation.kernel``.
+    (``"incremental"`` or ``"full"``); ``None`` leaves the choice to
+    ``plan.simulation.kernel``.
     """
 
     backend_version = 1
@@ -73,18 +60,6 @@ class SanSimulationBackend(BaseBackend):
         self.id = id
         self.kernel = kernel
         kernel_label = kernel or "plan-selected"
-        description = (
-            "discrete-event simulation of the full SAN model "
-            f"({kernel_label} kernel); covers the whole parameter space, "
-            "reports 95% confidence intervals"
-        )
-        if kernel == "batched":
-            description = (
-                "numpy structure-of-arrays simulation of the full SAN "
-                "model: N replications advanced in lockstep (batched "
-                "kernel); statistically equivalent to san-sim, not "
-                "bit-identical — same seed policy, different draw order"
-            )
         self.capabilities = BackendCapabilities(
             metrics=frozenset(
                 {USEFUL_WORK_FRACTION, TOTAL_USEFUL_WORK, *_BREAKDOWN_METRICS}
@@ -92,24 +67,12 @@ class SanSimulationBackend(BaseBackend):
             deterministic=False,
             exact=False,
             max_nodes=None,
-            description=description,
+            description=(
+                "discrete-event simulation of the full SAN model "
+                f"({kernel_label} kernel); covers the whole parameter space, "
+                "reports 95% confidence intervals"
+            ),
         )
-
-    def _effective_kernel(self, plan: EvaluationPlan) -> str:
-        """The kernel this evaluation would actually run on."""
-        return self.kernel or plan.simulation.kernel
-
-    def supports(
-        self, params: ModelParameters, plan: EvaluationPlan
-    ) -> Optional[str]:
-        """Veto batched evaluation when numpy is missing, so sweeps
-        skip this backend with a reported reason."""
-        if self._effective_kernel(plan) == "batched" and not numpy_available():
-            return (
-                "the batched kernel requires numpy, which is not "
-                "installed; use san-sim or san-sim-full instead"
-            )
-        return None
 
     @observed
     def evaluate(
@@ -117,19 +80,10 @@ class SanSimulationBackend(BaseBackend):
     ) -> EvaluationResult:
         """Run ``plan.simulation.replications`` replications rooted at
         ``plan.seed`` and report every metric the model measures."""
-        if self._effective_kernel(plan) == "batched" and not numpy_available():
-            raise UnsupportedBackendError(
-                f"backend {self.id!r} cannot run: the batched kernel "
-                "requires numpy, which is not installed; use san-sim "
-                "or san-sim-full instead"
-            )
         self.check(params, plan)
         sim_plan = plan.simulation
         if self.kernel is not None and sim_plan.kernel != self.kernel:
-            # Pinning a scalar kernel must also drop an inherited
-            # batch_size (only valid alongside kernel="batched").
-            batch_size = sim_plan.batch_size if self.kernel == "batched" else None
-            sim_plan = replace(sim_plan, kernel=self.kernel, batch_size=batch_size)
+            sim_plan = replace(sim_plan, kernel=self.kernel)
         outcome = simulate(params, sim_plan, seed=plan.seed)
         metrics = {
             USEFUL_WORK_FRACTION: MetricValue(
@@ -149,14 +103,6 @@ class SanSimulationBackend(BaseBackend):
             "replications": float(sim_plan.replications),
             "events": float(sum(outcome.event_counts)),
         }
-        if sim_plan.kernel == "batched":
-            stats = getattr(simulate_batched, "last_kernel_stats", None)
-            if stats is not None:
-                details["batch_width"] = float(stats.batch_width)
-                details["batch_occupancy"] = float(stats.batch_occupancy)
-                details["scalar_fallback_rate"] = float(
-                    stats.scalar_fallback_rate
-                )
         counters = outcome.counters
         if counters is not None:
             details["failures"] = float(counters.failures)

@@ -18,8 +18,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..obs.trace import NullSink, default_sink
 from ..san import (
-    DEFAULT_BATCH_SIZE,
-    BatchedSimulator,
     ConfidenceInterval,
     RewardVariable,
     Simulator,
@@ -38,16 +36,13 @@ __all__ = [
     "SimulationPlan",
     "SimulationResult",
     "simulate",
-    "simulate_batched",
     "simulate_batch_means",
     "run_single",
 ]
 
-#: Kernels a SimulationPlan may select. The scalar pair is
-#: trajectory-preserving (bit-identical per seed); ``batched``
-#: advances whole replication batches in numpy lockstep and is
-#: statistically equivalent but not bit-identical.
-PLAN_KERNELS = ("incremental", "full", "batched")
+#: Kernels a SimulationPlan may select. The pair is
+#: trajectory-preserving: both give bit-identical results per seed.
+PLAN_KERNELS = ("incremental", "full")
 
 #: Default transient period (the paper uses 1000 h; the model reaches
 #: steady state much faster, and tests/benches override this anyway).
@@ -80,19 +75,10 @@ class SimulationPlan:
         guard.
     kernel:
         Event kernel the simulator runs on: ``"incremental"``
-        (default, dependency-indexed scheduling), ``"full"`` (the
-        full-rescan reference) or ``"batched"`` (structure-of-arrays
-        lockstep over whole replication batches). The scalar pair is
-        trajectory-preserving — identical results per seed — while
-        ``batched`` preserves the seed policy (per-replication child
-        streams) but schedules draws in a different order, so its
-        results are statistically equivalent rather than
-        bit-identical; ``repro validate`` holds the two within
-        tolerance bands. The batched kernel does not enforce
-        ``wall_clock_budget``.
-    batch_size:
-        Replications advanced per lockstep batch (``batched`` kernel
-        only; ``None`` = ``min(replications, 64)``).
+        (default, dependency-indexed scheduling) or ``"full"`` (the
+        full-rescan reference). The two are trajectory-preserving —
+        identical results per seed — so this knob only trades speed
+        for verifiability.
     strategy:
         Checkpointing-strategy spec (see :mod:`repro.strategies`):
         ``"flat"`` (default, the paper's protocol — untouched model
@@ -113,7 +99,6 @@ class SimulationPlan:
     confidence: float = 0.95
     wall_clock_budget: Optional[float] = None
     kernel: str = "incremental"
-    batch_size: Optional[int] = None
     strategy: str = "flat"
 
     #: Every float field, checked for NaN and infinity first.
@@ -137,16 +122,6 @@ class SimulationPlan:
             raise ValueError(
                 f"kernel must be one of {PLAN_KERNELS}, got {self.kernel!r}"
             )
-        if self.batch_size is not None:
-            if self.kernel != "batched":
-                raise ValueError(
-                    f"batch_size only applies to the batched kernel, "
-                    f"got kernel={self.kernel!r}"
-                )
-            if self.batch_size < 1:
-                raise ValueError(
-                    f"batch_size must be >= 1, got {self.batch_size}"
-                )
         if self.strategy != "flat":
             # Lazy import: repro.strategies depends only on
             # core.parameters, never back on this module. The spec is
@@ -326,78 +301,6 @@ def simulate_batch_means(
     )
 
 
-def simulate_batched(
-    params: ModelParameters,
-    plan: SimulationPlan,
-    seed: int = 0,
-    extra_rewards: Sequence[RewardVariable] = (),
-) -> SimulationResult:
-    """Steady-state study on the batched structure-of-arrays kernel.
-
-    The replication set is split into lockstep batches of
-    ``plan.batch_size`` (default ``min(replications, 64)``). Row ``k``
-    of the study gets exactly the stream registry replication ``k``
-    would get under :func:`simulate` — ``StreamRegistry(seed).spawn(k)``
-    — so results are invariant to the batch split and the per-reward
-    aggregation matches the scalar driver sample for sample
-    (statistically; trajectories are not bit-identical to the scalar
-    kernels).
-    """
-    if plan.strategy != "flat":
-        # configure() is idempotent (it sets absolute values), so the
-        # simulate() -> simulate_batched() path applying it twice is
-        # harmless.
-        params = plan.resolve_strategy().configure(params)
-    root = StreamRegistry(seed)
-    batch_size = plan.batch_size or min(plan.replications, DEFAULT_BATCH_SIZE)
-    per_reward: Dict[str, List[float]] = {}
-    event_counts: List[int] = []
-    counters: Optional[LedgerCounters] = None
-    for start in range(0, plan.replications, batch_size):
-        replications = range(start, min(start + batch_size, plan.replications))
-        systems = [build_system(params) for _ in replications]
-        streams = [root.spawn(k) for k in replications]
-        rewards = [useful_work_reward(systems[0].ledger)]
-        rewards.extend(breakdown_rewards())
-        rewards.extend(extra_rewards)
-        simulator = BatchedSimulator(
-            [system.model for system in systems],
-            streams,
-            ctxs=[system.ledger for system in systems],
-        )
-        output = simulator.run(
-            until=plan.horizon, warmup=plan.warmup, rewards=rewards
-        )
-        simulate_batched.last_kernel_stats = output.kernel_stats  # type: ignore[attr-defined]
-        profiling.record(output.kernel_stats)
-        event_counts.extend(output.event_counts)
-        counters = systems[-1].ledger.counters
-        for row_rewards in output.rewards:
-            for name, result in row_rewards.items():
-                per_reward.setdefault(name, []).append(result.time_average)
-
-    uwf_samples = per_reward[USEFUL_WORK]
-    uwf = confidence_interval(uwf_samples, plan.confidence)
-    tuw = confidence_interval(
-        [value * params.n_processors for value in uwf_samples], plan.confidence
-    )
-    breakdown = {
-        name: confidence_interval(values, plan.confidence)
-        for name, values in per_reward.items()
-        if name != USEFUL_WORK
-    }
-    return SimulationResult(
-        params=params,
-        plan=plan,
-        useful_work_fraction=uwf,
-        total_useful_work=tuw,
-        breakdown=breakdown,
-        samples=uwf_samples,
-        counters=counters,
-        event_counts=event_counts,
-    )
-
-
 def simulate(
     params: ModelParameters,
     plan: Optional[SimulationPlan] = None,
@@ -408,15 +311,11 @@ def simulate(
 
     Runs ``plan.replications`` independent replications (replication
     ``k`` derives its streams from ``(seed, k)``), discards the
-    transient, and reports Student-t confidence intervals. A plan with
-    ``kernel="batched"`` dispatches to :func:`simulate_batched`, which
-    advances whole replication batches in numpy lockstep.
+    transient, and reports Student-t confidence intervals.
     """
     plan = plan or SimulationPlan()
     if plan.strategy != "flat":
         params = plan.resolve_strategy().configure(params)
-    if plan.kernel == "batched":
-        return simulate_batched(params, plan, seed, extra_rewards)
     root = StreamRegistry(seed)
     per_reward: Dict[str, List[float]] = {}
     event_counts: List[int] = []

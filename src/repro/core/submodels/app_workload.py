@@ -18,16 +18,7 @@ I/O phase is non-preemptible and completes even while the master waits.
 
 from __future__ import annotations
 
-from ...san import (
-    Arc,
-    Case,
-    Deterministic,
-    InputGate,
-    OutputGate,
-    SANModel,
-    TimedActivity,
-    tokens_at_least,
-)
+from ...san import Arc, Case, Deterministic, InputGate, OutputGate, SANModel, TimedActivity
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
 from . import names
@@ -63,7 +54,6 @@ def build_app_workload(
                     # drives the dependency index.
                     predicate=lambda s, _execution=execution: _execution.tokens > 0,
                     reads=[names.EXECUTION],
-                    conditions=[tokens_at_least(names.EXECUTION)],
                 )
             ],
             cases=[Case(output_arcs=[Arc(app_io)])],
@@ -76,9 +66,6 @@ def build_app_workload(
         # name lookup is skipped (this gate runs every I/O phase).
         app_pending.add(1)
 
-    def queue_background_write_vec(marking, rows, cols) -> None:
-        marking[rows, cols[names.APP_DATA_PENDING]] += 1
-
     # The I/O phase is not gated on `execution`: an in-flight I/O write
     # cannot be quiesced and runs to completion (Section 3.3).
     model.add_activity(
@@ -90,12 +77,7 @@ def build_app_workload(
                 Case(
                     output_arcs=[Arc(app_compute)],
                     output_gates=[
-                        OutputGate(
-                            "queue_background_write",
-                            queue_background_write,
-                            vector_function=queue_background_write_vec,
-                            writes=(names.APP_DATA_PENDING,),
-                        )
+                        OutputGate("queue_background_write", queue_background_write)
                     ],
                 )
             ],

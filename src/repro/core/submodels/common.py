@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ...san import Exponential, RateModulation
+from ...san import Exponential
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
 from . import names
@@ -61,27 +61,13 @@ def modulated_failure_exponential(
     params: ModelParameters, base_rate: float
 ) -> Exponential:
     """An exponential failure delay at ``base_rate`` scaled by the
-    correlated-failure multiplier.
-
-    The callable rate is the executable truth (used by the scalar
-    kernels — bit-identical to composing :func:`failure_rate_multiplier`
-    by hand); the :class:`~...san.RateModulation` annotation states the
-    same function declaratively so the batched kernel can resample from
-    the marking matrix without calling back into python.
-    """
+    correlated-failure multiplier of :func:`failure_rate_multiplier`."""
     multiplier = failure_rate_multiplier(params)
 
     def rate(state) -> float:
         return base_rate * multiplier(state)
 
-    return Exponential(
-        rate,
-        modulation=RateModulation(
-            base=base_rate * params.generic_uniform_multiplier,
-            factor=params.correlated_rate_multiplier,
-            places=(names.PROP_WINDOW, names.GEN_WINDOW),
-        ),
-    )
+    return Exponential(rate)
 
 
 def abort_checkpoint_protocol(state) -> None:

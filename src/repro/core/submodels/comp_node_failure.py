@@ -16,14 +16,7 @@ correlated-failure window.
 
 from __future__ import annotations
 
-from ...san import (
-    Case,
-    InputGate,
-    OutputGate,
-    SANModel,
-    TimedActivity,
-    tokens_at_least,
-)
+from ...san import Case, InputGate, OutputGate, SANModel, TimedActivity
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
 from . import names
@@ -61,15 +54,6 @@ def build_comp_node_failure(
                     predicate=compute_nodes_up,
                     function=on_failure,
                     reads=[names.EXECUTION, names.QUIESCING, names.DUMPING],
-                    # "Any operational state" is one OR-group: at least
-                    # one of the three places is marked.
-                    conditions=[
-                        [
-                            tokens_at_least(names.EXECUTION),
-                            tokens_at_least(names.QUIESCING),
-                            tokens_at_least(names.DUMPING),
-                        ]
-                    ],
                 )
             ],
             cases=[

@@ -30,8 +30,6 @@ from ...san import (
     OutputGate,
     SANModel,
     TimedActivity,
-    tokens_at_least,
-    tokens_zero,
 )
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
@@ -81,7 +79,6 @@ def build_comp_node_recovery(
                     "not_rebooting",
                     predicate=lambda s: s.tokens(names.REBOOTING) == 0,
                     reads=[names.REBOOTING],
-                    conditions=[tokens_zero(names.REBOOTING)],
                 )
             ],
             cases=[Case(output_gates=[OutputGate("dispatch_recovery", dispatch_recovery)])],
@@ -100,7 +97,6 @@ def build_comp_node_recovery(
                     "io_nodes_available",
                     predicate=lambda s: s.tokens(names.IO_RESTARTING) == 0,
                     reads=[names.IO_RESTARTING],
-                    conditions=[tokens_zero(names.IO_RESTARTING)],
                 )
             ],
             cases=[Case(output_arcs=[Arc(stage2)])],
@@ -117,12 +113,6 @@ def build_comp_node_recovery(
         # error-propagation correlated-failure window (Section 4).
         state.place(names.PROP_WINDOW).clear()
 
-    def complete_recovery_vec(marking, rows, cols) -> None:
-        marking[rows, cols[names.APP_COMPUTE]] = 1
-        marking[rows, cols[names.APP_IO]] = 0
-        marking[rows, cols[names.RECOVERY_FAILURES]] = 0
-        marking[rows, cols[names.PROP_WINDOW]] = 0
-
     model.add_activity(
         TimedActivity(
             "recovery_complete",
@@ -131,19 +121,7 @@ def build_comp_node_recovery(
             cases=[
                 Case(
                     output_arcs=[Arc(execution)],
-                    output_gates=[
-                        OutputGate(
-                            "complete_recovery",
-                            complete_recovery,
-                            vector_function=complete_recovery_vec,
-                            writes=(
-                                names.APP_COMPUTE,
-                                names.APP_IO,
-                                names.RECOVERY_FAILURES,
-                                names.PROP_WINDOW,
-                            ),
-                        )
-                    ],
+                    output_gates=[OutputGate("complete_recovery", complete_recovery)],
                 )
             ],
             on_fire=lambda state, case: ledger.recovered(),
@@ -178,12 +156,6 @@ def build_comp_node_recovery(
                         names.RECOVERING_S1,
                         names.RECOVERING_S2,
                         names.RECOVERY_FAILURES,
-                    ],
-                    conditions=[
-                        [
-                            tokens_at_least(names.RECOVERING_S1),
-                            tokens_at_least(names.RECOVERING_S2),
-                        ]
                     ],
                 )
             ],

@@ -27,8 +27,6 @@ from ...san import (
     OutputGate,
     SANModel,
     TimedActivity,
-    tokens_at_least,
-    tokens_zero,
 )
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
@@ -66,7 +64,6 @@ def build_compute_nodes(
                     # dependency index.
                     predicate=lambda s, _p=master_ckpt: _p.tokens > 0,
                     reads=[names.MASTER_CKPT],
-                    conditions=[tokens_at_least(names.MASTER_CKPT)],
                 )
             ],
             cases=[Case(output_arcs=[Arc(quiescing)])],
@@ -97,13 +94,6 @@ def build_compute_nodes(
                         names.COORD_COMPLETE,
                         names.TIMEDOUT,
                     ],
-                    conditions=[
-                        tokens_at_least(names.QUIESCING),
-                        tokens_at_least(names.APP_COMPUTE),
-                        tokens_zero(names.COORD_STARTED),
-                        tokens_zero(names.COORD_COMPLETE),
-                        tokens_zero(names.TIMEDOUT),
-                    ],
                 )
             ],
             cases=[Case(output_arcs=[Arc(coord_started)])],
@@ -117,9 +107,6 @@ def build_compute_nodes(
         # and broadcasts 'checkpoint'.
         state.place(names.TIMER_ON).clear()
 
-    def stop_timer_vec(marking, rows, cols) -> None:
-        marking[rows, cols[names.TIMER_ON]] = 0
-
     model.add_activity(
         InstantaneousActivity(
             "coordinate",
@@ -129,20 +116,12 @@ def build_compute_nodes(
                     "not_timed_out",
                     predicate=lambda s, _p=timedout: _p.tokens == 0,
                     reads=[names.TIMEDOUT],
-                    conditions=[tokens_zero(names.TIMEDOUT)],
                 )
             ],
             cases=[
                 Case(
                     output_arcs=[Arc(dumping)],
-                    output_gates=[
-                        OutputGate(
-                            "stop_timer",
-                            stop_timer,
-                            vector_function=stop_timer_vec,
-                            writes=(names.TIMER_ON,),
-                        )
-                    ],
+                    output_gates=[OutputGate("stop_timer", stop_timer)],
                 )
             ],
             priority=20,
@@ -159,13 +138,6 @@ def build_compute_nodes(
         state.place(names.MASTER_CKPT).clear()
         state.place(names.MASTER_SLEEP).set(1)
 
-    def abandon_checkpoint_vec(marking, rows, cols) -> None:
-        marking[rows, cols[names.COORD_STARTED]] = 0
-        marking[rows, cols[names.COORD_COMPLETE]] = 0
-        marking[rows, cols[names.TIMER_ON]] = 0
-        marking[rows, cols[names.MASTER_CKPT]] = 0
-        marking[rows, cols[names.MASTER_SLEEP]] = 1
-
     model.add_activity(
         InstantaneousActivity(
             "skip_chkpt",
@@ -173,20 +145,7 @@ def build_compute_nodes(
             cases=[
                 Case(
                     output_arcs=[Arc(execution)],
-                    output_gates=[
-                        OutputGate(
-                            "abandon_checkpoint",
-                            abandon_checkpoint,
-                            vector_function=abandon_checkpoint_vec,
-                            writes=(
-                                names.COORD_STARTED,
-                                names.COORD_COMPLETE,
-                                names.TIMER_ON,
-                                names.MASTER_CKPT,
-                                names.MASTER_SLEEP,
-                            ),
-                        )
-                    ],
+                    output_gates=[OutputGate("abandon_checkpoint", abandon_checkpoint)],
                 )
             ],
             on_fire=lambda state, case: ledger.checkpoint_aborted_timeout(),
@@ -216,14 +175,6 @@ def build_compute_nodes(
         state.place(names.APP_COMPUTE).set(1)
         state.place(names.APP_IO).clear()
 
-    def complete_dump_vec(marking, rows, cols) -> None:
-        if background:
-            marking[rows, cols[names.ENABLE_CHKPT]] += 1
-        marking[rows, cols[names.MASTER_CKPT]] = 0
-        marking[rows, cols[names.MASTER_SLEEP]] = 1
-        marking[rows, cols[names.APP_COMPUTE]] = 1
-        marking[rows, cols[names.APP_IO]] = 0
-
     def record_checkpoint(state, case) -> None:
         ledger.checkpoint_buffered()
         if not background:
@@ -239,26 +190,12 @@ def build_compute_nodes(
                     "ionode_is_idle",
                     predicate=lambda s, _p=io_idle: _p.tokens > 0,
                     reads=[names.IO_IDLE],
-                    conditions=[tokens_at_least(names.IO_IDLE)],
                 )
             ],
             cases=[
                 Case(
                     output_arcs=[Arc(execution)],
-                    output_gates=[
-                        OutputGate(
-                            "complete_dump",
-                            complete_dump,
-                            vector_function=complete_dump_vec,
-                            writes=(
-                                names.ENABLE_CHKPT,
-                                names.MASTER_CKPT,
-                                names.MASTER_SLEEP,
-                                names.APP_COMPUTE,
-                                names.APP_IO,
-                            ),
-                        )
-                    ],
+                    output_gates=[OutputGate("complete_dump", complete_dump)],
                 )
             ],
             on_fire=record_checkpoint,

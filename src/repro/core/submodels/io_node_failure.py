@@ -19,16 +19,7 @@ doing:
 
 from __future__ import annotations
 
-from ...san import (
-    Arc,
-    Case,
-    Exponential,
-    InputGate,
-    OutputGate,
-    SANModel,
-    TimedActivity,
-    tokens_zero,
-)
+from ...san import Arc, Case, Exponential, InputGate, OutputGate, SANModel, TimedActivity
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
 from . import names
@@ -89,10 +80,6 @@ def build_io_node_failure(
                     predicate=io_operational,
                     function=on_io_failure,
                     reads=[names.IO_RESTARTING, names.REBOOTING],
-                    conditions=[
-                        tokens_zero(names.IO_RESTARTING),
-                        tokens_zero(names.REBOOTING),
-                    ],
                 )
             ],
             cases=[

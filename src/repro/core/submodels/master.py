@@ -24,7 +24,6 @@ from ...san import (
     OutputGate,
     SANModel,
     TimedActivity,
-    tokens_at_least,
 )
 from ..ledger import WorkLedger
 from ..parameters import ModelParameters
@@ -49,11 +48,6 @@ def build_master(model: SANModel, params: ModelParameters, ledger: WorkLedger) -
         if timeout_configured:
             state.place(names.TIMER_ON).set(1)
 
-    def arm_protocol_vec(marking, rows, cols) -> None:
-        marking[rows, cols[names.MASTER_CKPT]] = 1
-        if timeout_configured:
-            marking[rows, cols[names.TIMER_ON]] = 1
-
     # The interval timer runs while the system computes; a failure
     # resets the master, and the next interval counts from the moment
     # execution resumes (gate on `execution`).
@@ -69,21 +63,9 @@ def build_master(model: SANModel, params: ModelParameters, ledger: WorkLedger) -
                     # lookup; `reads=` still drives the index.
                     predicate=lambda s, _p=execution: _p.tokens > 0,
                     reads=[names.EXECUTION],
-                    conditions=[tokens_at_least(names.EXECUTION)],
                 )
             ],
-            cases=[
-                Case(
-                    output_gates=[
-                        OutputGate(
-                            "arm_protocol",
-                            arm_protocol,
-                            vector_function=arm_protocol_vec,
-                            writes=(names.MASTER_CKPT, names.TIMER_ON),
-                        )
-                    ]
-                )
-            ],
+            cases=[Case(output_gates=[OutputGate("arm_protocol", arm_protocol)])],
         ),
         submodel="master",
     )
@@ -129,7 +111,6 @@ def build_master(model: SANModel, params: ModelParameters, ledger: WorkLedger) -
                     predicate=lambda s, _p=master_ckpt: _p.tokens > 0,
                     function=abort_protocol,
                     reads=[names.MASTER_CKPT],
-                    conditions=[tokens_at_least(names.MASTER_CKPT)],
                 )
             ],
             resample_on=[names.PROP_WINDOW, names.GEN_WINDOW],

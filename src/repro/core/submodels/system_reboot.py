@@ -31,27 +31,12 @@ def build_system_reboot(
         # nodes' memory is empty, so recovery goes through stage 1.
         state.place(names.COMP_FAILED).set(1)
 
-    def reboot_done_vec(marking, rows, cols) -> None:
-        marking[rows, cols[names.IO_IDLE]] = 1
-        marking[rows, cols[names.COMP_FAILED]] = 1
-
     model.add_activity(
         TimedActivity(
             "reboot_complete",
             Deterministic(params.system_reboot_time),
             input_arcs=[Arc(rebooting)],
-            cases=[
-                Case(
-                    output_gates=[
-                        OutputGate(
-                            "reboot_done",
-                            reboot_done,
-                            vector_function=reboot_done_vec,
-                            writes=(names.IO_IDLE, names.COMP_FAILED),
-                        )
-                    ]
-                )
-            ],
+            cases=[Case(output_gates=[OutputGate("reboot_done", reboot_done)])],
         ),
         submodel="system_reboot",
     )

@@ -51,7 +51,6 @@ def useful_work_reward(ledger: WorkLedger) -> RewardVariable:
         rate=lambda s: 1.0 if s.tokens(names.EXECUTION) else 0.0,
         impulses={"comp_failure": lost, "io_failure": lost},
         reads=(names.EXECUTION,),
-        indicator=(names.EXECUTION,),
     )
 
 
@@ -63,14 +62,14 @@ def breakdown_rewards() -> List[RewardVariable]:
         RewardVariable(
             "frac_execution",
             rate=lambda s: 1.0 if s.tokens(names.EXECUTION) else 0.0,
-            indicator=(names.EXECUTION,),
+            reads=(names.EXECUTION,),
         ),
         RewardVariable(
             "frac_checkpointing",
             rate=lambda s: 1.0
             if (s.tokens(names.QUIESCING) or s.tokens(names.DUMPING))
             else 0.0,
-            indicator=(names.QUIESCING, names.DUMPING),
+            reads=(names.QUIESCING, names.DUMPING),
         ),
         RewardVariable(
             "frac_recovering",
@@ -81,18 +80,18 @@ def breakdown_rewards() -> List[RewardVariable]:
                 or s.tokens(names.RECOVERING_S2)
             )
             else 0.0,
-            indicator=(names.COMP_FAILED, names.RECOVERING_S1, names.RECOVERING_S2),
+            reads=(names.COMP_FAILED, names.RECOVERING_S1, names.RECOVERING_S2),
         ),
         RewardVariable(
             "frac_rebooting",
             rate=lambda s: 1.0 if s.tokens(names.REBOOTING) else 0.0,
-            indicator=(names.REBOOTING,),
+            reads=(names.REBOOTING,),
         ),
         RewardVariable(
             "frac_corr_window",
             rate=lambda s: 1.0
             if (s.tokens(names.PROP_WINDOW) or s.tokens(names.GEN_WINDOW))
             else 0.0,
-            indicator=(names.PROP_WINDOW, names.GEN_WINDOW),
+            reads=(names.PROP_WINDOW, names.GEN_WINDOW),
         ),
     ]

@@ -230,9 +230,13 @@ class EvaluationTask:
             )
         try:
             plan_payload = payload["plan"]
+            simulation = dict(plan_payload["simulation"])
+            # Tasks queued while the batched kernel existed carry its
+            # batch_size field (null for every other kernel).
+            simulation.pop("batch_size", None)
             plan = EvaluationPlan(
                 metrics=tuple(plan_payload["metrics"]),
-                simulation=SimulationPlan(**plan_payload["simulation"]),
+                simulation=SimulationPlan(**simulation),
                 seed=plan_payload["seed"],
                 duration=plan_payload["duration"],
             )

@@ -40,6 +40,7 @@ import time
 from typing import List, Optional
 
 from ..backends import BackendError, all_backends, backend_ids
+from ..core.simulation import PLAN_KERNELS
 from ..exec import EXECUTOR_IDS, ExecutorError
 from ..strategies import StrategyError
 from .config import FIGURE_IDS, PRESETS
@@ -509,22 +510,11 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         default=None,
-        choices=["incremental", "full", "batched"],
+        choices=PLAN_KERNELS,
         help=(
             "event kernel for sweep figures (default: the preset plan's "
-            "kernel, i.e. incremental); 'batched' advances whole "
-            "replication batches in numpy lockstep — statistically "
-            "equivalent to the scalar kernels, not bit-identical"
-        ),
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "replications per lockstep batch (batched kernel only; "
-            "default: min(replications, 64))"
+            "kernel, i.e. incremental); both kernels give bit-identical "
+            "results per seed"
         ),
     )
     parser.add_argument(
@@ -755,7 +745,6 @@ def _run_one(figure_id: str, args: argparse.Namespace, stream) -> bool:
             resilience=_resilience_from_args(args),
             backend=getattr(args, "backend", None),
             kernel=getattr(args, "kernel", None),
-            batch_size=getattr(args, "batch_size", None),
             strategy=getattr(args, "strategy", None),
             executor=getattr(args, "executor", None),
             queue_dir=getattr(args, "queue_dir", None),
@@ -943,9 +932,11 @@ def _worker_command(args: argparse.Namespace) -> int:
         + ")"
     )
     executed = worker.run()
+    for note in worker.notes:
+        print(f"note: {note}")
     print(
         f"worker {worker.worker_id} exiting: {executed} task(s) executed, "
-        f"{worker.failed} failed"
+        f"{worker.failed} failed, {worker.dropped} dropped"
     )
     return 0
 

@@ -319,17 +319,7 @@ def render_manifest(manifest: RunManifest) -> str:
     if manifest.kernel_stats:
         events = manifest.kernel_stats.get("events", 0)
         eps = manifest.kernel_stats.get("events_per_sec", 0.0)
-        kernel_line = f"  kernel: {events} events, {eps:,.0f} events/s"
-        if manifest.kernel_stats.get("batch_steps"):
-            width = manifest.kernel_stats.get("batch_width", 0)
-            occupancy = manifest.kernel_stats.get("batch_occupancy", 0.0)
-            fallback = manifest.kernel_stats.get("scalar_fallback_rate", 0.0)
-            kernel_line += (
-                f", batch width {width} "
-                f"(occupancy {100.0 * occupancy:.1f}%, "
-                f"scalar fallback {100.0 * fallback:.2f}%)"
-            )
-        lines.append(kernel_line)
+        lines.append(f"  kernel: {events} events, {eps:,.0f} events/s")
     if manifest.trace:
         lines.append(
             f"  trace: {manifest.trace.get('written', 0)} events -> "

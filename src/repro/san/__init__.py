@@ -28,7 +28,6 @@ from .distributions import (
     Hyperexponential,
     LogNormal,
     MaxOfExponentials,
-    RateModulation,
     Uniform,
     Weibull,
     harmonic_number,
@@ -43,19 +42,7 @@ from .errors import (
     StateSpaceError,
     WallClockExceededError,
 )
-from .gates import (
-    InputGate,
-    OutputGate,
-    tokens_at_least,
-    tokens_between,
-    tokens_zero,
-)
-from .batched import (
-    DEFAULT_BATCH_SIZE,
-    BatchedOutput,
-    BatchedSimulator,
-    numpy_available,
-)
+from .gates import InputGate, OutputGate
 from .model import SANModel
 from .places import ExtendedPlace, Place
 from .profiling import KernelStats
@@ -107,7 +94,6 @@ __all__ = [
     "LogNormal",
     "Hyperexponential",
     "MaxOfExponentials",
-    "RateModulation",
     "harmonic_number",
     "EULER_MASCHERONI",
     "SANError",
@@ -120,13 +106,6 @@ __all__ = [
     "InvariantViolationError",
     "InputGate",
     "OutputGate",
-    "tokens_at_least",
-    "tokens_between",
-    "tokens_zero",
-    "BatchedSimulator",
-    "BatchedOutput",
-    "DEFAULT_BATCH_SIZE",
-    "numpy_available",
     "SANModel",
     "Namespace",
     "to_dot",

@@ -21,8 +21,7 @@ form ``Y = -(1/lambda) * log(1 - U**(1/n))``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "Distribution",
     "Deterministic",
     "Exponential",
-    "RateModulation",
     "Uniform",
     "Erlang",
     "Weibull",
@@ -137,58 +135,15 @@ class Deterministic(Distribution):
         return f"Deterministic({self._value!r})"
 
 
-@dataclass(frozen=True)
-class RateModulation:
-    """Declarative twin of a marking-dependent exponential rate.
-
-    Mirrors the ``conditions=`` pattern on input gates: a callable
-    rate stays the executable truth for the scalar kernels, while this
-    annotation states the same function in a form batch kernels can
-    evaluate from a marking matrix without calling into python —
-    ``rate(state) == base * (factor if any place in places is marked
-    else 1.0)``. The declaration is trusted, not checked; an
-    annotation that disagrees with the callable is a modeling bug.
-    """
-
-    base: float
-    factor: float
-    places: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise DistributionError(
-                f"RateModulation base rate must be > 0, got {self.base}"
-            )
-        if self.factor <= 0:
-            raise DistributionError(
-                f"RateModulation factor must be > 0, got {self.factor}"
-            )
-        if not self.places:
-            raise DistributionError(
-                "RateModulation needs at least one modulating place"
-            )
-        object.__setattr__(self, "places", tuple(self.places))
-
-
 class Exponential(Distribution):
     """Exponential delay with rate ``rate`` (mean ``1/rate``).
 
     The rate may be marking dependent — the paper's failure activities
     scale their rate by the correlated-failure factor whenever the
-    system is inside a correlated-failure window. A callable rate may
-    carry a :class:`RateModulation` annotation declaring the same
-    dependence declaratively for the batched kernel.
+    system is inside a correlated-failure window.
     """
 
-    def __init__(
-        self, rate: Param, modulation: Optional[RateModulation] = None
-    ) -> None:
-        if modulation is not None and not callable(rate):
-            raise DistributionError(
-                "modulation= only applies to a state-dependent (callable) "
-                "rate; a constant rate needs no annotation"
-            )
-        self.modulation = modulation
+    def __init__(self, rate: Param) -> None:
         if not callable(rate):
             if rate <= 0:
                 raise DistributionError(f"Exponential rate must be > 0, got {rate}")

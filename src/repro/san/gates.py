@@ -11,120 +11,22 @@ Gates give SANs their expressive power over plain Petri nets:
 Both receive the live :class:`~repro.san.simulator.SimulationState`, so
 they can read/write place markings, extended places, the simulation
 clock and the user context (the checkpoint model's work ledger).
-
-For the batched structure-of-arrays kernel (:mod:`repro.san.batched`),
-gates may additionally carry *declarative* forms of the same contract:
-
-* ``conditions`` — the predicate expressed as bounds over place
-  markings (conjunction of disjunctions of interval tests), which the
-  batched kernel compiles into a handful of numpy reductions over the
-  whole replication batch;
-* ``vector_function`` — the gate function expressed as an operation on
-  a ``(N, places)`` marking matrix, applied to every replication that
-  fires the owning activity in a step.
-
-Both are optional; a gate without them still runs on the scalar
-kernels unchanged, and the batched kernel falls back to a per-row
-scalar bridge (or refuses, for enabling predicates) as documented in
-``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from .errors import ModelDefinitionError
 
-__all__ = [
-    "InputGate",
-    "OutputGate",
-    "tokens_at_least",
-    "tokens_zero",
-    "tokens_between",
-]
+__all__ = ["InputGate", "OutputGate"]
 
 Predicate = Callable[[object], bool]
 GateFunction = Callable[[object], None]
 
-#: One elementary marking test: ``lo <= tokens(place) <= hi`` with
-#: ``hi=None`` meaning unbounded above.
-Bound = Tuple[str, int, Optional[int]]
-#: A disjunction of elementary tests (at least one must hold).
-OrGroup = Tuple[Bound, ...]
-#: A conjunction of disjunctions (every group must hold).
-Conditions = Tuple[OrGroup, ...]
-
-#: ``(N, places) marking matrix, row indices, place name -> column``.
-VectorFunction = Callable[[object, object, dict], None]
-
-
-def tokens_at_least(place: str, count: int = 1) -> Bound:
-    """Elementary condition: ``tokens(place) >= count``."""
-    return (place, int(count), None)
-
-
-def tokens_zero(place: str) -> Bound:
-    """Elementary condition: ``tokens(place) == 0``."""
-    return (place, 0, 0)
-
-
-def tokens_between(place: str, lo: int, hi: int) -> Bound:
-    """Elementary condition: ``lo <= tokens(place) <= hi``."""
-    return (place, int(lo), int(hi))
-
 
 def _noop(state: object) -> None:
     """Default gate function: do nothing."""
-
-
-def _normalize_conditions(name: str, conditions) -> Optional[Conditions]:
-    """Validate and freeze a CNF condition declaration.
-
-    ``conditions`` is a sequence of OR-groups; each OR-group is either
-    a single :data:`Bound` tuple or a sequence of them. Every group
-    must be non-empty (an empty conjunction — no groups at all — is
-    legal and means "always true").
-    """
-    if conditions is None:
-        return None
-    normalized = []
-    for group in conditions:
-        # Allow a bare Bound as shorthand for a one-element OR-group.
-        if (
-            isinstance(group, tuple)
-            and len(group) == 3
-            and isinstance(group[0], str)
-        ):
-            group = (group,)
-        bounds = tuple(group)
-        if not bounds:
-            raise ModelDefinitionError(
-                f"input gate {name!r}: empty OR-group in conditions"
-            )
-        for bound in bounds:
-            if not (isinstance(bound, tuple) and len(bound) == 3):
-                raise ModelDefinitionError(
-                    f"input gate {name!r}: condition bound must be "
-                    f"(place, lo, hi), got {bound!r}"
-                )
-            place, lo, hi = bound
-            if not isinstance(place, str) or not place:
-                raise ModelDefinitionError(
-                    f"input gate {name!r}: condition place must be a "
-                    f"non-empty string, got {place!r}"
-                )
-            if not isinstance(lo, int) or lo < 0:
-                raise ModelDefinitionError(
-                    f"input gate {name!r}: condition lower bound must be "
-                    f"a non-negative int, got {lo!r}"
-                )
-            if hi is not None and (not isinstance(hi, int) or hi < lo):
-                raise ModelDefinitionError(
-                    f"input gate {name!r}: condition upper bound must be "
-                    f"None or an int >= {lo}, got {hi!r}"
-                )
-        normalized.append(tuple(bounds))
-    return tuple(normalized)
 
 
 class InputGate:
@@ -152,32 +54,9 @@ class InputGate:
         predicate reads no marking at all. A *declared but incomplete*
         list is a modeling bug: the incremental kernel would miss
         enablings the full kernel catches.
-    conditions:
-        Optional declarative form of the predicate for the batched
-        kernel: a conjunction of OR-groups, each OR-group a sequence of
-        ``(place, lo, hi)`` interval tests (``hi=None`` = unbounded).
-        The gate is considered satisfied when every group has at least
-        one satisfied bound. Must agree with ``predicate`` on every
-        reachable marking — the batched-vs-scalar cross-check test
-        enforces this on randomized markings. A gate without
-        ``conditions`` cannot be compiled by the batched kernel.
-    vector_function:
-        Optional declarative form of ``function`` for the batched
-        kernel: ``(marking, rows, cols) -> None`` mutating the
-        ``(N, places)`` int marking matrix in place for the given row
-        indices (``cols`` maps place name -> column). Must be
-        marking-equivalent to ``function``.
     """
 
-    __slots__ = (
-        "name",
-        "predicate",
-        "function",
-        "reads",
-        "declares_reads",
-        "conditions",
-        "vector_function",
-    )
+    __slots__ = ("name", "predicate", "function", "reads", "declares_reads")
 
     def __init__(
         self,
@@ -185,8 +64,6 @@ class InputGate:
         predicate: Predicate,
         function: GateFunction = _noop,
         reads: Optional[Sequence[str]] = None,
-        conditions=None,
-        vector_function: Optional[VectorFunction] = None,
     ) -> None:
         if not name:
             raise ModelDefinitionError("input gate name must be non-empty")
@@ -194,22 +71,11 @@ class InputGate:
             raise ModelDefinitionError(f"input gate {name!r}: predicate must be callable")
         if not callable(function):
             raise ModelDefinitionError(f"input gate {name!r}: function must be callable")
-        if vector_function is not None and not callable(vector_function):
-            raise ModelDefinitionError(
-                f"input gate {name!r}: vector_function must be callable"
-            )
         self.name = name
         self.predicate = predicate
         self.function = function
         self.reads = tuple(reads or ())
         self.declares_reads = reads is not None
-        self.conditions = _normalize_conditions(name, conditions)
-        self.vector_function = vector_function
-
-    @property
-    def is_pure(self) -> bool:
-        """True when the gate has no firing-time side effect."""
-        return self.function is _noop
 
     def __repr__(self) -> str:
         return f"InputGate({self.name!r})"
@@ -225,49 +91,17 @@ class OutputGate:
     function:
         ``state -> None`` executed after output arcs added their
         tokens.
-    vector_function:
-        Optional batched form ``(marking, rows, cols) -> None``; see
-        :class:`InputGate.vector_function`. An output gate without one
-        forces the batched kernel through the scalar bridge for the
-        owning activity.
-    writes:
-        Optional declaration of the places ``vector_function`` may
-        write. The batched kernel uses it for static analysis (which
-        firings can enable an instantaneous activity, which can touch
-        a ``resample_on`` watched place); a vectorized gate that leaves
-        it undeclared is treated as potentially writing *any* place,
-        which is safe but pessimises those checks. A *declared but
-        incomplete* list is a modeling bug.
     """
 
-    __slots__ = ("name", "function", "vector_function", "writes")
+    __slots__ = ("name", "function")
 
-    def __init__(
-        self,
-        name: str,
-        function: GateFunction,
-        vector_function: Optional[VectorFunction] = None,
-        writes: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, name: str, function: GateFunction) -> None:
         if not name:
             raise ModelDefinitionError("output gate name must be non-empty")
         if not callable(function):
             raise ModelDefinitionError(f"output gate {name!r}: function must be callable")
-        if vector_function is not None and not callable(vector_function):
-            raise ModelDefinitionError(
-                f"output gate {name!r}: vector_function must be callable"
-            )
-        if writes is not None and vector_function is None:
-            raise ModelDefinitionError(
-                f"output gate {name!r}: writes= only applies together "
-                f"with vector_function"
-            )
         self.name = name
         self.function = function
-        self.vector_function = vector_function
-        self.writes: Optional[Tuple[str, ...]] = (
-            None if writes is None else tuple(writes)
-        )
 
     def __repr__(self) -> str:
         return f"OutputGate({self.name!r})"

@@ -70,22 +70,6 @@ class KernelStats:
         Instantaneous firings across all stabilisation passes.
     max_stabilisation_chain:
         Longest single stabilisation chain observed.
-    batch_width:
-        Replications advanced in lockstep (0 for the scalar kernels;
-        the maximum width after merging batches).
-    batch_steps:
-        Lockstep iterations of the batched kernel's main loop.
-    batch_row_steps:
-        Row-events actually fired across all lockstep steps; with
-        ``batch_capacity`` this yields the batch occupancy.
-    batch_capacity:
-        Row-slots available across all lockstep steps
-        (``steps * width`` summed over merged runs).
-    vector_firings:
-        Firings the batched kernel executed on its vectorized path.
-    scalar_fallback_firings:
-        Firings that diverged from the common fire plan and took the
-        per-row scalar bridge.
     """
 
     kernel: str = ""
@@ -102,12 +86,6 @@ class KernelStats:
     stabilisations: int = 0
     stabilisation_firings: int = 0
     max_stabilisation_chain: int = 0
-    batch_width: int = 0
-    batch_steps: int = 0
-    batch_row_steps: int = 0
-    batch_capacity: int = 0
-    vector_firings: int = 0
-    scalar_fallback_firings: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -123,26 +101,6 @@ class KernelStats:
         if total == 0:
             return 0.0
         return self.enabled_checks_skipped / total
-
-    @property
-    def batch_occupancy(self) -> float:
-        """Fraction of lockstep row-slots that fired an event (0..1).
-
-        Drops below 1 as replications finish at different step counts;
-        a low value means the batch wastes capacity on drained rows.
-        """
-        if self.batch_capacity == 0:
-            return 0.0
-        return self.batch_row_steps / self.batch_capacity
-
-    @property
-    def scalar_fallback_rate(self) -> float:
-        """Fraction of batched firings that took the per-row scalar
-        bridge instead of the vectorized path (0..1)."""
-        total = self.vector_firings + self.scalar_fallback_firings
-        if total == 0:
-            return 0.0
-        return self.scalar_fallback_firings / total
 
     def merge(self, other: "KernelStats") -> "KernelStats":
         """Fold ``other`` into this instance (in place) and return it."""
@@ -165,12 +123,6 @@ class KernelStats:
         self.max_stabilisation_chain = max(
             self.max_stabilisation_chain, other.max_stabilisation_chain
         )
-        self.batch_width = max(self.batch_width, other.batch_width)
-        self.batch_steps += other.batch_steps
-        self.batch_row_steps += other.batch_row_steps
-        self.batch_capacity += other.batch_capacity
-        self.vector_firings += other.vector_firings
-        self.scalar_fallback_firings += other.scalar_fallback_firings
         return self
 
     def as_dict(self) -> Dict[str, Any]:
@@ -178,8 +130,6 @@ class KernelStats:
         data = asdict(self)
         data["events_per_sec"] = self.events_per_sec
         data["check_efficiency"] = self.check_efficiency
-        data["batch_occupancy"] = self.batch_occupancy
-        data["scalar_fallback_rate"] = self.scalar_fallback_rate
         return data
 
     def summary(self) -> str:
@@ -199,15 +149,6 @@ class KernelStats:
             f"{self.stabilisation_firings} instantaneous firings, "
             f"longest chain {self.max_stabilisation_chain}",
         ]
-        if self.batch_steps:
-            lines.append(
-                f"  batch: width {self.batch_width}, "
-                f"{self.batch_steps} lockstep steps, "
-                f"occupancy {100.0 * self.batch_occupancy:.1f}%, "
-                f"scalar fallback {100.0 * self.scalar_fallback_rate:.2f}% "
-                f"({self.scalar_fallback_firings} of "
-                f"{self.vector_firings + self.scalar_fallback_firings} firings)"
-            )
         return "\n".join(lines)
 
 

@@ -50,16 +50,6 @@ class RewardVariable:
         declared-footprint contract input gates use. Leave ``None``
         (the default) for rates with an undeclarable footprint (e.g.
         reading mutable context); those are re-evaluated every event.
-    indicator:
-        Optional stronger declaration for the batched kernel: the rate
-        is exactly ``1.0`` while *any* of the listed places holds a
-        token and ``0.0`` otherwise. The batched kernel evaluates such
-        rates for a whole replication batch with two numpy reductions;
-        the scalar kernels ignore the annotation and keep calling
-        ``rate``. Implies ``reads=indicator`` when ``reads`` is left
-        undeclared. The batched-vs-scalar cross-check test enforces
-        agreement between ``rate`` and the indicator on randomized
-        markings.
 
     Examples
     --------
@@ -76,7 +66,6 @@ class RewardVariable:
         rate: Optional[RateFunction] = None,
         impulses: Optional[Mapping[str, ImpulseFunction]] = None,
         reads: Optional[Sequence[str]] = None,
-        indicator: Optional[Sequence[str]] = None,
     ) -> None:
         if not name:
             raise ModelDefinitionError("reward variable name must be non-empty")
@@ -90,24 +79,8 @@ class RewardVariable:
             raise ModelDefinitionError(
                 f"reward variable {name!r}: reads= only applies to rate rewards"
             )
-        if indicator is not None:
-            if rate is None:
-                raise ModelDefinitionError(
-                    f"reward variable {name!r}: indicator= only applies to "
-                    f"rate rewards"
-                )
-            if not indicator:
-                raise ModelDefinitionError(
-                    f"reward variable {name!r}: indicator= must name at "
-                    f"least one place"
-                )
-            if reads is None:
-                reads = tuple(indicator)
         self.name = name
         self.rate = rate
-        self.indicator: Optional[Tuple[str, ...]] = (
-            None if indicator is None else tuple(indicator)
-        )
         self.reads: Optional[Tuple[str, ...]] = (
             None if reads is None else tuple(reads)
         )

@@ -37,7 +37,9 @@ the job records next to the queue; tasks submitted outside any job
 count under ``anonymous``), and the worker persists its metrics
 snapshot to ``<queue_dir>/obs/worker-<id>.metrics.json`` after every
 task so ``repro obs`` can render the tenant counters while the
-worker is alive or after it exited.
+worker is alive or after it exited. A task file that does not decode
+is dropped from the queue; the worker counts it in ``dropped`` and
+keeps the reason in ``notes``, which ``repro worker`` prints on exit.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import os
 import signal
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..exec import TaskError, TaskResult
 from ..exec.queue import INFLIGHT_SWEEP_AGE_SECONDS, WorkQueue
@@ -113,6 +115,9 @@ class ServiceWorker:
         self._stop_requested = False
         self.executed = 0
         self.failed = 0
+        # Task files dropped as unreadable, each with its reason.
+        self.dropped = 0
+        self.notes: List[str] = []
         self.queue = WorkQueue(queue_dir, orphan_age, clock)
         workers_dir = os.path.join(queue_dir, "workers")
         os.makedirs(workers_dir, exist_ok=True)
@@ -203,8 +208,10 @@ class ServiceWorker:
     def _execute_claim(self, claimed: str) -> None:
         try:
             key, result = self.queue.run_claim(claimed, self._run)
-        except TaskError:
-            return  # unreadable task file: dropped, not counted
+        except TaskError as exc:
+            self.dropped += 1
+            self.notes.append(f"work queue: {exc}")
+            return
         self.executed += 1
         tenant = self._tenant_of(key)
         reg = obs_metrics.registry()

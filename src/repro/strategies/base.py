@@ -103,8 +103,8 @@ class CheckpointStrategy:
 
     ``configure`` must be **idempotent** — it sets absolute values on
     the returned parameters rather than compounding multiplicative
-    edits — so applying a strategy twice (e.g. once in ``simulate``
-    and once in ``simulate_batched``) is harmless.
+    edits — so applying a strategy to parameters it has already
+    configured is harmless.
     """
 
     id: str = ""

@@ -117,9 +117,9 @@ class DifferentialCase:
         if factor <= 0:
             raise ValueError(f"scale factor must be > 0, got {factor}")
         sim = self.plan.simulation
-        # replace() keeps every other effort knob — kernel, batch_size,
-        # wall_clock_budget, confidence — so scaling a batched case
-        # still runs on the batched kernel.
+        # replace() keeps every other effort knob — kernel,
+        # wall_clock_budget, confidence — so scaling a full-kernel case
+        # still runs on the full kernel.
         scaled_sim = replace(
             sim,
             observation=max(sim.observation * factor, 1 * HOUR),
@@ -589,30 +589,6 @@ def default_cases(scale: float = 1.0) -> List[DifferentialCase]:
             ),
             policy=TolerancePolicy(alpha=0.01, rel_tolerance=0.0,
                                    abs_tolerance=1e-12),
-        ),
-        DifferentialCase(
-            name="batched-vs-incremental",
-            description=(
-                "numpy lockstep kernel vs the incremental scalar kernel "
-                "at the paper's failure-heavy base configuration (65536 "
-                "processors) — statistically equivalent but not "
-                "bit-identical (different draw order, deferred "
-                "reconciliation), so Welch must see agreement inside the "
-                "modeling band, not equality; the exact CTMC oracle "
-                "keeps the mutation smoke honest (both SAN kernels are "
-                "sampled, so a perturbation can only surface against it)"
-            ),
-            parameters=ModelParameters(),
-            backends=("san-sim", "san-sim-batched", "ctmc"),
-            plan=EvaluationPlan(
-                metrics=(USEFUL_WORK_FRACTION,),
-                simulation=SimulationPlan(
-                    warmup=2 * HOUR,
-                    observation=300 * HOUR,
-                    replications=12,
-                ),
-            ),
-            policy=exact_policy,
         ),
         DifferentialCase(
             name="cluster-consistency",

@@ -159,7 +159,8 @@ class TestCacheKeyVersioning:
     def test_wall_clock_budget_does_not_fork_the_key(self, tmp_path):
         """A budget decides whether a run finishes, never its value:
         a budgeted request shares the budget-less request's key, and
-        budget-less identities are exactly the plan's fields."""
+        budget-less identities are exactly the plan's fields plus the
+        pinned ``batch_size``."""
         from dataclasses import asdict, replace
 
         from repro.backends.base import plan_key_dict
@@ -174,5 +175,8 @@ class TestCacheKeyVersioning:
         assert cache.key(backend, params, budgeted) == cache.key(
             backend, params, plan
         )
-        assert plan_key_dict(params, plan)["plan"] == asdict(plan)
+        expected = asdict(plan)
+        # The removed batched kernel's batch_size stays pinned as null.
+        expected["simulation"]["batch_size"] = None
+        assert plan_key_dict(params, plan)["plan"] == expected
         assert budgeted.simulation.wall_clock_budget == 600.0

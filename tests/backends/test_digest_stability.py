@@ -108,6 +108,9 @@ def old_plan_key_dict(params, plan):
     plan_dict = asdict(plan)
     if plan.simulation.wall_clock_budget is not None:
         plan_dict["simulation"]["wall_clock_budget"] = None
+    # The recipe hashed the batched kernel's batch_size, null for every
+    # plan a remaining kernel runs; asdict no longer emits it.
+    plan_dict["simulation"]["batch_size"] = None
     return {"params": asdict(params), "plan": plan_dict}
 
 
@@ -160,8 +163,11 @@ GOLDEN = [
          strategy="incremental:compression_ratio=0.5,full_checkpoint_period=4"
      ),
      "cd7ea3036d31defce09b9006068cf5dd"),
-    ("san-sim-batched", with_simulation(kernel="batched", batch_size=8),
-     "99da7deb2dce5918e83af78398340409"),
+    # The kernel is part of the key, and so is the backend that pins it.
+    ("san-sim", with_simulation(kernel="full"),
+     "41340560596e1c06dcd335b1d43a8b91"),
+    ("san-sim-full", with_simulation(kernel="full"),
+     "25bf69dd07811e839512b9629d384dae"),
     ("san-sim",
      EvaluationPlan(metrics=(TOTAL_USEFUL_WORK,), simulation=QUICK, seed=0),
      "81e206e7919661d1177d93f92b98fe01"),
@@ -170,8 +176,8 @@ GOLDEN = [
 
 @pytest.mark.parametrize(
     "backend_id, plan, digest", GOLDEN,
-    ids=["san-sim", "analytical", "budget", "incremental", "batched",
-         "total-useful-work"],
+    ids=["san-sim", "analytical", "budget", "incremental", "kernel-full",
+         "san-sim-full", "total-useful-work"],
 )
 def test_golden_request_digest(backend_id, plan, digest):
     assert request_digest(get_backend(backend_id), FIG4A_PARAMS, plan) == digest
@@ -257,18 +263,13 @@ if st is not None:
 
     @st.composite
     def evaluation_plans(draw):
-        kernel = draw(st.sampled_from(("incremental", "full", "batched")))
         simulation = SimulationPlan(
             warmup=draw(non_negative),
             observation=draw(positive),
             replications=draw(st.integers(1, 8)),
             confidence=draw(st.floats(0.01, 0.99)),
             wall_clock_budget=draw(st.one_of(st.none(), positive)),
-            kernel=kernel,
-            batch_size=(
-                draw(st.one_of(st.none(), st.integers(1, 64)))
-                if kernel == "batched" else None
-            ),
+            kernel=draw(st.sampled_from(("incremental", "full"))),
             strategy=draw(st.sampled_from((
                 "flat",
                 "incremental",

@@ -34,7 +34,7 @@ FLAT_PLAN = EvaluationPlan(
 )
 
 FLAT_ONLY = ("ctmc", "analytical", "cluster")
-SAMPLED = ("san-sim", "san-sim-full", "san-sim-batched")
+SAMPLED = ("san-sim", "san-sim-full")
 
 
 class TestNonFlatStrategyHelper:

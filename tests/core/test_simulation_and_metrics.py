@@ -35,6 +35,12 @@ class TestSimulationPlan:
         with pytest.raises(ValueError):
             SimulationPlan(**kwargs)
 
+    def test_removed_batched_kernel_lists_the_kernels(self):
+        with pytest.raises(
+            ValueError, match=r"\('incremental', 'full'\), got 'batched'"
+        ):
+            SimulationPlan(kernel="batched")
+
 
 class TestSimulate:
     def test_result_structure(self):

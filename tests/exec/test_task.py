@@ -105,6 +105,36 @@ class TestEvaluationTask:
         assert rebuilt.plan.simulation.wall_clock_budget == 30.0
         assert rebuilt.cache_key() == task.cache_key()
 
+    def test_task_queued_with_null_batch_size_keeps_its_key(self):
+        # Task files written while the batched kernel existed carry its
+        # batch_size field as null. Quick fig4a point 0 at seed 0, as
+        # queued then, must still decode to the key it was filed under.
+        from repro.backends import TOTAL_USEFUL_WORK
+        from repro.experiments.config import plan_for
+        from repro.experiments.figures import FIGURE_SPECS
+        from repro.experiments.runner import sweep_eval_plan
+
+        task = make_task(
+            params=FIGURE_SPECS["fig4a"].points()[0].params,
+            plan=sweep_eval_plan(TOTAL_USEFUL_WORK, plan_for("quick"), 0),
+            backend="san-sim",
+            base_seed=0,
+            attempt=0,
+        )
+        payload = task.to_json_dict()
+        assert "batch_size" not in payload["plan"]["simulation"]
+        payload["plan"]["simulation"]["batch_size"] = None
+        rebuilt = EvaluationTask.from_json_dict(payload)
+        assert rebuilt.plan == task.plan
+        assert rebuilt.cache_key() == task.cache_key()
+        assert rebuilt.cache_key() == "4954dd9716c822166574f6b21f0af49d"
+
+    def test_batched_task_is_rejected_naming_the_kernel(self):
+        payload = make_task().to_json_dict()
+        payload["plan"]["simulation"].update(kernel="batched", batch_size=8)
+        with pytest.raises(TaskError, match="'batched'"):
+            EvaluationTask.from_json_dict(payload)
+
     def test_cache_key_differs_per_attempt(self):
         # A retry runs under a derived seed, so it is distinct work.
         task = make_task(attempt=0)

@@ -149,12 +149,12 @@ class TestExitCodeMapping:
         assert "validation backend failure" in captured.err
 
     def test_kernel_override_on_custom_figure_exits_2(self, capsys):
-        rc = cli.main(["run-figure", "fig3", "--kernel", "batched"])
+        rc = cli.main(["run-figure", "fig3", "--kernel", "full"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "kernel override" in captured.err
 
-    def test_kernel_and_batch_size_forwarded_to_runner(self, monkeypatch):
+    def test_kernel_forwarded_to_runner(self, monkeypatch):
         seen = {}
 
         def capturing_runner(**kwargs):
@@ -163,17 +163,28 @@ class TestExitCodeMapping:
 
         monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
         rc = cli.main(
-            ["run-figure", "fig4a", "--preset", "quick",
-             "--kernel", "batched", "--batch-size", "16"]
+            ["run-figure", "fig4a", "--preset", "quick", "--kernel", "full"]
         )
         assert rc == 2
-        assert seen["kernel"] == "batched"
-        assert seen["batch_size"] == 16
+        assert seen["kernel"] == "full"
 
     def test_unknown_kernel_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run-figure", "fig4a", "--kernel", "warp"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--kernel", "batched"),
+        ("--backend", "san-sim-batched"),
+    ])
+    def test_removed_batched_choice_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run-figure", "fig4a", "--preset", "quick", flag, value])
+        assert excinfo.value.code == 2
+        assert (
+            f"argument {flag}: invalid choice: '{value}'"
+            in capsys.readouterr().err
+        )
 
     def test_validate_unknown_case_exits_2(self, capsys):
         rc = cli.main(["validate", "--cases", "no-such-case", "--list"])
@@ -265,8 +276,9 @@ class TestExitCodeMapping:
         assert excinfo.value.code == 2
 
 
-#: Options deleted with the backend resilience wrapper and the circuit
-#: breaker: each is now a usage error (argparse exits 2).
+#: Options deleted with the backend resilience wrapper, the circuit
+#: breaker and the batched kernel: each is now a usage error (argparse
+#: exits 2).
 REMOVED_OPTIONS = [
     [*command, flag, value]
     for command in (("run-figure", "fig4a"), ("run-all",), ("claims",))
@@ -275,6 +287,7 @@ REMOVED_OPTIONS = [
         ("--backend-retries", "2"),
         ("--backend-isolation", "process"),
         ("--breaker-state-dir", "health"),
+        ("--batch-size", "16"),
     )
 ] + [
     ["backends", "--state-dir", "health"],

@@ -201,47 +201,25 @@ class TestRender:
         assert "cache" in text
 
 
-class TestBatchedKernelStamping:
-    """The batched kernel's identity and counters must survive the
-    manifest round trip and be visible in the rendered report."""
+class TestKernelStamping:
+    """The event kernel must survive the manifest round trip and be
+    visible in the rendered report."""
 
-    BATCH_STATS = {
-        "kernel": "batched",
-        "events": 120000,
-        "events_per_sec": 250000.0,
-        "batch_width": 64,
-        "batch_steps": 2000,
-        "batch_occupancy": 0.975,
-        "scalar_fallback_rate": 0.0008,
-    }
-
-    def test_plan_stamp_round_trips_kernel_and_batch_size(self, tmp_path):
+    def test_plan_stamp_round_trips_kernel(self, tmp_path):
         manifest = make_manifest(
-            backend="san-sim-batched",
-            plan={"replications": 12, "kernel": "batched", "batch_size": 64},
+            backend="san-sim-full",
+            plan={"replications": 12, "kernel": "full"},
         )
         loaded = load_manifest(write_manifest(manifest, str(tmp_path)))
-        assert loaded.plan["kernel"] == "batched"
-        assert loaded.plan["batch_size"] == 64
+        assert loaded.plan["kernel"] == "full"
 
-    def test_render_shows_kernel_and_batch_size_in_plan(self):
+    def test_render_shows_kernel_in_plan_and_stats(self):
         text = render_manifest(
             make_manifest(
-                plan={"replications": 12, "kernel": "batched", "batch_size": 64}
+                plan={"replications": 12, "kernel": "full"},
+                kernel_stats={"kernel": "full", "events": 5000,
+                              "events_per_sec": 100000.0},
             )
         )
-        assert "kernel=batched" in text
-        assert "batch_size=64" in text
-
-    def test_render_shows_batch_occupancy_and_fallback(self):
-        text = render_manifest(make_manifest(kernel_stats=self.BATCH_STATS))
-        assert "batch width 64" in text
-        assert "occupancy 97.5%" in text
-        assert "scalar fallback 0.08%" in text
-
-    def test_render_scalar_kernel_has_no_batch_clause(self):
-        stats = {"kernel": "incremental", "events": 5000,
-                 "events_per_sec": 100000.0, "batch_steps": 0}
-        text = render_manifest(make_manifest(kernel_stats=stats))
-        assert "events/s" in text
-        assert "batch width" not in text
+        assert "kernel=full" in text
+        assert "kernel: 5000 events, 100,000 events/s" in text

@@ -102,13 +102,49 @@ class TestDrainLoop:
         assert job_status(str(tmp_path), record.job_id).finished
 
     def test_unreadable_task_file_is_dropped(self, tmp_path):
-        os.makedirs(tmp_path / "pending")
-        (tmp_path / "pending" / "000000-00000000-dead.json").write_text(
+        # Two task files no drainer can run: a torn write, and a task
+        # queued for the removed batched kernel. Both are dropped, and
+        # the worker reports each one.
+        submit_small(tmp_path, max_points=1)
+        pending = tmp_path / "pending"
+        (queued,) = os.listdir(pending)
+        payload = json.loads((pending / queued).read_text(encoding="utf-8"))
+        payload["plan"]["simulation"].update(kernel="batched", batch_size=8)
+        (pending / queued).write_text(json.dumps(payload), encoding="utf-8")
+        (pending / "000000-00000000-dead.json").write_text(
             "{truncated", encoding="utf-8"
         )
         worker = ServiceWorker(str(tmp_path), idle_exit=0.0)
         assert worker.run() == 0
-        assert os.listdir(tmp_path / "pending") == []
+        assert os.listdir(pending) == []
+        assert worker.dropped == 2
+        assert worker.failed == 0
+        assert len(worker.notes) == 2
+        torn, batched = sorted(worker.notes, key=lambda n: queued in n)
+        assert "000000-00000000-dead.json" in torn
+        assert queued in batched and "'batched'" in batched
+        assert all(
+            note.startswith("work queue: dropped unreadable task file")
+            for note in worker.notes
+        )
+
+    def test_worker_command_prints_drops(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import cli
+
+        os.makedirs(tmp_path / "pending")
+        (tmp_path / "pending" / "000000-00000000-dead.json").write_text(
+            "{truncated", encoding="utf-8"
+        )
+        monkeypatch.setattr(
+            ServiceWorker, "install_signal_handlers", lambda self: None
+        )
+        rc = cli.main(["worker", "--queue-dir", str(tmp_path),
+                       "--idle-exit", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "note: work queue: dropped unreadable task file " \
+            "000000-00000000-dead.json" in out
+        assert "0 task(s) executed, 0 failed, 1 dropped" in out
 
     def test_evaluation_log_and_snapshot(self, tmp_path):
         from repro.obs import metrics

@@ -23,8 +23,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Directories the audit covers. The engine layers (``src/repro/san``
-#: including the batched structure-of-arrays driver, and
-#: ``src/repro/core``) are audited alongside tests and examples: every
+#: and ``src/repro/core``) are audited alongside tests and examples: every
 #: kernel must draw through per-replication ``StreamRegistry`` child
 #: streams, never through a generator it built itself. The strategy
 #: zoo (``src/repro/strategies``) is audited too: a strategy is a pure

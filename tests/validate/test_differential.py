@@ -1,5 +1,7 @@
 """Tests for the differential-oracle driver."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backends import (
@@ -243,32 +245,17 @@ class TestDefaultCases:
         with pytest.raises(ValueError):
             default_cases(0)[0]
 
-    def test_batched_case_has_an_exact_oracle(self):
-        """The batched-vs-incremental case must include a backend the
-        perturbation machinery leaves alone (an exact oracle) —
-        otherwise the mutation smoke could never produce DISAGREE and
-        the case would prove nothing."""
-        case = {c.name: c for c in default_cases()}["batched-vs-incremental"]
-        assert "san-sim-batched" in case.backends
-        assert "san-sim" in case.backends
-        kinds = {
-            backend_id: get_backend(backend_id).capabilities.kind
-            for backend_id in case.backends
-        }
-        assert "exact" in kinds.values(), kinds
-
-    def test_scaling_preserves_kernel_and_batch_size(self):
+    def test_scaling_preserves_kernel(self):
         """Effort scaling must shrink the horizon, not silently change
         which kernel a case exercises."""
+        case = default_cases()[0]
+        on_full = replace(case, plan=replace(
+            case.plan, simulation=replace(case.plan.simulation, kernel="full")
+        ))
+        assert on_full.scaled(0.25).plan.simulation.kernel == "full"
         cases = {c.name: c for c in default_cases(0.25)}
-        batched = cases["batched-vs-incremental"]
-        assert batched.plan.simulation.kernel == "incremental"
         for case in cases.values():
             full = {c.name: c for c in default_cases()}[case.name]
             assert (
                 case.plan.simulation.kernel == full.plan.simulation.kernel
-            ), case.name
-            assert (
-                case.plan.simulation.batch_size
-                == full.plan.simulation.batch_size
             ), case.name
