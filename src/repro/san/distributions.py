@@ -104,9 +104,11 @@ class Deterministic(Distribution):
 
     def __init__(self, value: Param) -> None:
         if not callable(value):
-            if value < 0:
+            # `not >=` so that NaN fails too; inf stays accepted (an
+            # activity with an infinite delay never fires).
+            if not value >= 0:
                 raise DistributionError(
-                    f"Deterministic delay must be >= 0, got {value}"
+                    f"Deterministic value must be >= 0, got {value}"
                 )
             # Constant delay: shadow the method with an instance-level
             # closure returning the precomputed float. The simulator
@@ -145,7 +147,7 @@ class Exponential(Distribution):
 
     def __init__(self, rate: Param) -> None:
         if not callable(rate):
-            if rate <= 0:
+            if not rate > 0:
                 raise DistributionError(f"Exponential rate must be > 0, got {rate}")
             # Constant rate: precompute the scale. `1.0 / float(rate)`
             # is exactly the value the generic path would compute, so
@@ -159,7 +161,7 @@ class Exponential(Distribution):
     @classmethod
     def from_mean(cls, mean: float) -> "Exponential":
         """Build from a mean delay rather than a rate."""
-        if mean <= 0:
+        if not mean > 0:
             raise DistributionError(f"Exponential mean must be > 0, got {mean}")
         return cls(1.0 / mean)
 
@@ -190,7 +192,7 @@ class Uniform(Distribution):
     """Uniform delay on ``[low, high]``."""
 
     def __init__(self, low: float, high: float) -> None:
-        if low < 0 or high < low:
+        if not 0 <= low <= high:
             raise DistributionError(f"Uniform requires 0 <= low <= high, got [{low}, {high}]")
         self._low = float(low)
         self._high = float(high)
@@ -220,9 +222,9 @@ class Erlang(Distribution):
     """
 
     def __init__(self, k: int, rate: float) -> None:
-        if k < 1:
+        if not k >= 1:
             raise DistributionError(f"Erlang shape k must be >= 1, got {k}")
-        if rate <= 0:
+        if not rate > 0:
             raise DistributionError(f"Erlang rate must be > 0, got {rate}")
         self._k = int(k)
         self._rate = float(rate)
@@ -259,10 +261,10 @@ class Weibull(Distribution):
     """
 
     def __init__(self, shape: float, scale: float) -> None:
-        if shape <= 0 or scale <= 0:
-            raise DistributionError(
-                f"Weibull requires shape > 0 and scale > 0, got ({shape}, {scale})"
-            )
+        if not shape > 0:
+            raise DistributionError(f"Weibull shape must be > 0, got {shape}")
+        if not scale > 0:
+            raise DistributionError(f"Weibull scale must be > 0, got {scale}")
         self._shape = float(shape)
         self._scale = float(scale)
 
@@ -287,7 +289,9 @@ class LogNormal(Distribution):
     ``mu`` and ``sigma``."""
 
     def __init__(self, mu: float, sigma: float) -> None:
-        if sigma < 0:
+        if math.isnan(mu):
+            raise DistributionError(f"LogNormal mu must not be NaN, got {mu}")
+        if not sigma >= 0:
             raise DistributionError(f"LogNormal sigma must be >= 0, got {sigma}")
         self._mu = float(mu)
         self._sigma = float(sigma)
@@ -326,7 +330,7 @@ class Hyperexponential(Distribution):
             raise DistributionError("Hyperexponential needs matching, non-empty probs/rates")
         if any(p < 0 for p in probs) or not math.isclose(sum(probs), 1.0, abs_tol=1e-9):
             raise DistributionError(f"Hyperexponential probs must be a distribution: {probs}")
-        if any((not callable(r)) and r <= 0 for r in rates):
+        if any((not callable(r)) and not r > 0 for r in rates):
             raise DistributionError(f"Hyperexponential rates must be > 0: {rates}")
         self._probs = [float(p) for p in probs]
         self._rates = list(rates)
@@ -373,9 +377,9 @@ class MaxOfExponentials(Distribution):
     """
 
     def __init__(self, rate: Param, n: Union[int, Callable[[object], int]]) -> None:
-        if not callable(rate) and rate <= 0:
+        if not callable(rate) and not rate > 0:
             raise DistributionError(f"MaxOfExponentials rate must be > 0, got {rate}")
-        if not callable(n) and n < 1:
+        if not callable(n) and not n >= 1:
             raise DistributionError(f"MaxOfExponentials n must be >= 1, got {n}")
         self._rate = rate
         self._n = n

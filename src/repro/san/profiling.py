@@ -6,8 +6,9 @@ reports it as a :class:`KernelStats` on
 :attr:`~repro.san.simulator.SimulationOutput.kernel_stats`. The
 counters are how the incremental (dependency-indexed) kernel proves
 its keep: ``enabled_checks_skipped`` is exactly the re-scan work the
-dirty-set machinery avoided, and ``events_per_sec`` is the headline
-throughput gated by ``benchmarks/bench_engine.py``.
+dependency index avoided on the run's trajectory, and
+``events_per_sec`` is the headline throughput gated by
+``benchmarks/bench_engine.py``.
 
 The module also provides a tiny process-local aggregator so drivers
 that execute many runs (figure sweeps, batch means) can accumulate one
@@ -53,19 +54,32 @@ class KernelStats:
     enabled_checks:
         Activity enabling evaluations actually performed.
     enabled_checks_skipped:
-        Evaluations a full rescan would have performed that the
-        dependency index proved unnecessary (0 for the full kernel).
+        Evaluations the full kernel would have performed on the same
+        trajectory that the dependency index proved unnecessary (0 for
+        the full kernel), so ``enabled_checks + enabled_checks_skipped``
+        equals the full kernel's ``enabled_checks``. Derived after the
+        event loop from its firing tallies: the full kernel checks
+        every timed activity after each firing, scans every
+        instantaneous activity after each timed firing, and scans up
+        to index ``i`` before each firing of instantaneous activity
+        ``i``. Both kernels start a run through the same rescan, which
+        skips nothing.
     resamples:
         Firing-delay distribution samples drawn.
     clock_invalidations:
         Pending clocks discarded (activity disabled, or a
         ``resample_on`` place changed).
     dirty_notifications:
-        Place mutations delivered to the kernel's dirty list
-        (0 for the full kernel, which does not collect them).
+        Place mutations delivered to the kernel's dirty list during
+        the event loop: writes by gate functions and callbacks, since
+        the incremental kernel accounts for arc mutations statically.
+        0 for the full kernel, which does not collect them; the run
+        start is not counted.
     stabilisations:
-        Stabilisation passes executed (one per event, plus one at the
-        start of each run).
+        Stabilisation passes executed: one at the start of each run,
+        plus one per timed event for the full kernel, or one per timed
+        event that left an instantaneous activity to check for the
+        incremental kernel.
     stabilisation_firings:
         Instantaneous firings across all stabilisation passes.
     max_stabilisation_chain:

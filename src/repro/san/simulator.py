@@ -17,25 +17,34 @@ Rate rewards are integrated only after the ``warmup`` transient, which
 is how the paper's steady-state simulation discards its initial 1000
 hours.
 
-Two kernels implement step 2 (and the scan half of step 1):
+Two kernels implement steps 1 and 2:
 
+* the **full** kernel is three plain methods: :meth:`Simulator._fire`,
+  :meth:`Simulator._refresh_schedules` (reconcile every timed
+  activity) and :meth:`Simulator._stabilize` (a linear rescan of the
+  instantaneous activities after every firing). It is the semantic
+  reference, and every :meth:`Simulator.run` call of either kernel
+  starts through it, because between calls the marking may have been
+  changed out of band.
 * the **incremental** kernel (default) builds a static dependency
   index at construction — place → the activities whose enabling or
   clock can depend on it (input arcs, declared input-gate ``reads``,
-  ``resample_on``) — and reconciles only the activities affected by
-  the places an event actually changed (collected through the places'
-  dirty ``sink``). Activities owning a gate that does not declare its
-  reads fall back to being re-checked after every event, so models
-  that never declared anything keep full-rescan semantics.
-* the **full** kernel re-scans every activity after every firing —
-  the pre-index behaviour, kept as the semantic reference.
+  ``resample_on``) — and handles each timed event as one cascade in
+  :meth:`Simulator.run`: fire, drain the places the firing changed
+  (gate-function writes arrive through the places' dirty ``sink``),
+  reconcile only the clocks those places affect, select the next
+  enabled instantaneous activity among the candidates the index left
+  open, and repeat until none is enabled. Activities owning a gate
+  that does not declare its reads are re-checked after every firing,
+  so models that never declared anything keep full-rescan semantics.
 
 Both kernels are trajectory-preserving: for the same seed they produce
 bit-identical firing sequences, because the dependency index only ever
 skips re-evaluations whose outcome could not have changed, candidates
 are visited in the same deterministic order, and each activity samples
 from its own named stream. ``tests/integration/test_kernel_equivalence``
-asserts this A/B on the full checkpoint model.
+asserts this A/B on the full checkpoint model, and
+``tests/integration/test_random_san_equivalence`` on generated models.
 
 Per-run kernel counters (heap traffic, checks performed vs skipped,
 re-samples, stabilisation chains, events/sec) are reported on
@@ -255,13 +264,16 @@ class Simulator:
     max_events_per_instant:
         Safety valve: maximum timed firings at one simulated instant.
     kernel:
-        ``"incremental"`` (default) reconciles only the activities the
-        dependency index marks as affected by each event's place
-        mutations; ``"full"`` re-scans every activity after every
-        firing (the semantic reference — same trajectories, more
-        work). Only one simulator at a time can drive a given model
-        instance: constructing a second re-targets the places' dirty
-        sinks.
+        ``"incremental"`` (default) handles each timed event as one
+        cascade that reconciles only the activities the dependency
+        index marks as affected by the event's place mutations;
+        ``"full"`` runs the plain :meth:`_fire`, :meth:`_refresh_schedules`
+        and :meth:`_stabilize` methods, which re-scan every activity
+        after every firing (the semantic reference — same
+        trajectories, more work). Both kernels start each
+        :meth:`run` call through those three methods. Only one
+        simulator at a time can drive a given model instance:
+        constructing a second re-targets the places' dirty sinks.
     """
 
     def __init__(
@@ -333,22 +345,13 @@ class Simulator:
         # without attribute chains or a method call per activity.
         self._t_enabled = [self._enabling_plan(a) for a in self._timed]
         self._i_enabled = [self._enabling_plan(a) for a in self._instantaneous]
-        # Firing plans ride on the activity objects; rebuilding them is
-        # deterministic, so several simulators sharing one model agree.
-        for activity in model.activities:
-            activity._plan = self._fire_plan(activity)
         # Bound sample methods, one per timed activity: distributions
         # are fixed at activity construction, so the binding is safe.
         self._samplers = [a.distribution.sample for a in self._timed]
 
         self._build_dependency_index()
         self._install_sinks()
-        self._build_incremental_fire_plans()
-
-        # Reconciliation sets (incremental kernel): start fully dirty.
-        self._pending_timed = set(range(self._n_timed))
-        self._inst_candidates = set(range(self._n_inst))
-
+        self._build_fire_plans()
         self._reset_counters()
 
     @staticmethod
@@ -357,26 +360,6 @@ class Simulator:
         return (
             tuple((arc.place, arc.weight) for arc in activity.input_arcs),
             tuple(gate.predicate for gate in activity.input_gates),
-        )
-
-    @staticmethod
-    def _fire_plan(activity: Activity) -> tuple:
-        """Pre-extracted firing recipe: everything :meth:`_fire` needs
-        without walking ``Arc``/``Case``/``Gate`` attribute chains."""
-        case_plans = tuple(
-            (
-                tuple((arc.place, arc.weight) for arc in case.output_arcs),
-                tuple(gate.function for gate in case.output_gates),
-            )
-            for case in activity.cases
-        )
-        return (
-            tuple((arc.place, arc.weight) for arc in activity.input_arcs),
-            tuple(gate.function for gate in activity.input_gates),
-            case_plans,
-            len(activity.cases) > 1,
-            activity.on_fire,
-            activity.name,
         )
 
     @property
@@ -438,43 +421,42 @@ class Simulator:
                 self._dep_inst.get(place.name, ()),
             )
 
-    def _build_incremental_fire_plans(self) -> None:
-        """Firing recipes for the incremental kernel's inlined paths.
+    def _build_fire_plans(self) -> None:
+        """Pre-extracted firing recipes, one per activity.
 
-        Arc mutations are statically known, so each plan carries, per
-        case, the pre-merged union of dependent-activity indices those
-        mutations can affect (``affected_timed`` / ``affected_inst``).
-        The inlined fire then updates the reconciliation sets directly
-        and bypasses the place sinks for arc mutations — only gate
-        *function* writes (dynamic, unknowable statically) still flow
-        through the dirty list. For a timed activity the affected set
-        also contains the activity itself: firing consumed its clock,
-        so it must re-sample if still enabled. Weight-0 arcs are
-        dropped: ``Place.add/remove`` treat them as no-ops (no version
-        bump), and the inlined arithmetic must match.
+        A plan is ``(in_pairs, in_fns, case_plans, resolve, on_fire,
+        name, slot)``: everything a firing needs without walking
+        ``Arc``/``Case``/``Gate`` attribute chains. ``resolve`` is the
+        activity's ``resolve_case`` for a multi-case activity and
+        ``None`` otherwise (a single case never touches the case
+        stream, so skipping the call is RNG-neutral). ``slot`` indexes
+        the run's firing tallies and impulse tables: timed activities
+        first, then instantaneous ones.
+
+        Arc mutations are statically known, so each case plan also
+        carries the pre-merged union of dependent-activity indices its
+        arcs can affect (``affected_timed`` / ``affected_inst``). The
+        incremental kernel adds those to its reconciliation sets
+        directly and bypasses the place sinks for arc mutations; only
+        gate *function* writes still flow through the dirty list. For
+        a timed activity the affected set also contains the activity
+        itself: firing consumed its clock, so it must re-sample if
+        still enabled. An instantaneous activity has no clock and
+        stays in the candidate set until a check proves it disabled,
+        so its own index never needs forcing in.
 
         Requires ``place.deps`` (``_build_dependency_index``) to be
         populated first.
         """
 
-        def build(activity: Activity, self_index: Optional[int]) -> tuple:
-            in_pairs = tuple(
-                (arc.place, arc.weight)
-                for arc in activity.input_arcs
-                if arc.weight
-            )
+        def build(activity: Activity, self_index: Optional[int], slot: int) -> tuple:
+            in_pairs = tuple((arc.place, arc.weight) for arc in activity.input_arcs)
             case_plans = []
             for case in activity.cases:
-                out_pairs = tuple(
-                    (arc.place, arc.weight)
-                    for arc in case.output_arcs
-                    if arc.weight
-                )
-                touched = {place for place, _ in in_pairs}
-                touched.update(place for place, _ in out_pairs)
+                out_pairs = tuple((arc.place, arc.weight) for arc in case.output_arcs)
                 affected_timed = set() if self_index is None else {self_index}
                 affected_inst = set()
-                for place in touched:
+                for place, _ in in_pairs + out_pairs:
                     timed_deps, inst_deps = place.deps
                     affected_timed.update(timed_deps)
                     affected_inst.update(inst_deps)
@@ -490,19 +472,20 @@ class Simulator:
                 in_pairs,
                 tuple(gate.function for gate in activity.input_gates),
                 tuple(case_plans),
-                len(activity.cases) > 1,
+                activity.resolve_case if len(activity.cases) > 1 else None,
                 activity.on_fire,
                 activity.name,
+                slot,
             )
 
-        self._t_fire_inc = [
-            build(activity, index) for index, activity in enumerate(self._timed)
+        n_timed = self._n_timed
+        self._t_plans = [
+            build(activity, index, index)
+            for index, activity in enumerate(self._timed)
         ]
-        # An instantaneous activity has no clock and stays in the
-        # candidate set until a check proves it disabled, so its own
-        # index never needs forcing into the affected sets.
-        self._i_fire_inc = [
-            build(activity, None) for activity in self._instantaneous
+        self._i_plans = [
+            build(activity, None, n_timed + index)
+            for index, activity in enumerate(self._instantaneous)
         ]
 
     def _install_sinks(self) -> None:
@@ -517,20 +500,11 @@ class Simulator:
         for extended in self.model.extended_places:
             extended.sink = sink
 
-    def _mark_all_dirty(self) -> None:
-        """Force a full reconcile (used at the start of every run)."""
-        self._pending_timed.update(range(self._n_timed))
-        self._inst_candidates.update(range(self._n_inst))
-        del self.state.dirty_places[:]
-
     def _reset_counters(self) -> None:
         self._n_pushes = 0
-        self._n_stale = 0
         self._n_checks = 0
-        self._n_skipped = 0
         self._n_resamples = 0
         self._n_invalidations = 0
-        self._n_dirty = 0
         self._n_stabilize = 0
         self._n_stabilize_fired = 0
         self._max_chain = 0
@@ -557,9 +531,8 @@ class Simulator:
         ``state -> bool`` evaluated after every event; when it returns
         True the run ends at the current time (used for job-completion
         studies). ``until`` then acts as a hard cap. The predicate is
-        evaluated exactly once per event — the end-of-run bookkeeping
-        reuses the loop's verdict, so stateful or expensive predicates
-        are safe.
+        evaluated exactly once per event, so stateful or expensive
+        predicates are safe.
 
         ``wall_clock_budget`` bounds the *real* time (seconds) the run
         may consume; exceeding it raises
@@ -577,30 +550,35 @@ class Simulator:
         preserved); each call accumulates its own reward window — the
         basis of single-run batch-means estimation.
         """
-        if wall_clock_budget is not None and wall_clock_budget <= 0:
+        state = self.state
+        run_start = state.time
+        # Written so that NaN fails every check: a NaN bound would
+        # never stop the loop, and a NaN warm-up would silently
+        # zero every rate reward.
+        if wall_clock_budget is not None and not wall_clock_budget > 0:
             raise SimulationError(
                 f"wall_clock_budget must be > 0, got {wall_clock_budget}"
             )
-        if until <= self.state.time:
+        if not until > run_start:
             raise SimulationError(
-                f"until ({until}) must exceed the current time "
-                f"({self.state.time})"
+                f"until ({until}) must exceed the current time ({run_start})"
             )
-        if warmup < 0 or warmup >= until:
+        if not 0 <= warmup < until:
             raise SimulationError(
                 f"warmup must satisfy 0 <= warmup < until, got {warmup} vs {until}"
             )
-        state = self.state
-        run_start = state.time
         accumulators = {rv.name: 0.0 for rv in rewards}
-        # Rate plan: (static, static_places, cache, dynamic). Rewards
-        # declaring `reads=` go into `static`; `static_places` is the
-        # deduplicated union of every declared place. Place versions
-        # are monotone, so an unchanged combined version sum proves no
-        # declared place mutated and the cached `(name, rate)` list of
-        # nonzero rates (`cache[1]`) is still exact — one integer loop
-        # replaces every rate call on the no-change path. Undeclared
-        # rates land in `dynamic` and are re-evaluated every interval.
+        # Rate plan: rewards declaring `reads=` go into `static`;
+        # `static_places` is the deduplicated union of every declared
+        # place. Place versions are monotone, so an unchanged combined
+        # version sum proves no declared place mutated and the cached
+        # `(name, rate)` list of nonzero rates (`rate_cache[1]`) is
+        # still exact — one integer loop replaces every rate call on
+        # the no-change path. Per-reward accumulation order is the
+        # same either way (each name appears at most once per
+        # interval), so the float sums are bit-identical to
+        # recomputing every time. Undeclared rates land in `dynamic`
+        # and are re-evaluated every interval.
         static: List[Tuple[str, RateFunction]] = []
         dynamic: List[Tuple[str, RateFunction]] = []
         static_places: List[Any] = []
@@ -626,49 +604,36 @@ class Simulator:
                     seen_places.add(place_name)
                     static_places.append(place)
             static.append((rv.name, rv.rate))
-        rate_plan = (
-            tuple(static),
-            tuple(static_places),
-            [-1, ()],
-            tuple(dynamic),
-        )
-        integrands = bool(static or dynamic) or self._ctx_integrate is not None
-        impulse_map: Dict[str, List[RewardVariable]] = {}
-        for rv in rewards:
-            for activity_name in rv.impulses:
-                impulse_map.setdefault(activity_name, []).append(rv)
-        # Per-activity-index impulse tuples for the inlined fire paths:
-        # one list index replaces a name-keyed dict lookup per firing.
-        t_impulses: List[tuple] = [
+        rate_cache: List[Any] = [-1, ()]
+        ctx_integrate = self._ctx_integrate
+        integrands = bool(static or dynamic) or ctx_integrate is not None
+        # Impulse rewards by plan slot, in reward order: one list index
+        # replaces a name-keyed lookup per firing.
+        timed = self._timed
+        activities = timed + self._instantaneous  # in plan-slot order
+        impulses: List[tuple] = [
             tuple(
                 (rv.name, rv.impulses[a.name])
-                for rv in impulse_map.get(a.name, ())
+                for rv in rewards
+                if a.name in rv.impulses
             )
-            for a in self._timed
-        ]
-        i_impulses: List[tuple] = [
-            tuple(
-                (rv.name, rv.impulses[a.name])
-                for rv in impulse_map.get(a.name, ())
-            )
-            for a in self._instantaneous
+            for a in activities
         ]
 
-        event_count = 0
-        events_at_instant = 0
-        last_instant = -1.0
-        stopped_early = False
         self._reset_counters()
         wall_begin = _time.monotonic()
-        wall_start = wall_begin if wall_clock_budget is not None else 0.0
 
-        # Every run call starts from a full reconcile: between calls the
-        # marking may have been mutated out-of-band (model.reset(), gate
-        # probes), and the cost is one rescan, not one per event.
-        self._mark_all_dirty()
-        event_count += self._stabilize(impulse_map, accumulators, warmup)
+        # Every run call starts with the full kernel's rescan: between
+        # calls the marking may have been mutated out of band
+        # (model.reset(), gate probes), and the cost is one rescan per
+        # call, not one per event. Afterwards no instantaneous
+        # activity is enabled and every clock is reconciled, so the
+        # incremental kernel starts from empty reconciliation sets.
+        event_count = self._stabilize(impulses, accumulators, warmup)
         self._refresh_schedules()
         self._check_invariants(invariants)
+        dirty = state.dirty_places
+        del dirty[:]
 
         # The event loop runs a few hundred thousand times per second;
         # every attribute and bound-method lookup below is hoisted into
@@ -676,74 +641,61 @@ class Simulator:
         # empties it with `del dirty[:]`, never rebinding.
         heap = self._heap
         heappop = heapq.heappop
-        schedules = self._schedules
-        timed = self._timed
-        fire = self._fire
-        refresh = self._refresh_schedules
-        stabilize = self._stabilize
-        pending = self._pending_timed
-        inst_candidates = self._inst_candidates
-        always_inst = self._always_inst
-        dirty = state.dirty_places
-        max_per_instant = self._max_events_per_instant
-        incremental = self.kernel == "incremental"
-        t_fire_plans = self._t_fire_inc
-        case_rng = self._case_rng
-        firings = self._firings
-        record = self._record
-        # Hoists for the inlined reward integration (see _integrate,
-        # kept as the reference implementation for the closing
-        # interval and the full kernel).
-        ctx_integrate = self._ctx_integrate
-        static, static_places, rate_cache, dynamic = rate_plan
-        # Hoists for the inlined reconcile/stabilise blocks below.
         heappush = heapq.heappush
+        schedules = self._schedules
+        incremental = self.kernel == "incremental"
+        t_plans = self._t_plans
+        i_plans = self._i_plans
+        case_rng = self._case_rng
+        record = self._record
         always_timed = self._always_timed
+        always_inst = self._always_inst
         t_enabling = self._t_enabled
         i_enabling = self._i_enabled
-        i_fire_plans = self._i_fire_inc
         watched_lists = self._watched
         samplers = self._samplers
         rngs = self._rngs
-        inst = self._instantaneous
         n_timed = self._n_timed
-        n_inst = self._n_inst
+        max_per_instant = self._max_events_per_instant
         max_chain_limit = self._max_instantaneous_chain
+        events_at_instant = 0
+        last_instant = -1.0
+        # Reconciliation sets of the incremental kernel: the timed
+        # activities whose clocks need reconciling and the
+        # instantaneous activities not yet proved disabled.
+        pending: set = set()
+        inst_candidates: set = set()
         # Kernel counters accumulate in locals and merge into the
-        # instance totals after the loop — the methods the inlined
-        # blocks replace add to the same attributes, so the merge is a
-        # plain `+=` (and a max for the chain length).
+        # instance totals (which the run start's methods fed) after
+        # the loop; firing tallies are by plan slot.
         n_checks = 0
-        n_skipped = 0
         n_dirty = 0
         n_invalidations = 0
         n_pushes = 0
+        n_stale = 0
         n_stabilize = 0
-        n_stabilize_fired = 0
         max_chain = 0
-        # Firing tallies by activity index (a list bump beats a
-        # name-keyed Counter update); folded into self._firings after
-        # the loop, alongside what the un-inlined paths added there.
-        t_counts = [0] * n_timed
-        i_counts = [0] * n_inst
-        while heap:
-            fire_time, _, generation, index = heappop(heap)
-            schedule = schedules[index]
-            if generation != schedule.generation or schedule.fire_time is None:
-                self._n_stale += 1
-                continue  # stale entry
-            if fire_time > until:
-                # Push back so a subsequent run() continuation could reuse it;
-                # we simply stop here.
-                self._sequence += 1
-                heapq.heappush(
-                    heap, (fire_time, self._sequence, generation, index)
-                )
-                self._n_pushes += 1
-                break
-            # Integrate rate rewards over (state.time, fire_time) —
-            # inlined _integrate (same logic; the method remains the
-            # reference and handles the closing interval).
+        counts = [0] * (n_timed + self._n_inst)
+        while True:
+            # ---- Advance: pop the earliest live clock, or close the
+            # run at `until` when none is due by then.
+            if heap:
+                fire_time, _, generation, index = heappop(heap)
+                schedule = schedules[index]
+                if generation != schedule.generation or schedule.fire_time is None:
+                    n_stale += 1
+                    continue
+                closing = fire_time > until
+                if closing:
+                    # Push back so a continuing run() call reuses it.
+                    self._sequence += 1
+                    heappush(heap, (fire_time, self._sequence, generation, index))
+                    self._n_pushes += 1
+                    fire_time = until
+            else:
+                fire_time = until
+                closing = True
+            # Integrate rate rewards over (state.time, fire_time).
             if integrands:
                 prev_time = state.time
                 if fire_time > prev_time:
@@ -770,6 +722,9 @@ class Simulator:
                             rate = rate_fn(state)
                             if rate:
                                 accumulators[nm] += rate * dt
+            if closing:
+                state.time = until
+                break
             if fire_time == last_instant:
                 events_at_instant += 1
                 if events_at_instant > max_per_instant:
@@ -786,154 +741,48 @@ class Simulator:
             state.time = fire_time
             schedule.fire_time = None
             schedule.generation += 1
-            if incremental:
-                # Inlined _fire with the same mutation order (input
-                # arcs, input gate functions, case, output arcs, output
-                # gate functions, on_fire). Arc mutations bypass the
-                # dirty list — their dependents were merged statically
-                # into the plan's affected sets, which also contain the
-                # fired activity itself (its clock was consumed).
-                (
-                    in_pairs,
-                    in_fns,
-                    case_plans,
-                    multi_case,
-                    on_fire,
-                    name,
-                ) = t_fire_plans[index]
-                for place, weight in in_pairs:
-                    place.tokens -= weight
-                    place.version += 1
-                for fn in in_fns:
-                    fn(state)
-                case_index = (
-                    timed[index].resolve_case(state, case_rng)
-                    if multi_case
-                    else 0
-                )
-                out_pairs, out_fns, affected_t, affected_i = case_plans[
-                    case_index
-                ]
-                for place, weight in out_pairs:
-                    place.tokens += weight
-                    place.version += 1
-                for fn in out_fns:
-                    fn(state)
-                if on_fire is not None:
-                    on_fire(state, case_index)
-                t_counts[index] += 1
-                imp = t_impulses[index]
-                if imp and fire_time >= warmup:
-                    for acc_name, impulse_fn in imp:
-                        accumulators[acc_name] += impulse_fn(state, case_index)
-                if record is not None:
-                    record(fire_time, name, case_index)
-                pending.update(affected_t)
-                inst_candidates.update(affected_i)
-                # ---- Inlined _refresh_schedules (same logic, same
-                # order; see the method for the commentary). Reconcile
-                # clocks immediately: a firing may disable another
-                # activity transiently before stabilisation re-enables
-                # it, and such an activity must lose its old clock
-                # (restart semantics).
-                if dirty:
-                    n_dirty += len(dirty)
-                    for place in dirty:
-                        timed_deps, inst_deps = place.deps
-                        if timed_deps:
-                            pending.update(timed_deps)
-                        if inst_deps:
-                            inst_candidates.update(inst_deps)
-                    del dirty[:]
-                if always_timed:
-                    pending.update(always_timed)
-                if pending:
-                    # One- and two-element sets dominate (a firing
-                    # typically dirties itself plus one neighbour);
-                    # sorted() on those is pure overhead.
-                    n_pending = len(pending)
-                    if n_pending == 1:
-                        candidates = (pending.pop(),)
-                    elif n_pending == 2:
-                        ca = pending.pop()
-                        cb = pending.pop()
-                        candidates = (ca, cb) if ca < cb else (cb, ca)
-                    else:
-                        candidates = sorted(pending)
-                        pending.clear()
-                    n_checks += n_pending
-                    n_skipped += n_timed - n_pending
-                    for t_index in candidates:
-                        schedule = schedules[t_index]
-                        arc_pairs, predicates = t_enabling[t_index]
-                        for place, weight in arc_pairs:
-                            if place.tokens < weight:
-                                enabled = False
-                                break
-                        else:
-                            for predicate in predicates:
-                                if not predicate(state):
-                                    enabled = False
-                                    break
-                            else:
-                                enabled = True
-                        if not enabled:
-                            if schedule.fire_time is not None:
-                                schedule.fire_time = None
-                                schedule.generation += 1
-                                n_invalidations += 1
-                            continue
-                        watched = watched_lists[t_index]
-                        if schedule.fire_time is not None:
-                            if watched:
-                                versions = tuple(
-                                    place.version for place in watched
-                                )
-                                if versions != schedule.watched_versions:
-                                    schedule.fire_time = None
-                                    schedule.generation += 1
-                                    n_invalidations += 1
-                                else:
-                                    continue
-                            else:
-                                continue
-                        delay = samplers[t_index](rngs[t_index], state)
-                        if delay < 0:
-                            raise SimulationError(
-                                f"activity {timed[t_index].name!r} "
-                                f"sampled negative delay {delay}"
-                            )
-                        schedule.fire_time = t_fire = fire_time + delay
-                        if watched:
-                            schedule.watched_versions = tuple(
-                                place.version for place in watched
-                            )
-                        self._sequence += 1
-                        n_pushes += 1
-                        heappush(
-                            heap,
-                            (
-                                t_fire,
-                                self._sequence,
-                                schedule.generation,
-                                t_index,
-                            ),
-                        )
-                else:
-                    n_skipped += n_timed
-                event_count += 1
-                # ---- Inlined _stabilize (incremental branch; same
-                # logic and order — see the method). Skipped outright
-                # when every instantaneous activity is provably
-                # disabled (no candidate survived its last check and
-                # none became dirty — the refresh above drained this
-                # event's dirty places into the candidate set already).
-                # No closing refresh is needed: stabilisation's last
-                # action is either an internal refresh (after its
-                # final firing) or a read-only scan, so pending and
-                # dirty end up empty either way.
-                if inst_candidates or always_inst or dirty:
-                    s_fired = 0
+            if not incremental:
+                self._fire(t_plans[index], impulses, accumulators, warmup)
+                self._refresh_schedules()
+                event_count += 1 + self._stabilize(impulses, accumulators, warmup)
+            else:
+                # ---- The cascade: fire, drain, reconcile, select the
+                # next instantaneous activity, repeat until none is
+                # enabled. Reconciling before selecting observes the
+                # marking after every firing, so an activity disabled
+                # transiently inside a chain loses its clock (restart
+                # semantics), exactly as in the full kernel.
+                plan = t_plans[index]
+                s_fired = 0
+                while True:
+                    # Fire, in _fire's mutation order: input arcs, input
+                    # gate functions, case, output arcs, output gate
+                    # functions, on_fire.
+                    in_pairs, in_fns, case_plans, resolve, on_fire, name, slot = plan
+                    for place, weight in in_pairs:
+                        place.tokens -= weight
+                        place.version += 1
+                    for fn in in_fns:
+                        fn(state)
+                    case_index = 0 if resolve is None else resolve(state, case_rng)
+                    out_pairs, out_fns, affected_t, affected_i = case_plans[case_index]
+                    for place, weight in out_pairs:
+                        place.tokens += weight
+                        place.version += 1
+                    for fn in out_fns:
+                        fn(state)
+                    if on_fire is not None:
+                        on_fire(state, case_index)
+                    counts[slot] += 1
+                    imp = impulses[slot]
+                    if imp and fire_time >= warmup:
+                        for acc_name, impulse_fn in imp:
+                            accumulators[acc_name] += impulse_fn(state, case_index)
+                    if record is not None:
+                        record(fire_time, name, case_index)
+                    pending.update(affected_t)
+                    inst_candidates.update(affected_i)
+                    # Drain the gate functions' writes through the index.
                     if dirty:
                         n_dirty += len(dirty)
                         for place in dirty:
@@ -943,20 +792,29 @@ class Simulator:
                             if inst_deps:
                                 inst_candidates.update(inst_deps)
                         del dirty[:]
-                    if always_inst:
-                        inst_candidates.update(always_inst)
-                    while inst_candidates:
-                        n_cand = len(inst_candidates)
-                        if n_cand == 1:
-                            ordered = tuple(inst_candidates)
-                        elif n_cand == 2:
-                            ca, cb = inst_candidates
-                            ordered = (ca, cb) if ca < cb else (cb, ca)
+                    if always_timed:
+                        pending.update(always_timed)
+                    # Reconcile the affected clocks in definition order,
+                    # the order _refresh_schedules walks them in, so
+                    # both kernels draw and push identically.
+                    if pending:
+                        # One- and two-element sets dominate (a firing
+                        # typically dirties itself plus one neighbour);
+                        # sorted() on those is pure overhead.
+                        n_pending = len(pending)
+                        if n_pending == 1:
+                            candidates = (pending.pop(),)
+                        elif n_pending == 2:
+                            ca = pending.pop()
+                            cb = pending.pop()
+                            candidates = (ca, cb) if ca < cb else (cb, ca)
                         else:
-                            ordered = sorted(inst_candidates)
-                        for i_index in ordered:
-                            n_checks += 1
-                            arc_pairs, predicates = i_enabling[i_index]
+                            candidates = sorted(pending)
+                            pending.clear()
+                        n_checks += n_pending
+                        for t_index in candidates:
+                            schedule = schedules[t_index]
+                            arc_pairs, predicates = t_enabling[t_index]
                             for place, weight in arc_pairs:
                                 if place.tokens < weight:
                                     enabled = False
@@ -968,183 +826,93 @@ class Simulator:
                                         break
                                 else:
                                     enabled = True
-                            if enabled:
-                                (
-                                    in_pairs,
-                                    in_fns,
-                                    case_plans,
-                                    multi_case,
-                                    on_fire,
-                                    name,
-                                ) = i_fire_plans[i_index]
-                                for place, weight in in_pairs:
-                                    place.tokens -= weight
-                                    place.version += 1
-                                for fn in in_fns:
-                                    fn(state)
-                                case_index = (
-                                    inst[i_index].resolve_case(state, case_rng)
-                                    if multi_case
-                                    else 0
+                            if not enabled:
+                                if schedule.fire_time is not None:
+                                    schedule.fire_time = None
+                                    schedule.generation += 1
+                                    n_invalidations += 1
+                                continue
+                            watched = watched_lists[t_index]
+                            if schedule.fire_time is not None:
+                                if not watched:
+                                    continue
+                                versions = tuple(place.version for place in watched)
+                                if versions == schedule.watched_versions:
+                                    continue
+                                schedule.fire_time = None
+                                schedule.generation += 1
+                                n_invalidations += 1
+                            delay = samplers[t_index](rngs[t_index], state)
+                            if not delay >= 0:
+                                raise SimulationError(
+                                    f"activity {timed[t_index].name!r} "
+                                    f"sampled invalid delay {delay}"
                                 )
-                                (
-                                    out_pairs,
-                                    out_fns,
-                                    affected_t,
-                                    affected_i,
-                                ) = case_plans[case_index]
-                                for place, weight in out_pairs:
-                                    place.tokens += weight
-                                    place.version += 1
-                                for fn in out_fns:
-                                    fn(state)
-                                if on_fire is not None:
-                                    on_fire(state, case_index)
-                                i_counts[i_index] += 1
-                                imp = i_impulses[i_index]
-                                if imp and fire_time >= warmup:
-                                    for acc_name, impulse_fn in imp:
-                                        accumulators[acc_name] += impulse_fn(
-                                            state, case_index
-                                        )
-                                if record is not None:
-                                    record(fire_time, name, case_index)
-                                pending.update(affected_t)
-                                inst_candidates.update(affected_i)
-                                # Reconcile clocks between firings
-                                # (restart semantics) — the same
-                                # inlined _refresh_schedules as after
-                                # the timed firing above; an
-                                # instantaneous firing happens at the
-                                # current event time, so `fire_time`
-                                # is still "now".
-                                if dirty:
-                                    n_dirty += len(dirty)
-                                    for place in dirty:
-                                        timed_deps, inst_deps = place.deps
-                                        if timed_deps:
-                                            pending.update(timed_deps)
-                                        if inst_deps:
-                                            inst_candidates.update(inst_deps)
-                                    del dirty[:]
-                                if always_timed:
-                                    pending.update(always_timed)
-                                if pending:
-                                    n_pending = len(pending)
-                                    if n_pending == 1:
-                                        candidates = (pending.pop(),)
-                                    elif n_pending == 2:
-                                        ca = pending.pop()
-                                        cb = pending.pop()
-                                        candidates = (
-                                            (ca, cb) if ca < cb else (cb, ca)
-                                        )
-                                    else:
-                                        candidates = sorted(pending)
-                                        pending.clear()
-                                    n_checks += n_pending
-                                    n_skipped += n_timed - n_pending
-                                    for t_index in candidates:
-                                        schedule = schedules[t_index]
-                                        arc_pairs, predicates = t_enabling[
-                                            t_index
-                                        ]
-                                        for place, weight in arc_pairs:
-                                            if place.tokens < weight:
-                                                enabled = False
-                                                break
-                                        else:
-                                            for predicate in predicates:
-                                                if not predicate(state):
-                                                    enabled = False
-                                                    break
-                                            else:
-                                                enabled = True
-                                        if not enabled:
-                                            if schedule.fire_time is not None:
-                                                schedule.fire_time = None
-                                                schedule.generation += 1
-                                                n_invalidations += 1
-                                            continue
-                                        watched = watched_lists[t_index]
-                                        if schedule.fire_time is not None:
-                                            if watched:
-                                                versions = tuple(
-                                                    place.version
-                                                    for place in watched
-                                                )
-                                                if (
-                                                    versions
-                                                    != schedule.watched_versions
-                                                ):
-                                                    schedule.fire_time = None
-                                                    schedule.generation += 1
-                                                    n_invalidations += 1
-                                                else:
-                                                    continue
-                                            else:
-                                                continue
-                                        delay = samplers[t_index](
-                                            rngs[t_index], state
-                                        )
-                                        if delay < 0:
-                                            raise SimulationError(
-                                                f"activity "
-                                                f"{timed[t_index].name!r} "
-                                                f"sampled negative delay "
-                                                f"{delay}"
-                                            )
-                                        schedule.fire_time = t_fire = (
-                                            fire_time + delay
-                                        )
-                                        if watched:
-                                            schedule.watched_versions = tuple(
-                                                place.version
-                                                for place in watched
-                                            )
-                                        self._sequence += 1
-                                        n_pushes += 1
-                                        heappush(
-                                            heap,
-                                            (
-                                                t_fire,
-                                                self._sequence,
-                                                schedule.generation,
-                                                t_index,
-                                            ),
-                                        )
-                                else:
-                                    n_skipped += n_timed
-                                if always_inst:
-                                    inst_candidates.update(always_inst)
-                                s_fired += 1
-                                if s_fired > max_chain_limit:
-                                    raise LivelockError(
-                                        "instantaneous",
-                                        inst[i_index].name,
-                                        s_fired,
-                                        time=state.time,
-                                        marking=state.marking_snapshot(),
-                                    )
+                            schedule.fire_time = t_fire = fire_time + delay
+                            if watched:
+                                schedule.watched_versions = tuple(
+                                    place.version for place in watched
+                                )
+                            self._sequence += 1
+                            n_pushes += 1
+                            heappush(
+                                heap,
+                                (t_fire, self._sequence, schedule.generation, t_index),
+                            )
+                    if s_fired > max_chain_limit:
+                        raise LivelockError(
+                            "instantaneous",
+                            name,
+                            s_fired,
+                            time=state.time,
+                            marking=state.marking_snapshot(),
+                        )
+                    # Select the lowest-index enabled candidate: every
+                    # activity outside the set is provably disabled, so
+                    # it is the one _stabilize's linear scan would fire.
+                    # After an instantaneous firing the set still holds
+                    # that activity, so it is empty only straight after
+                    # the timed firing, when no stabilisation is needed.
+                    if always_inst:
+                        inst_candidates.update(always_inst)
+                    if not inst_candidates:
+                        break
+                    n_cand = len(inst_candidates)
+                    if n_cand == 1:
+                        ordered = tuple(inst_candidates)
+                    elif n_cand == 2:
+                        ca, cb = inst_candidates
+                        ordered = (ca, cb) if ca < cb else (cb, ca)
+                    else:
+                        ordered = sorted(inst_candidates)
+                    for i_index in ordered:
+                        n_checks += 1
+                        arc_pairs, predicates = i_enabling[i_index]
+                        for place, weight in arc_pairs:
+                            if place.tokens < weight:
+                                enabled = False
                                 break
-                            inst_candidates.discard(i_index)
                         else:
+                            for predicate in predicates:
+                                if not predicate(state):
+                                    enabled = False
+                                    break
+                            else:
+                                enabled = True
+                        if enabled:
                             break
-                    n_skipped += n_inst - len(inst_candidates)
-                    n_stabilize += 1
-                    n_stabilize_fired += s_fired
-                    if s_fired > max_chain:
-                        max_chain = s_fired
-                    event_count += s_fired
-            else:
-                fire(timed[index], impulse_map, accumulators, warmup)
-                refresh()
-                event_count += 1
-                event_count += stabilize(impulse_map, accumulators, warmup)
+                        inst_candidates.discard(i_index)
+                    else:
+                        n_stabilize += 1
+                        if s_fired > max_chain:
+                            max_chain = s_fired
+                        break
+                    plan = i_plans[i_index]
+                    s_fired += 1
             if invariants:
                 self._check_invariants(invariants)
             if wall_clock_budget is not None:
-                elapsed = _time.monotonic() - wall_start
+                elapsed = _time.monotonic() - wall_begin
                 if elapsed > wall_clock_budget:
                     raise WallClockExceededError(
                         wall_clock_budget,
@@ -1153,35 +921,37 @@ class Simulator:
                         marking=state.marking_snapshot(),
                     )
             if stop_when is not None and stop_when(state):
-                stopped_early = True
                 break
 
-        # Merge the loop-local counter accumulation into the instance
-        # totals (the un-inlined methods added to these directly).
-        for t_i, count in enumerate(t_counts):
+        # Merge the loop's tallies into the instance totals.
+        firings = self._firings
+        for activity, count in zip(activities, counts):
             if count:
-                firings[timed[t_i].name] += count
-        for i_i, count in enumerate(i_counts):
-            if count:
-                firings[inst[i_i].name] += count
+                firings[activity.name] += count
+        event_count += sum(counts)
+        skipped = 0
+        if incremental:
+            # The full kernel would have made, on the same trajectory,
+            # n_timed checks after every firing, one linear scan of the
+            # n_inst instantaneous activities after every timed firing,
+            # and a scan up to index i before every firing of
+            # instantaneous activity i.
+            t_fired = sum(counts[:n_timed])
+            i_counts = counts[n_timed:]
+            full_checks = (
+                n_timed * (t_fired + sum(i_counts))
+                + self._n_inst * t_fired
+                + sum((i + 1) * count for i, count in enumerate(i_counts))
+            )
+            skipped = full_checks - n_checks
+            self._n_stabilize_fired += sum(i_counts)
         self._n_checks += n_checks
-        self._n_skipped += n_skipped
-        self._n_dirty += n_dirty
         self._n_invalidations += n_invalidations
         self._n_pushes += n_pushes
         self._n_resamples += n_pushes
         self._n_stabilize += n_stabilize
-        self._n_stabilize_fired += n_stabilize_fired
         if max_chain > self._max_chain:
             self._max_chain = max_chain
-
-        # Close the final interval up to the stop time (`until`, or the
-        # stop-condition instant for terminating runs). The loop's
-        # verdict is cached in `stopped_early` — do NOT re-evaluate the
-        # predicate here, it may be stateful or expensive.
-        end_time = state.time if (stopped_early and state.time < until) else until
-        self._integrate(rate_plan, accumulators, state.time, end_time, warmup)
-        state.time = end_time
 
         final_time = state.time
         window_start = max(run_start, warmup)
@@ -1199,12 +969,12 @@ class Simulator:
             events=event_count,
             wall_seconds=wall_seconds,
             heap_pushes=self._n_pushes,
-            stale_pops=self._n_stale,
+            stale_pops=n_stale,
             enabled_checks=self._n_checks,
-            enabled_checks_skipped=self._n_skipped,
+            enabled_checks_skipped=skipped,
             resamples=self._n_resamples,
             clock_invalidations=self._n_invalidations,
-            dirty_notifications=self._n_dirty,
+            dirty_notifications=n_dirty,
             stabilisations=self._n_stabilize,
             stabilisation_firings=self._n_stabilize_fired,
             max_stabilisation_chain=self._max_chain,
@@ -1220,75 +990,31 @@ class Simulator:
             warmup=warmup,
             rewards=results,
             event_count=event_count,
-            firings=dict(self._firings),
+            firings=dict(firings),
             kernel_stats=stats,
         )
 
     # ------------------------------------------------------------------
-    # Internals
+    # The full kernel: plain methods, the reference the cascade in
+    # run() is checked against, and the start of every run() call.
     # ------------------------------------------------------------------
-    def _integrate(
-        self,
-        rate_plan: tuple,
-        accumulators: Dict[str, float],
-        start: float,
-        end: float,
-        warmup: float,
-    ) -> None:
-        if end <= start:
-            return
-        if self._ctx_integrate is not None:
-            self._ctx_integrate(self.state, start, end)
-        static, static_places, cache, dynamic = rate_plan
-        if not static and not dynamic:
-            return
-        measured_start = start if start > warmup else warmup
-        if end <= measured_start:
-            return
-        dt = end - measured_start
-        state = self.state
-        if static:
-            version_sum = sum(map(_VERSION, static_places))
-            if version_sum != cache[0]:
-                # Some declared place mutated: re-evaluate every static
-                # rate once and cache the nonzero ones. Per-reward
-                # accumulation order is unchanged (each name appears at
-                # most once per interval), so the float sums are
-                # bit-identical to recomputing every time.
-                cache[0] = version_sum
-                cache[1] = tuple(
-                    pair
-                    for pair in (
-                        (name, rate_fn(state)) for name, rate_fn in static
-                    )
-                    if pair[1]
-                )
-            for name, rate in cache[1]:
-                accumulators[name] += rate * dt
-        for name, rate_fn in dynamic:
-            rate = rate_fn(state)
-            if rate:
-                accumulators[name] += rate * dt
-
     def _fire(
         self,
-        activity: Activity,
-        impulse_map: Dict[str, List[RewardVariable]],
+        plan: tuple,
+        impulses: List[tuple],
         accumulators: Dict[str, float],
         warmup: float,
     ) -> None:
+        """Fire one activity from its plan, through the places' checked
+        ``remove``/``add``."""
         state = self.state
-        in_pairs, in_fns, case_plans, multi_case, on_fire, name = activity._plan
+        in_pairs, in_fns, case_plans, resolve, on_fire, name, slot = plan
         for place, weight in in_pairs:
             place.remove(weight)
         for fn in in_fns:
             fn(state)
-        # Single-case activities never touch the case stream (see
-        # Activity.resolve_case), so skipping the call is RNG-neutral.
-        case_index = (
-            activity.resolve_case(state, self._case_rng) if multi_case else 0
-        )
-        out_pairs, out_fns = case_plans[case_index]
+        case_index = 0 if resolve is None else resolve(state, self._case_rng)
+        out_pairs, out_fns, _, _ = case_plans[case_index]
         for place, weight in out_pairs:
             place.add(weight)
         for fn in out_fns:
@@ -1296,224 +1022,59 @@ class Simulator:
         if on_fire is not None:
             on_fire(state, case_index)
         self._firings[name] += 1
-        if impulse_map and state.time >= warmup:
-            for rv in impulse_map.get(name, ()):
-                accumulators[rv.name] += rv.impulses[name](state, case_index)
+        if impulses[slot] and state.time >= warmup:
+            for acc_name, impulse_fn in impulses[slot]:
+                accumulators[acc_name] += impulse_fn(state, case_index)
         if self._record is not None:
             self._record(state.time, name, case_index)
 
     def _stabilize(
         self,
-        impulse_map: Dict[str, List[RewardVariable]],
+        impulses: List[tuple],
         accumulators: Dict[str, float],
         warmup: float,
     ) -> int:
         """Fire instantaneous activities until none is enabled.
 
-        The full kernel restarts a linear scan over every
-        instantaneous activity after each firing. The incremental
-        kernel keeps a persistent priority-ordered candidate set: an
-        activity leaves it when an enabling check proves it disabled,
-        and re-enters when one of its indexed places changes (or after
-        it fires — it may still be enabled). Activities outside the
-        set are provably disabled, so pulling the lowest-index
-        candidate fires the same activity the full scan would.
+        A linear scan in priority order fires the first enabled
+        activity, reconciles every clock, and starts over; a scan that
+        finds nothing enabled ends the stabilisation.
         """
         state = self.state
+        plans = self._i_plans
         fired = 0
-        inst = self._instantaneous
-        if self.kernel == "full":
-            while True:
-                for activity in inst:
-                    self._n_checks += 1
-                    if activity.enabled(state):
-                        self._fire(activity, impulse_map, accumulators, warmup)
-                        self._refresh_schedules()
-                        fired += 1
-                        if fired > self._max_instantaneous_chain:
-                            raise LivelockError(
-                                "instantaneous",
-                                activity.name,
-                                fired,
-                                time=state.time,
-                                marking=state.marking_snapshot(),
-                            )
-                        break
-                else:
-                    break
-        else:
-            candidates = self._inst_candidates
-            dirty = state.dirty_places
-            if dirty:
-                # Inlined dirty drain (mirrored in _refresh_schedules).
-                self._n_dirty += len(dirty)
-                pending = self._pending_timed
-                for place in dirty:
-                    timed_deps, inst_deps = place.deps
-                    if timed_deps:
-                        pending.update(timed_deps)
-                    if inst_deps:
-                        candidates.update(inst_deps)
-                del dirty[:]
-            if self._always_inst:
-                candidates.update(self._always_inst)
-            # Only the enabling check is hoisted: ~70% of stabilise
-            # calls fire nothing, so the fire path fetches its own
-            # attributes when (and only when) something actually fires.
-            enabling = self._i_enabled
-            checks = 0
-            while candidates:
-                # sorted() on a 1-element set is pure overhead, and a
-                # single candidate is the common case after a timed
-                # firing touches one instantaneous dependency.
-                ordered = (
-                    tuple(candidates) if len(candidates) == 1
-                    else sorted(candidates)
-                )
-                for index in ordered:
-                    checks += 1
-                    arc_pairs, predicates = enabling[index]
-                    for place, weight in arc_pairs:
-                        if place.tokens < weight:
-                            enabled = False
-                            break
-                    else:
-                        for predicate in predicates:
-                            if not predicate(state):
-                                enabled = False
-                                break
-                        else:
-                            enabled = True
-                    if enabled:
-                        # Inlined _fire (same mutation order as the
-                        # reference implementation); the fired activity
-                        # stays in the candidate set — it may fire
-                        # again — so the affected sets carry only the
-                        # arc-touched places' dependents.
-                        (
-                            in_pairs,
-                            in_fns,
-                            case_plans,
-                            multi_case,
-                            on_fire,
-                            name,
-                        ) = self._i_fire_inc[index]
-                        for place, weight in in_pairs:
-                            place.tokens -= weight
-                            place.version += 1
-                        for fn in in_fns:
-                            fn(state)
-                        case_index = (
-                            inst[index].resolve_case(state, self._case_rng)
-                            if multi_case
-                            else 0
+        while True:
+            for index, activity in enumerate(self._instantaneous):
+                self._n_checks += 1
+                if activity.enabled(state):
+                    self._fire(plans[index], impulses, accumulators, warmup)
+                    self._refresh_schedules()
+                    fired += 1
+                    if fired > self._max_instantaneous_chain:
+                        raise LivelockError(
+                            "instantaneous",
+                            activity.name,
+                            fired,
+                            time=state.time,
+                            marking=state.marking_snapshot(),
                         )
-                        out_pairs, out_fns, affected_t, affected_i = case_plans[
-                            case_index
-                        ]
-                        for place, weight in out_pairs:
-                            place.tokens += weight
-                            place.version += 1
-                        for fn in out_fns:
-                            fn(state)
-                        if on_fire is not None:
-                            on_fire(state, case_index)
-                        self._firings[name] += 1
-                        if impulse_map and state.time >= warmup:
-                            for rv in impulse_map.get(name, ()):
-                                accumulators[rv.name] += rv.impulses[name](
-                                    state, case_index
-                                )
-                        if self._record is not None:
-                            self._record(state.time, name, case_index)
-                        self._pending_timed.update(affected_t)
-                        candidates.update(affected_i)
-                        # Reconcile clocks between instantaneous
-                        # firings (restart semantics), exactly as the
-                        # full kernel does.
-                        self._refresh_schedules()
-                        if self._always_inst:
-                            candidates.update(self._always_inst)
-                        fired += 1
-                        if fired > self._max_instantaneous_chain:
-                            raise LivelockError(
-                                "instantaneous",
-                                inst[index].name,
-                                fired,
-                                time=state.time,
-                                marking=state.marking_snapshot(),
-                            )
-                        break
-                    candidates.discard(index)
-                else:
                     break
-            self._n_checks += checks
-            self._n_skipped += self._n_inst - len(candidates)
+            else:
+                break
         self._n_stabilize += 1
         self._n_stabilize_fired += fired
         if fired > self._max_chain:
             self._max_chain = fired
         return fired
 
-    def _check_invariants(self, invariants: Sequence[Invariant]) -> None:
-        if not invariants:
-            return
-        state = self.state
-        for invariant in invariants:
-            detail = invariant(state)
-            if detail is not None:
-                raise InvariantViolationError(
-                    getattr(invariant, "__name__", repr(invariant)),
-                    detail,
-                    time=state.time,
-                    marking=state.marking_snapshot(),
-                )
-
     def _refresh_schedules(self) -> None:
-        """Reconcile timed-activity clocks with the current marking.
+        """Reconcile every timed activity's clock with the marking.
 
-        The full kernel walks every timed activity; the incremental
-        kernel drains the dirty places through the dependency index
-        and walks only the affected activities (plus the
-        conservative-fallback set), in the same definition order —
-        any activity it skips has provably unchanged enabling and
-        watched versions, so both kernels take identical actions and
-        consume identical sequence numbers.
+        In definition order: a disabled activity discards its clock, an
+        enabled one whose ``resample_on`` places changed re-samples,
+        and an enabled one without a clock samples one.
         """
         state = self.state
-        if self.kernel == "full":
-            candidates: Sequence[int] = range(self._n_timed)
-        else:
-            pending = self._pending_timed
-            dirty = state.dirty_places
-            if dirty:
-                # Inlined dirty drain (mirrored in _stabilize): route
-                # each mutated place's dependents into both
-                # reconciliation sets. Duplicates are harmless no-ops.
-                self._n_dirty += len(dirty)
-                inst_candidates = self._inst_candidates
-                for place in dirty:
-                    timed_deps, inst_deps = place.deps
-                    if timed_deps:
-                        pending.update(timed_deps)
-                    if inst_deps:
-                        inst_candidates.update(inst_deps)
-                del dirty[:]
-            if self._always_timed:
-                pending.update(self._always_timed)
-            if not pending:
-                self._n_skipped += self._n_timed
-                return
-            if len(pending) == 1:
-                candidates = (pending.pop(),)
-            elif len(pending) == 2:
-                ca = pending.pop()
-                cb = pending.pop()
-                candidates = (ca, cb) if ca < cb else (cb, ca)
-            else:
-                candidates = sorted(pending)
-                pending.clear()
-            self._n_skipped += self._n_timed - len(candidates)
         now = state.time
         schedules = self._schedules
         watched_lists = self._watched
@@ -1521,11 +1082,10 @@ class Simulator:
         samplers = self._samplers
         rngs = self._rngs
         heap = self._heap
-        heappush = heapq.heappush
         sequence = self._sequence
         pushes = 0
-        self._n_checks += len(candidates)
-        for index in candidates:
+        self._n_checks += self._n_timed
+        for index in range(self._n_timed):
             schedule = schedules[index]
             arc_pairs, predicates = enabling[index]
             for place, weight in arc_pairs:
@@ -1547,21 +1107,19 @@ class Simulator:
                 continue
             watched = watched_lists[index]
             if schedule.fire_time is not None:
-                if watched:
-                    versions = tuple(place.version for place in watched)
-                    if versions != schedule.watched_versions:
-                        schedule.fire_time = None
-                        schedule.generation += 1
-                        self._n_invalidations += 1
-                    else:
-                        continue
-                else:
+                if not watched:
                     continue
+                versions = tuple(place.version for place in watched)
+                if versions == schedule.watched_versions:
+                    continue
+                schedule.fire_time = None
+                schedule.generation += 1
+                self._n_invalidations += 1
             delay = samplers[index](rngs[index], state)
-            if delay < 0:
+            if not delay >= 0:
                 raise SimulationError(
                     f"activity {self._timed[index].name!r} "
-                    f"sampled negative delay {delay}"
+                    f"sampled invalid delay {delay}"
                 )
             schedule.fire_time = fire_time = now + delay
             if watched:
@@ -1570,8 +1128,21 @@ class Simulator:
                 )
             sequence += 1
             pushes += 1
-            heappush(heap, (fire_time, sequence, schedule.generation, index))
+            heapq.heappush(heap, (fire_time, sequence, schedule.generation, index))
         self._sequence = sequence
-        if pushes:
-            self._n_resamples += pushes
-            self._n_pushes += pushes
+        self._n_resamples += pushes
+        self._n_pushes += pushes
+
+    def _check_invariants(self, invariants: Sequence[Invariant]) -> None:
+        if not invariants:
+            return
+        state = self.state
+        for invariant in invariants:
+            detail = invariant(state)
+            if detail is not None:
+                raise InvariantViolationError(
+                    getattr(invariant, "__name__", repr(invariant)),
+                    detail,
+                    time=state.time,
+                    marking=state.marking_snapshot(),
+                )

@@ -288,3 +288,36 @@ class TestMaxOfExponentials:
 def test_all_samples_non_negative(distribution):
     rng = stream(11)
     assert all(distribution.sample(rng) >= 0.0 for _ in range(500))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, parameter",
+    [
+        pytest.param(lambda: Deterministic(NAN), "value", id="Deterministic"),
+        pytest.param(lambda: Exponential(NAN), "rate", id="Exponential"),
+        pytest.param(lambda: Exponential.from_mean(NAN), "mean", id="from_mean"),
+        pytest.param(lambda: Uniform(NAN, 1.0), "low", id="Uniform-low"),
+        pytest.param(lambda: Uniform(0.0, NAN), "high", id="Uniform-high"),
+        pytest.param(lambda: Erlang(2, NAN), "rate", id="Erlang"),
+        pytest.param(lambda: Weibull(NAN, 1.0), "shape", id="Weibull-shape"),
+        pytest.param(lambda: Weibull(1.0, NAN), "scale", id="Weibull-scale"),
+        pytest.param(lambda: LogNormal(NAN, 1.0), "mu", id="LogNormal-mu"),
+        pytest.param(lambda: LogNormal(0.0, NAN), "sigma", id="LogNormal-sigma"),
+        pytest.param(lambda: MaxOfExponentials(NAN, 4), "rate", id="MaxOfExponentials"),
+        pytest.param(
+            lambda: Hyperexponential([1.0], [NAN]), "rates", id="Hyperexponential"
+        ),
+    ],
+)
+def test_nan_parameter_rejected(build, parameter):
+    """A NaN constant would be sampled as a NaN delay; it is refused
+    at construction, naming the parameter."""
+    with pytest.raises(DistributionError, match=parameter):
+        build()
+
+
+def test_infinite_deterministic_delay_accepted():
+    assert Deterministic(math.inf).sample(RNG) == math.inf

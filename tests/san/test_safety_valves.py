@@ -125,6 +125,8 @@ class TestWallClockBudget:
         simulator = Simulator(looping_model())
         with pytest.raises(SimulationError):
             simulator.run(until=1.0, wall_clock_budget=0.0)
+        with pytest.raises(SimulationError, match="wall_clock_budget"):
+            simulator.run(until=1.0, wall_clock_budget=float("nan"))
 
     def test_generous_budget_is_harmless(self):
         output = Simulator(looping_model()).run(

@@ -63,6 +63,13 @@ class TestBasicExecution:
             simulator.run(until=1.0, warmup=1.0)
         with pytest.raises(SimulationError):
             simulator.run(until=1.0, warmup=-0.5)
+        # NaN fails every check: a NaN `until` would never end the run
+        # (the budget turns a regression into a failure, not a hang),
+        # and a NaN warm-up would zero every rate reward.
+        with pytest.raises(SimulationError, match="until"):
+            simulator.run(until=float("nan"), wall_clock_budget=5.0)
+        with pytest.raises(SimulationError, match="warmup"):
+            simulator.run(until=1.0, warmup=float("nan"))
 
     def test_reproducible_given_seed(self):
         def run(seed):
@@ -416,3 +423,52 @@ class TestContextIntegration:
         )
         Simulator(model, ctx=sink).run(until=5.5)
         assert sink["count"] == 5
+
+
+def _delay_model(distribution):
+    """`bad` fires once per unit of `token`, its delay from `distribution`;
+    `fired` counts its firings."""
+    model = SANModel("delays")
+    token = model.add_place("token", initial=1)
+    fired = model.add_place("fired")
+    model.add_activity(
+        TimedActivity(
+            "bad", distribution, input_arcs=[Arc(token)],
+            cases=[Case(output_arcs=[Arc(token), Arc(fired)])],
+        )
+    )
+    return model
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kernel", ["incremental", "full"])
+@pytest.mark.parametrize(
+    "distribution",
+    [
+        pytest.param(Deterministic(lambda s: NAN), id="nan-at-start"),
+        pytest.param(Exponential(lambda s: NAN), id="nan-rate-at-start"),
+        pytest.param(
+            Deterministic(lambda s: NAN if s.tokens("fired") else 1.0),
+            id="nan-after-first-firing",
+        ),
+    ],
+)
+def test_nan_delay_raises_naming_the_activity(kernel, distribution):
+    """A callable parameter that resolves to NaN is caught where the
+    delay is scheduled, at the run start and inside the event loop,
+    instead of firing the activity at time NaN (which never ends the
+    run: the budget turns a regression into a failure, not a hang)."""
+    simulator = Simulator(_delay_model(distribution), kernel=kernel)
+    with pytest.raises(SimulationError, match="'bad'.*nan"):
+        simulator.run(until=10.0, wall_clock_budget=5.0)
+
+
+@pytest.mark.parametrize("kernel", ["incremental", "full"])
+def test_infinite_delay_never_fires(kernel):
+    output = Simulator(
+        _delay_model(Deterministic(float("inf"))), kernel=kernel
+    ).run(until=10.0)
+    assert output.event_count == 0
+    assert output.final_time == 10.0
