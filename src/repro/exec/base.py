@@ -10,16 +10,14 @@ snapshot — so the retry/journal policy layer
 serial loop, a process pool, or a persistent on-disk queue without
 knowing which it has.
 
-Capability flags tell the policy layer what it may rely on:
-
-* ``parallel`` — tasks may complete out of submission order.
-* ``preemptive_timeout`` — a hung task can be killed from outside
-  (only the pool can, and only the pool takes a timeout; in-process
-  executors see ``point_timeout`` as the simulation's wall-clock
-  budget).
-* ``persistent`` — submitted work survives a crashed supervisor.
-* ``deduplicates`` — identical submissions (same cache key) are
-  coalesced and evaluated once.
+:func:`make_executor` is the one place the package builds an
+executor: the sweep runner resolves its ``executor`` argument through
+it, and the supervisor drives whatever it is handed. The capability
+record says what the supervisor may rely on: ``name`` (the registered
+id the manifest and error messages use) and ``preemptive_timeout`` (a
+hung task can be killed from outside — only the pool can, and only
+the pool takes a timeout; in-process executors see ``point_timeout``
+as the simulation's wall-clock budget).
 """
 
 from __future__ import annotations
@@ -65,21 +63,12 @@ class ExecutorCapabilities:
     ----------
     name:
         Registered executor id (``"serial"``, ``"pool"``, ``"queue"``).
-    parallel:
-        Results may arrive out of submission order.
     preemptive_timeout:
         A hung task can be killed from outside the evaluating process.
-    persistent:
-        Submitted tasks survive a supervisor crash and can be resumed.
-    deduplicates:
-        Identical submissions (equal cache keys) are coalesced.
     """
 
     name: str
-    parallel: bool = False
     preemptive_timeout: bool = False
-    persistent: bool = False
-    deduplicates: bool = False
 
 
 @runtime_checkable
@@ -131,7 +120,8 @@ def make_executor(
     pool_factory: Optional[Callable[[], Any]] = None,
     run_task: Optional[Callable[..., TaskResult]] = None,
 ) -> "Executor":
-    """Build a registered executor by name.
+    """Build a registered executor by name; the one place the package
+    builds an executor.
 
     ``"serial"`` runs tasks in-process in submission order;
     ``"pool"`` fans out over ``processes`` worker processes (default
@@ -140,6 +130,8 @@ def make_executor(
     ``"queue"`` persists tasks to ``queue_dir`` (required) and
     coalesces identical submissions on the cache key. Unknown names
     and a queue without a directory raise :class:`ExecutorError`.
+    ``fault_plan`` is forwarded to every evaluation the executor runs.
+    The caller owns the executor and closes it.
 
     ``clock`` / ``sleep`` / ``pool_factory`` / ``run_task`` are
     injectable for tests (fake time, stub pools, canned evaluation).

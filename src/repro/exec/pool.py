@@ -8,11 +8,13 @@ bit-for-bit:
   on the *oldest* submission (FIFO head) so a hang is charged against
   the task that has actually been running longest.
 * A task that produces no result within ``point_timeout`` seconds is
-  declared hung: the pool is terminated (its slot is unrecoverable),
-  the other in-flight tasks go back to the front of the ready queue,
-  a structured ``PointTimeout`` failure is yielded for the hung task
-  (the policy layer decides whether to retry it), and a fresh pool is
-  spawned lazily for the next submission.
+  declared hung and the pool is terminated (its slot is
+  unrecoverable). The kill settles every in-flight task at once: a
+  result that is already ready is kept, every task submitted no later
+  than the hung one is past its own deadline and gets a structured
+  ``PointTimeout`` failure (the policy layer decides whether to retry
+  it), and only the rest go back to the front of the ready queue. A
+  fresh pool is spawned lazily for the next submission.
 * If the pool infrastructure itself dies (``apply_async`` or result
   retrieval raises — workers never raise through the task protocol),
   the executor notes the degradation and falls back to executing
@@ -71,16 +73,29 @@ def shutdown_pool(
             raise
 
 
+def _timeout_result(task: EvaluationTask, timeout: float) -> TaskResult:
+    """The structured failure of a task killed after ``timeout`` s."""
+    return TaskResult(
+        status="error",
+        index=task.index,
+        series=task.series,
+        x=task.x,
+        attempt=task.attempt,
+        seed_used=task.seed,
+        failure={
+            "error_type": "PointTimeout",
+            "error_message": (
+                f"no result within {timeout:g} s "
+                f"(attempt {task.attempt + 1})"
+            ),
+        },
+    )
+
+
 class PoolExecutor:
     """Execute tasks across worker processes with hang supervision."""
 
-    capabilities = ExecutorCapabilities(
-        name="pool",
-        parallel=True,
-        preemptive_timeout=True,
-        persistent=False,
-        deduplicates=False,
-    )
+    capabilities = ExecutorCapabilities(name="pool", preemptive_timeout=True)
 
     def __init__(
         self,
@@ -105,6 +120,8 @@ class PoolExecutor:
         self._ready: Deque[EvaluationTask] = deque()
         # (task, AsyncResult, submit_time), FIFO.
         self._inflight: Deque[Tuple[EvaluationTask, Any, float]] = deque()
+        # Results settled by a pool kill, not yet yielded.
+        self._settled: Deque[TaskResult] = deque()
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
         self._clock = clock
@@ -125,8 +142,9 @@ class PoolExecutor:
 
     @property
     def pending(self) -> int:
-        """Tasks submitted but not yet yielded (ready + in flight)."""
-        return len(self._ready) + len(self._inflight)
+        """Tasks submitted but not yet yielded (ready, in flight, or
+        settled by a pool kill)."""
+        return len(self._ready) + len(self._inflight) + len(self._settled)
 
     def _task_function(self) -> Callable[..., TaskResult]:
         if self._run_task is not None:
@@ -152,14 +170,48 @@ class PoolExecutor:
         self._executed += 1
         return self._task_function()(task, self._fault_plan)
 
+    def _kill(self, head_submitted: float, timeout: float) -> None:
+        """Terminate the pool over a hung head task and settle every
+        in-flight task: keep the results that are ready, time out the
+        tasks submitted no later than the head (their deadlines have
+        passed too), and requeue the rest."""
+        # Read every ready result before changing any state: a failing
+        # get() leaves the in-flight queue whole for the pool-death
+        # path. Settle before the shutdown, so a shutdown that raises
+        # into that path loses no task either.
+        outcomes = [
+            (task, async_result.get() if async_result.ready() else None,
+             submitted)
+            for task, async_result, submitted in self._inflight
+        ]
+        self._inflight.clear()
+        requeue = []
+        for task, task_result, submitted in outcomes:
+            if task_result is not None:
+                self._executed += 1
+                self._settled.append(task_result)
+            elif submitted <= head_submitted:
+                self._timeouts += 1
+                self._settled.append(_timeout_result(task, timeout))
+            else:
+                requeue.append(task)
+        for task in reversed(requeue):
+            self._ready.appendleft(task)
+        shutdown_pool(self._pool, terminate=True, notes=self.notes)
+        self._pool = None
+
     def drain(self) -> Iterator[TaskResult]:
         """Yield results until no submitted work remains.
 
-        Results arrive in FIFO-head completion order; a hang yields a
-        structured ``PointTimeout`` error result for the hung task.
+        Results arrive in FIFO-head completion order; a pool kill
+        yields the results that were ready and a structured
+        ``PointTimeout`` error result for each task past its deadline.
         """
         timeout = self._point_timeout
-        while self._ready or self._inflight:
+        while self._settled or self._ready or self._inflight:
+            if self._settled:
+                yield self._settled.popleft()
+                continue
             if self._degraded:
                 yield self._run_in_process(self._ready.popleft())
                 continue
@@ -195,38 +247,15 @@ class PoolExecutor:
                 self._pool = None
                 continue
 
-            head, async_result, submitted = self._inflight[0]
+            _, async_result, submitted = self._inflight[0]
             try:
                 if timeout is not None:
                     remaining = submitted + timeout - self._clock()
                     async_result.wait(max(0.0, remaining))
                     if not async_result.ready():
-                        # Hung worker: the pool slot is lost. Kill the
-                        # pool, put the other in-flight tasks back, and
-                        # report the hang; a fresh pool is spawned
-                        # lazily on the next submission.
-                        self._inflight.popleft()
-                        self._requeue()
-                        self._timeouts += 1
-                        shutdown_pool(
-                            self._pool, terminate=True, notes=self.notes
-                        )
-                        self._pool = None
-                        yield TaskResult(
-                            status="error",
-                            index=head.index,
-                            series=head.series,
-                            x=head.x,
-                            attempt=head.attempt,
-                            seed_used=head.seed,
-                            failure={
-                                "error_type": "PointTimeout",
-                                "error_message": (
-                                    f"no result within {timeout:g} s "
-                                    f"(attempt {head.attempt + 1})"
-                                ),
-                            },
-                        )
+                        # Hung worker: the pool slot is lost. A fresh
+                        # pool is spawned lazily on the next submission.
+                        self._kill(submitted, timeout)
                         continue
                 task_result = async_result.get()
             except Exception as exc:

@@ -372,13 +372,7 @@ class WorkQueue:
 class QueueExecutor:
     """Persistent on-disk queue executor with coalescing."""
 
-    capabilities = ExecutorCapabilities(
-        name="queue",
-        parallel=False,
-        preemptive_timeout=False,
-        persistent=True,
-        deduplicates=True,
-    )
+    capabilities = ExecutorCapabilities(name="queue")
 
     def __init__(
         self,

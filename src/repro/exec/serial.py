@@ -30,13 +30,7 @@ __all__ = ["SerialExecutor"]
 class SerialExecutor:
     """Execute tasks in-process, in submission order."""
 
-    capabilities = ExecutorCapabilities(
-        name="serial",
-        parallel=False,
-        preemptive_timeout=False,
-        persistent=False,
-        deduplicates=False,
-    )
+    capabilities = ExecutorCapabilities(name="serial")
 
     def __init__(
         self,

@@ -622,13 +622,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--wall-clock-budget",
-        type=finite_float,
-        default=None,
-        metavar="SECONDS",
-        help="real-time budget per replication inside the simulator",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -705,7 +698,6 @@ def _resilience_from_args(args: argparse.Namespace):
             backoff_base=getattr(args, "retry_backoff", 0.5),
         ),
         point_timeout=getattr(args, "point_timeout", None),
-        wall_clock_budget=getattr(args, "wall_clock_budget", None),
         cache_dir=getattr(args, "cache_dir", None),
         degrade_to=tuple(getattr(args, "degrade_to", None) or ()),
     )
@@ -718,13 +710,25 @@ def _run_one(figure_id: str, args: argparse.Namespace, stream) -> bool:
 
     runner = FIGURE_RUNNERS[figure_id]
     processes = args.processes
+    executor = getattr(args, "executor", None)
     kernel_stats = getattr(args, "kernel_stats", False)
     trace_out = getattr(args, "trace_out", None)
     if kernel_stats or trace_out:
+        # Worker processes neither report kernel stats nor share the
+        # trace sink, so both flags keep the sweep in this process.
+        ignored = []
+        if executor == "pool":
+            ignored.append("--executor pool")
+            executor = "serial"
         if processes not in (None, 1):
-            flag = "--kernel-stats" if kernel_stats else "--trace-out"
-            print(f"{flag} forces a serial sweep (ignoring --processes)")
+            ignored.append("--processes")
         processes = None
+        if ignored:
+            flag = "--kernel-stats" if kernel_stats else "--trace-out"
+            print(
+                f"{flag} forces a serial sweep "
+                f"(ignoring {' and '.join(ignored)})"
+            )
     if kernel_stats:
         profiling.enable_aggregation(reset=True)
     sink = None
@@ -746,7 +750,7 @@ def _run_one(figure_id: str, args: argparse.Namespace, stream) -> bool:
             backend=getattr(args, "backend", None),
             kernel=getattr(args, "kernel", None),
             strategy=getattr(args, "strategy", None),
-            executor=getattr(args, "executor", None),
+            executor=executor,
             queue_dir=getattr(args, "queue_dir", None),
             max_points=getattr(args, "max_points", None),
         )

@@ -46,12 +46,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .._atomic import atomic_write
 from ..exec.base import Executor, ExecutorError
-from ..exec.pool import PoolExecutor, shutdown_pool
-from ..exec.serial import SerialExecutor
 from ..exec.task import (
     EvaluationTask,
     Outcome,
-    TaskResult,
     derive_attempt_seed,
     failure_payload,
 )
@@ -162,16 +159,12 @@ class ResilienceOptions:
     retry:
         The per-point retry/backoff policy.
     point_timeout:
-        Wall-clock seconds one point attempt may run. The pool
-        executor kills a point still running after it; every
-        executor also gets it as the simulation's wall-clock budget,
-        which is all the in-process executors (serial, queue) can
-        enforce — a note on the figure records that.
-    wall_clock_budget:
-        Per-replication real-time budget forwarded into
-        :class:`~repro.core.simulation.SimulationPlan`; a run that
-        exceeds it raises inside the worker and goes through the
-        normal retry path.
+        Wall-clock seconds one point attempt may run: the one
+        deadline setting. Every executor gets it as the simulation's
+        per-replication wall-clock budget, which is all the
+        in-process executors (serial, queue) can enforce — a note on
+        the figure records that — and the pool executor also kills a
+        point still running after it.
     fault_plan:
         Optional :class:`~repro.experiments.faultinject.FaultPlan` or
         :class:`~repro.experiments.faultinject.BackendFaultPlan`
@@ -197,7 +190,6 @@ class ResilienceOptions:
     resume: bool = True
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     point_timeout: Optional[float] = None
-    wall_clock_budget: Optional[float] = None
     fault_plan: Optional[Any] = None
     cache_dir: Optional[str] = None
     degrade_to: Tuple[str, ...] = ()
@@ -535,10 +527,14 @@ class SweepSupervisor:
         The :class:`ResilienceOptions` in effect. ``degrade_to`` is
         used as given: :func:`~repro.experiments.runner.run_sweep`
         checks the fallbacks against the sweep before passing them on.
-    processes:
-        Worker process count used when no ``executor`` is passed:
-        ``1`` builds a :class:`~repro.exec.serial.SerialExecutor`,
-        ``>= 2`` a :class:`~repro.exec.pool.PoolExecutor`.
+        Its ``fault_plan`` reaches each evaluation through the
+        executor, which was built with it.
+    executor:
+        The executor to drive, built by
+        :func:`~repro.exec.base.make_executor` (or handed in ready-made
+        by the caller of ``run_sweep``). The caller keeps ownership:
+        the supervisor drains its results, stats and notes but does
+        not ``close()`` it.
     on_success:
         Callback ``(task, outcome, attempt, seed_used) -> None`` fired
         (in the supervisor process) after each completed point with
@@ -547,43 +543,27 @@ class SweepSupervisor:
         fault-plan abort hooks live there. Exceptions it raises
         propagate: an abort injected mid-sweep behaves exactly like
         the process being killed.
-    clock / sleep / pool_factory:
-        Injectable time source, sleep function and worker-pool
-        constructor (defaults: ``time.monotonic``, ``time.sleep``,
-        ``multiprocessing.Pool``), forwarded to a supervisor-built
-        executor. Tests drive backoff and hang detection with a fake
-        clock and stub pools so CI never depends on real
+    clock / sleep:
+        Injectable time source and sleep function for the retry
+        backoff (defaults: ``time.monotonic``, ``time.sleep``). Tests
+        drive backoff with a fake clock so CI never depends on real
         ``time.sleep`` margins.
-    run_task:
-        Test seam: overrides the task-execution function of a
-        supervisor-built executor (default
-        :func:`~repro.exec.task.execute_task`).
-    executor:
-        A ready-made executor to drive instead of building one. The
-        caller keeps ownership: the supervisor drains its results and
-        notes but does not ``close()`` it.
     """
 
     def __init__(
         self,
         options: ResilienceOptions,
-        processes: int = 1,
+        executor: Executor,
         on_success: Optional[
             Callable[[EvaluationTask, Outcome, int, int], None]
         ] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        pool_factory: Optional[Callable[[], Any]] = None,
-        run_task: Optional[Callable[..., TaskResult]] = None,
-        executor: Optional[Executor] = None,
     ) -> None:
         self.options = options
-        self.processes = max(1, processes)
         self.on_success = on_success
         self._clock = clock
         self._sleep = sleep
-        self._pool_factory = pool_factory
-        self._run_task = run_task
         self._executor = executor
 
     # ------------------------------------------------------------------
@@ -597,9 +577,6 @@ class SweepSupervisor:
         queue = _PendingQueue([task.index for task in tasks])
 
         executor = self._executor
-        owns_executor = executor is None
-        if owns_executor:
-            executor = self._build_executor()
         if (
             self.options.point_timeout is not None
             and not executor.capabilities.preemptive_timeout
@@ -615,26 +592,7 @@ class SweepSupervisor:
             result.execution = executor.stats()
             result.notes.extend(executor.notes)
             del executor.notes[:]
-            if owns_executor:
-                executor.close()
         return result
-
-    def _build_executor(self) -> Executor:
-        """The executor implied by ``processes`` (pool above 1)."""
-        options = self.options
-        if self.processes > 1:
-            return PoolExecutor(
-                processes=self.processes,
-                point_timeout=options.point_timeout,
-                fault_plan=options.fault_plan,
-                clock=self._clock,
-                sleep=self._sleep,
-                pool_factory=self._pool_factory,
-                run_task=self._run_task,
-            )
-        return SerialExecutor(
-            fault_plan=options.fault_plan, run_task=self._run_task
-        )
 
     def _drive(
         self,
@@ -749,7 +707,3 @@ class SweepSupervisor:
         )
         queue.defer(task.index, attempt + 1, self._clock() + delay)
         return True
-
-    #: Kept under its historical name: pool shutdown-error semantics
-    #: are pinned by the tier-1 tests through this alias.
-    _shutdown_pool = staticmethod(shutdown_pool)

@@ -39,7 +39,7 @@ from ..backends import (
 )
 from ..core.parameters import ModelParameters
 from ..core.simulation import SimulationPlan
-from ..exec import EvaluationTask, Executor, make_executor
+from ..exec import EvaluationTask, make_executor
 from ..exec.task import tighten_budget
 from ..obs import RunManifest, metrics as obs_metrics
 from ..obs.trace import JsonlTraceSink, default_sink
@@ -129,37 +129,6 @@ class FigureResult:
         """The x at which a curve attains its maximum."""
         points = self.series[label]
         return max(points, key=lambda p: p[1])[0]
-
-
-def _resolve_executor(
-    executor,
-    queue_dir: Optional[str],
-    processes: Optional[int],
-    options: ResilienceOptions,
-) -> Tuple[Optional[Executor], bool]:
-    """Turn ``run_sweep``'s ``executor`` argument into an instance.
-
-    Returns ``(instance, owned)``: ``None`` instance means "let the
-    supervisor build its default from ``processes``" (the legacy
-    behavior); a string is resolved through
-    :func:`repro.exec.make_executor` and owned (closed) by the sweep;
-    anything else is treated as a ready-made executor the caller
-    keeps ownership of.
-    """
-    if executor is None:
-        return None, False
-    if isinstance(executor, str):
-        return (
-            make_executor(
-                executor,
-                processes=processes,
-                point_timeout=options.point_timeout,
-                fault_plan=options.fault_plan,
-                queue_dir=queue_dir,
-            ),
-            True,
-        )
-    return executor, False
 
 
 def sweep_eval_plan(metric: str, plan: SimulationPlan,
@@ -314,25 +283,49 @@ def run_sweep(
     sweeps skip already-evaluated points across runs.
 
     ``executor`` selects the execution substrate (see
-    :mod:`repro.exec`): ``None`` keeps the legacy behavior (a serial
-    executor, or a pool when ``processes >= 2``); the strings
-    ``"serial"`` / ``"pool"`` / ``"queue"`` build the named executor
-    (``"queue"`` requires ``queue_dir``); an
-    :class:`~repro.exec.base.Executor` instance is driven as-is and
-    left open, so several sweeps can share one persistent queue and
-    coalesce their common points. The manifest's ``execution``
-    section records which executor ran and what it did.
+    :mod:`repro.exec`). This is the one place a sweep's executor is
+    resolved: a name (``"serial"`` / ``"pool"`` / ``"queue"``, the
+    last requiring ``queue_dir``) or ``None`` — the pool from
+    ``processes >= 2``, serial below that — is built once through
+    :func:`~repro.exec.base.make_executor` with the sweep's
+    ``point_timeout`` and ``fault_plan``, and closed when the sweep
+    ends. An :class:`~repro.exec.base.Executor` instance is driven
+    as-is and left open, so several sweeps can share one persistent
+    queue and coalesce their common points; it keeps the fault plan
+    it was built with, so passing one together with
+    ``resilience.fault_plan`` raises :class:`ValueError` instead of
+    dropping the sweep's plan. The manifest's ``execution`` section
+    records which executor ran and what it did.
     """
     if metric not in ("useful_work_fraction", "total_useful_work"):
         raise ValueError(f"unknown metric {metric!r}")
     _check_unique_points(points)
+    options = resilience or ResilienceOptions()
+    owns_executor = executor is None or isinstance(executor, str)
+    if owns_executor:
+        # Built before the journal opens, so a bad name or a queue
+        # without a directory fails with nothing to clean up; no
+        # executor holds a resource until it runs a task.
+        if executor is None:
+            pooled = processes is not None and processes > 1
+            executor = "pool" if pooled else "serial"
+        executor = make_executor(
+            executor,
+            processes=processes,
+            point_timeout=options.point_timeout,
+            fault_plan=options.fault_plan,
+            queue_dir=queue_dir,
+        )
+    elif options.fault_plan is not None:
+        raise ValueError(
+            "run_sweep got an executor instance and resilience.fault_plan; "
+            "the instance keeps the fault plan it was built with, so build "
+            "it with make_executor(..., fault_plan=...) or pass the "
+            "executor by name"
+        )
     start_clock = time.monotonic()
     reg = obs_metrics.registry()
     reg.counter("sweep.runs").inc()
-
-    options = resilience or ResilienceOptions()
-    if options.wall_clock_budget is not None:
-        plan = replace(plan, wall_clock_budget=options.wall_clock_budget)
 
     eval_plan = tighten_budget(
         sweep_eval_plan(metric, plan, seed), options.point_timeout
@@ -453,21 +446,16 @@ def run_sweep(
         if options.fault_plan is not None:
             options.fault_plan.after_success(completed_this_run)
 
-    worker_count = processes if processes is not None else 1
-    exec_instance, owns_executor = _resolve_executor(
-        executor, queue_dir, processes, options
-    )
     supervisor = SweepSupervisor(
         replace(options, degrade_to=tuple(checked_fallbacks)),
-        processes=worker_count,
+        executor,
         on_success=on_success,
-        executor=exec_instance,
     )
     try:
         supervised: SupervisorResult = supervisor.run(tasks)
     finally:
-        if owns_executor and exec_instance is not None:
-            exec_instance.close()
+        if owns_executor:
+            executor.close()
         if journal is not None:
             journal.close()
 
@@ -547,11 +535,7 @@ def run_sweep(
         # Nothing needed executing (fully journaled/cached sweep):
         # still record which executor *would* have run.
         execution_section = {
-            "executor": (
-                exec_instance.capabilities.name
-                if exec_instance is not None
-                else ("pool" if worker_count > 1 else "serial")
-            ),
+            "executor": executor.capabilities.name,
             "tasks_executed": 0,
         }
     execution_section["attempts"] = {

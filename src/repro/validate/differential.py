@@ -336,87 +336,26 @@ def summarize_result(
     )
 
 
-def _evaluate_participants(
-    participants: Sequence[Tuple[str, str, ModelParameters, EvaluationPlan]],
-    seed: int,
-    executor,
-) -> Dict[str, EvaluationResult]:
-    """Evaluate ``(label, backend_id, params, plan)`` participants
-    through an executor.
-
-    Each participant becomes one :class:`~repro.exec.EvaluationTask`
-    (``series`` = the full label, ``base_seed`` = the case seed, so
-    the derived attempt-0 seed matches the inline path exactly; the
-    per-participant plan carries any strategy suffix); the executor is
-    drained and each serialised result is rebuilt into the
-    :class:`~repro.backends.EvaluationResult` the comparison layer
-    expects. An error envelope is re-raised — a differential case that
-    cannot evaluate a backend must fail loudly, exactly as the inline
-    ``backend.evaluate`` call would.
-    """
-    from ..exec import EvaluationTask, make_executor
-
-    owned = isinstance(executor, str)
-    instance = make_executor(executor) if owned else executor
-    results: Dict[str, EvaluationResult] = {}
-    try:
-        for index, (label, backend_id, params, plan) in enumerate(participants):
-            instance.submit(
-                EvaluationTask(
-                    index=index,
-                    series=label,
-                    x=0.0,
-                    params=params,
-                    plan=plan,
-                    backend=backend_id,
-                    base_seed=seed,
-                )
-            )
-        for task_result in instance.drain():
-            if not task_result.ok:
-                failure = task_result.failure or {}
-                raise RuntimeError(
-                    f"differential evaluation of backend "
-                    f"{task_result.series!r} failed: "
-                    f"{failure.get('error_type', 'Exception')}: "
-                    f"{failure.get('error_message', 'unknown error')}"
-                )
-            results[task_result.series] = task_result.result
-    finally:
-        if owned:
-            instance.close()
-    return results
-
-
 def run_case(
     case: DifferentialCase,
     seed: int = 0,
     perturb: Optional[Mapping[str, float]] = None,
-    executor=None,
 ) -> CaseResult:
     """Evaluate one case on every participating backend and compare
     all pairs.
 
+    Each capable backend answers once, inline, through
+    ``backend.evaluate`` on the case's plan seeded with ``seed``.
     ``perturb`` mutates the configuration seen by the **sampled**
     backends only; the exact oracles answer the reference
     configuration, so a perturbation that matters must produce a
     DISAGREE somewhere.
-
-    ``executor`` routes the per-backend evaluations through the
-    execution layer (:mod:`repro.exec`): ``None`` evaluates inline
-    (the historical path, bit-identical results), a string such as
-    ``"serial"`` builds and owns that executor for this case, and a
-    ready-made :class:`~repro.exec.base.Executor` instance is driven
-    as-is and left open, so a persistent queue can coalesce repeated
-    validation runs.
     """
     param_perturb, strategy_perturb = _split_perturbation(perturb)
     summaries: Dict[str, SampleSummary] = {}
     skipped: Dict[str, str] = {}
     perturbed: List[str] = []
 
-    # (label, backend_id, params, unseeded per-participant plan)
-    participants: List[Tuple[str, str, ModelParameters, EvaluationPlan]] = []
     for label in case.backends:
         backend_id, strategy_spec = split_backend_label(label)
         backend = get_backend(backend_id)
@@ -439,24 +378,13 @@ def run_case(
                 case.plan,
                 simulation=replace(case.plan.simulation, strategy=strategy_spec),
             )
-        reason = backend.supports(params, base_plan.with_seed(seed))
+        plan = base_plan.with_seed(seed)
+        reason = backend.supports(params, plan)
         if reason is not None:
             skipped[label] = reason
             continue
-        participants.append((label, backend_id, params, base_plan))
-
-    if executor is None:
-        evaluated = {
-            label: get_backend(backend_id).evaluate(
-                params, base_plan.with_seed(seed)
-            )
-            for label, backend_id, params, base_plan in participants
-        }
-    else:
-        evaluated = _evaluate_participants(participants, seed, executor)
-    for label, result in evaluated.items():
         summaries[label] = summarize_result(
-            get_backend(split_backend_label(label)[0]), result, case.metric
+            backend, backend.evaluate(params, plan), case.metric
         )
 
     pairs = [
@@ -483,18 +411,9 @@ def run_cases(
     cases: Sequence[DifferentialCase],
     seed: int = 0,
     perturb: Optional[Mapping[str, float]] = None,
-    executor=None,
 ) -> List[CaseResult]:
-    """Every case at one root seed.
-
-    ``executor`` is passed through to :func:`run_case`; note that an
-    executor *instance* is shared across all cases (and left open),
-    while a string builds a fresh executor per case.
-    """
-    return [
-        run_case(case, seed=seed, perturb=perturb, executor=executor)
-        for case in cases
-    ]
+    """Every case at one root seed."""
+    return [run_case(case, seed=seed, perturb=perturb) for case in cases]
 
 
 def default_cases(scale: float = 1.0) -> List[DifferentialCase]:

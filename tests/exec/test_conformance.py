@@ -180,6 +180,17 @@ class TestMakeExecutor:
         with pytest.raises(ExecutorError, match="--queue-dir"):
             make_executor("queue")
 
+    def test_bad_executor_fails_before_the_journal_opens(self, tmp_path):
+        # The sweep builds its executor first, so a queue without a
+        # directory leaves no journal file (and no open handle) behind.
+        with pytest.raises(ExecutorError, match="queue directory"):
+            run_sweep(
+                "figx", "t", "x", "useful_work_fraction", sweep_points(),
+                TINY_SIM, seed=5, backend="analytical", executor="queue",
+                resilience=ResilienceOptions(checkpoint_dir=str(tmp_path)),
+            )
+        assert not (tmp_path / "figx.journal.jsonl").exists()
+
     def test_borrowed_executor_instance_is_left_open(self, tmp_path):
         # run_sweep must not close an executor it was handed: the
         # caller may be sharing it across figures.

@@ -259,6 +259,37 @@ class TestExitCodeMapping:
         assert options.degrade_to == ("san-sim-full", "analytical")
         assert options.retry.max_retries == 3
 
+    @pytest.mark.parametrize("flag", ["--kernel-stats", "--trace-out"])
+    @pytest.mark.parametrize(
+        "extra, ignored",
+        [(["--processes", "2"], "--processes"),
+         (["--executor", "pool"], "--executor pool")],
+        ids=["processes", "executor-pool"],
+    )
+    def test_stats_and_trace_force_a_serial_sweep(
+        self, flag, extra, ignored, monkeypatch, capsys, tmp_path
+    ):
+        # Worker processes report no kernel stats and do not share the
+        # trace sink, so whichever flag asked for the pool, the runner
+        # must get a serial sweep, and the CLI says what it ignored.
+        seen = {}
+
+        def capturing_runner(**kwargs):
+            seen.update(kwargs)
+            raise BackendError("stop after capture")
+
+        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        argv = ["run-figure", "fig4a", "--preset", "quick", *extra, flag]
+        if flag == "--trace-out":
+            argv.append(str(tmp_path / "trace.jsonl"))
+        assert cli.main(argv) == 2
+        assert seen["processes"] is None
+        assert seen["executor"] in (None, "serial")
+        assert (
+            f"{flag} forces a serial sweep (ignoring {ignored})"
+            in capsys.readouterr().out
+        )
+
     def test_chaos_rejects_pool_executor_by_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["chaos", "fig4a", "--executor", "pool"])
@@ -277,8 +308,9 @@ class TestExitCodeMapping:
 
 
 #: Options deleted with the backend resilience wrapper, the circuit
-#: breaker and the batched kernel: each is now a usage error (argparse
-#: exits 2).
+#: breaker, the batched kernel and the second deadline flag (the
+#: deadline is ``--point-timeout``): each is now a usage error
+#: (argparse exits 2).
 REMOVED_OPTIONS = [
     [*command, flag, value]
     for command in (("run-figure", "fig4a"), ("run-all",), ("claims",))
@@ -288,6 +320,7 @@ REMOVED_OPTIONS = [
         ("--backend-isolation", "process"),
         ("--breaker-state-dir", "health"),
         ("--batch-size", "16"),
+        ("--wall-clock-budget", "30"),
     )
 ] + [
     ["backends", "--state-dir", "health"],
@@ -321,8 +354,8 @@ NON_FINITE_ARGV = [
     ("--mttf-years", ["design", "--mttf-years", "nan"]),
     ("--mttf-years", ["completion", "--mttf-years", "nan",
                       "--work-hours", "1", "--replications", "2"]),
-    ("--wall-clock-budget", ["run-figure", "fig4a", "--max-points", "1",
-                             "--no-validate", "--wall-clock-budget", "nan"]),
+    ("--point-timeout", ["run-figure", "fig4a", "--max-points", "1",
+                         "--no-validate", "--point-timeout", "nan"]),
 ]
 
 
@@ -360,8 +393,9 @@ def test_every_float_option_rejects_non_finite_values():
         action for action in actions(cli.build_parser())
         if action.type in (float, cli.finite_float)
     ]
-    # 29 options in cli.py, some of them on several commands.
-    assert len(float_options) >= 29
+    # 28 options in cli.py, 32 once those shared by run-figure,
+    # run-all and claims are counted on each command.
+    assert len(float_options) >= 32
     assert all(action.type is cli.finite_float for action in float_options)
     assert cli.finite_float("1e-3") == 0.001
     for text in ("nan", "inf", "-inf", "NaN", "Infinity"):

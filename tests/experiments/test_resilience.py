@@ -476,6 +476,37 @@ class TestDeterministicSupervision:
             for i in range(count)
         ]
 
+    def pool(self, clock, pool_factory, run_task=None):
+        """A two-process pool executor with a 5 s point timeout."""
+        from repro.exec import make_executor
+
+        return make_executor(
+            "pool", processes=2, point_timeout=5.0, clock=clock,
+            sleep=clock.sleep, pool_factory=pool_factory,
+            run_task=run_task or self.ok_task,
+        )
+
+    def drain_pool(self, count, hangs):
+        """Drain ``count`` tasks through :meth:`pool`, every pool
+        hanging the ``(index, attempt)`` pairs in ``hangs``; returns
+        the executor, its results, the indices the workers ran, the
+        pools started and the clock."""
+        clock = FakeClock()
+        runs, pools = [], []
+
+        def counting_task(task, fault_plan=None):
+            runs.append(task.index)
+            return self.ok_task(task)
+
+        def pool_factory():
+            pools.append(StubPool(clock, hangs=hangs))
+            return pools[-1]
+
+        executor = self.pool(clock, pool_factory, run_task=counting_task)
+        for task in self.make_tasks(count):
+            executor.submit(task)
+        return executor, list(executor.drain()), runs, pools, clock
+
     def test_hung_worker_is_killed_and_retried(self):
         from repro.experiments.resilience import SweepSupervisor
 
@@ -491,11 +522,9 @@ class TestDeterministicSupervision:
 
         supervisor = SweepSupervisor(
             ResilienceOptions(retry=FAST_RETRY, point_timeout=5.0),
-            processes=2,
+            self.pool(clock, pool_factory),
             clock=clock,
             sleep=clock.sleep,
-            pool_factory=pool_factory,
-            run_task=self.ok_task,
         )
         result = supervisor.run(self.make_tasks(2))
         assert not result.failures
@@ -525,19 +554,55 @@ class TestDeterministicSupervision:
                 retry=RetryPolicy(max_retries=1, backoff_base=0.01),
                 point_timeout=5.0,
             ),
-            processes=2,
+            self.pool(clock, pool_factory),
             clock=clock,
             sleep=clock.sleep,
-            pool_factory=pool_factory,
-            run_task=self.ok_task,
         )
         result = supervisor.run(self.make_tasks(1))
         assert len(result.failures) == 1
         assert result.failures[0].error_type == "PointTimeout"
         assert result.failures[0].attempts == 2
 
+    def test_kill_times_out_every_hung_task_at_once(self):
+        # Both tasks of one batch hang: each is past its deadline when
+        # the head is, so one kill at t=5 reports both.
+        executor, results, runs, pools, clock = self.drain_pool(
+            2, hangs={(0, 0), (1, 0)}
+        )
+        assert [(r.index, r.failure["error_type"]) for r in results] == [
+            (0, "PointTimeout"), (1, "PointTimeout"),
+        ]
+        assert clock.now == 5.0
+        assert len(pools) == 1 and pools[0].terminated
+        assert executor.stats()["timeouts"] == 2
+        assert executor.pending == 0
+
+    def test_kill_keeps_a_result_that_is_ready(self):
+        executor, results, runs, pools, _ = self.drain_pool(
+            2, hangs={(0, 0)}
+        )
+        assert [(r.index, r.ok) for r in results] == [(0, False), (1, True)]
+        assert runs == [1]  # finished before the kill, not run again
+        assert len(pools) == 1
+        assert executor.stats()["tasks_executed"] == 1
+
+    def test_kill_requeues_only_unfinished_later_tasks(self):
+        # Four tasks on two processes, the first batch hung: the kill
+        # at t=5 times out both, and tasks 2 and 3 each run once in the
+        # second pool.
+        executor, results, runs, pools, clock = self.drain_pool(
+            4, hangs={(0, 0), (1, 0)}
+        )
+        assert [(r.index, r.ok) for r in results] == [
+            (0, False), (1, False), (2, True), (3, True),
+        ]
+        assert runs == [2, 3]
+        assert clock.now == 5.0
+        assert len(pools) == 2
+        assert executor.stats()["timeouts"] == 2
+
     def test_serial_backoff_follows_the_policy_exactly(self):
-        from repro.exec import TaskResult
+        from repro.exec import TaskResult, make_executor
         from repro.experiments.resilience import SweepSupervisor
 
         clock = FakeClock()
@@ -559,10 +624,9 @@ class TestDeterministicSupervision:
         )
         supervisor = SweepSupervisor(
             ResilienceOptions(retry=policy),
-            processes=1,
+            make_executor("serial", run_task=flaky_task),
             clock=clock,
             sleep=clock.sleep,
-            run_task=flaky_task,
         )
         result = supervisor.run(self.make_tasks(1))
         assert not result.failures
@@ -596,15 +660,15 @@ class TestPoolShutdownErrors:
             pass
 
     def test_reraises_when_no_prior_error(self):
-        from repro.experiments.resilience import SweepSupervisor
+        from repro.exec.pool import shutdown_pool
 
         notes = []
         with pytest.raises(OSError, match="close failed"):
-            SweepSupervisor._shutdown_pool(self.BrokenPool(), notes=notes)
+            shutdown_pool(self.BrokenPool(), notes=notes)
         assert notes and "close failed" in notes[0]
 
     def test_suppresses_but_records_with_prior_error_in_flight(self):
-        from repro.experiments.resilience import SweepSupervisor
+        from repro.exec.pool import shutdown_pool
 
         notes = []
         with pytest.raises(ValueError, match="primary"):
@@ -613,18 +677,18 @@ class TestPoolShutdownErrors:
             except ValueError:
                 # Cleanup inside an except block must not replace the
                 # primary error -- but it must still leave a note.
-                SweepSupervisor._shutdown_pool(self.BrokenPool(), notes=notes)
+                shutdown_pool(self.BrokenPool(), notes=notes)
                 raise
         assert notes and "close failed" in notes[0]
 
     def test_counts_failures_in_metrics(self):
-        from repro.experiments.resilience import SweepSupervisor
+        from repro.exec.pool import shutdown_pool
         from repro.obs.metrics import MetricsRegistry, set_registry
 
         previous = set_registry(MetricsRegistry())
         try:
             with pytest.raises(OSError):
-                SweepSupervisor._shutdown_pool(self.BrokenPool(), terminate=True)
+                shutdown_pool(self.BrokenPool(), terminate=True)
             from repro.obs.metrics import registry
 
             assert (
@@ -635,10 +699,10 @@ class TestPoolShutdownErrors:
             set_registry(previous)
 
     def test_clean_shutdown_is_silent(self):
-        from repro.experiments.resilience import SweepSupervisor
+        from repro.exec.pool import shutdown_pool
 
         notes = []
-        SweepSupervisor._shutdown_pool(self.GoodPool(), notes=notes)
+        shutdown_pool(self.GoodPool(), notes=notes)
         assert notes == []
 
 
@@ -689,13 +753,15 @@ class TestSupervisor:
     ok_task = staticmethod(TestDeterministicSupervision.ok_task)
 
     def supervise(self, run_task, count=1, **options):
+        from repro.exec import make_executor
         from repro.experiments.resilience import SweepSupervisor
 
         options.setdefault("retry", RetryPolicy(max_retries=2, backoff_base=0.0))
         clock = FakeClock()
         supervisor = SweepSupervisor(
-            ResilienceOptions(**options), clock=clock, sleep=clock.sleep,
-            run_task=run_task,
+            ResilienceOptions(**options),
+            make_executor("serial", run_task=run_task),
+            clock=clock, sleep=clock.sleep,
         )
         return supervisor.run(self.make_tasks(count))
 
@@ -742,6 +808,7 @@ class TestSupervisor:
     def test_fallback_task_is_never_cached(self):
         from dataclasses import replace
 
+        from repro.exec import make_executor
         from repro.experiments.resilience import SweepSupervisor
 
         cache_dirs = {}
@@ -757,7 +824,7 @@ class TestSupervisor:
             ResilienceOptions(
                 retry=RetryPolicy(max_retries=0), degrade_to=("analytical",)
             ),
-            run_task=primary_broken,
+            make_executor("serial", run_task=primary_broken),
         ).run(tasks)
         assert cache_dirs == {"san-sim": "cache", "analytical": None}
 
@@ -1069,6 +1136,23 @@ class TestRegressions:
         clean = run_figure("fig4a", preset="quick", max_points=2)
         assert resumed.series == clean.series != degraded.series
 
+    def test_fault_plan_with_an_executor_instance_is_refused(self):
+        # The instance keeps its own (empty) plan, so the sweep's plan
+        # used to reach only the abort hook: the crash never happened
+        # and the run reported no failed point.
+        from repro.exec import make_executor
+        from repro.experiments import run_figure
+
+        with pytest.raises(ValueError, match="fault_plan"):
+            run_figure(
+                "fig4a", preset="quick", max_points=2,
+                executor=make_executor("serial"),
+                resilience=ResilienceOptions(
+                    retry=RetryPolicy(max_retries=0),
+                    fault_plan=FaultPlan().crash(0, attempts=(0, 1, 2, 3)),
+                ),
+            )
+
     def test_wall_clock_budget_does_not_fork_the_cache(self, tmp_path):
         points = make_points(2)
         cache = str(tmp_path / "cache")
@@ -1076,7 +1160,7 @@ class TestRegressions:
         warm = sweep(
             points,
             resilience=ResilienceOptions(
-                cache_dir=cache, wall_clock_budget=600.0
+                cache_dir=cache, point_timeout=600.0
             ),
         )
         assert warm.manifest.new_evaluations == 0

@@ -182,44 +182,6 @@ class TestRunCase:
         assert outcome.passed  # reported, but not a failure
 
 
-class TestRunCaseExecutor:
-    def test_serial_executor_matches_inline_path(self):
-        inline = run_case(tiny_case(), seed=5)
-        routed = run_case(tiny_case(), seed=5, executor="serial")
-        assert routed.summaries == inline.summaries
-        assert routed.verdict == inline.verdict
-
-    def test_shared_queue_coalesces_repeat_runs(self, tmp_path):
-        from repro.exec import make_executor
-
-        executor = make_executor("queue", queue_dir=str(tmp_path))
-        try:
-            first = run_case(tiny_case(), seed=5, executor=executor)
-            second = run_case(tiny_case(), seed=5, executor=executor)
-        finally:
-            executor.close()
-        assert first.summaries == second.summaries
-        stats = executor.stats()
-        assert stats["tasks_executed"] == len(first.summaries)
-        assert stats["coalesced"] == len(first.summaries)
-
-    def test_evaluation_failure_raises(self, tmp_path):
-        from repro.exec import SerialExecutor
-        from repro.exec.task import TaskResult
-
-        def failing(task, *args):
-            return TaskResult(
-                status="error", index=task.index, series=task.series,
-                x=task.x, attempt=task.attempt, seed_used=task.seed,
-                failure={"error_type": "RuntimeError",
-                         "error_message": "injected"},
-            )
-
-        executor = SerialExecutor(run_task=failing)
-        with pytest.raises(RuntimeError, match="injected"):
-            run_case(tiny_case(), seed=5, executor=executor)
-
-
 class TestDefaultCases:
     def test_names_are_unique(self):
         names = [case.name for case in default_cases()]

@@ -174,14 +174,6 @@ class TestRunCaseWithStrategies:
         assert "flat" in result.skipped[f"ctmc@{REDUCTION}"]
         assert result.verdict == AGREE
 
-    def test_executor_path_matches_inline_path(self):
-        case = zoo_case(("san-sim", f"san-sim@{REDUCTION}"), replications=3)
-        inline = run_case(case, seed=0)
-        through_exec = run_case(case, seed=0, executor="serial")
-        assert {
-            label: s.mean for label, s in inline.summaries.items()
-        } == {label: s.mean for label, s in through_exec.summaries.items()}
-
 
 class TestPerturbationPlumbing:
     def test_split_separates_model_and_strategy_keys(self):
