@@ -7,6 +7,7 @@ Figure 1. The ``useful_work`` submodel contributes reward variables
 rather than activities.
 """
 
+from .app_cycle import app_cycle_group
 from .app_workload import build_app_workload
 from .compute_nodes import build_compute_nodes
 from .coordination import build_coordination, coordination_distribution
@@ -26,6 +27,7 @@ from .useful_work import (
 from . import names
 
 __all__ = [
+    "app_cycle_group",
     "build_app_workload",
     "build_compute_nodes",
     "build_coordination",

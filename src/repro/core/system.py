@@ -15,6 +15,7 @@ from ..san import SANModel
 from .ledger import WorkLedger
 from .parameters import ModelParameters
 from .submodels import (
+    app_cycle_group,
     build_app_workload,
     build_comp_node_failure,
     build_comp_node_recovery,
@@ -70,6 +71,10 @@ def build_system(params: ModelParameters) -> CheckpointSystem:
 
     # Correlated failure module.
     build_correlated_failures(model, params, ledger)
+
+    # The application cycle's replay declaration (kernel work only: it
+    # changes no trajectory).
+    model.replay_group = app_cycle_group(model)
 
     model.validate()
     return CheckpointSystem(model=model, ledger=ledger, params=params)

@@ -116,7 +116,6 @@ def make_executor(
     fault_plan: Optional[Any] = None,
     queue_dir: Optional[str] = None,
     clock: Callable[[], float] = time.monotonic,
-    sleep: Callable[[float], None] = time.sleep,
     pool_factory: Optional[Callable[[], Any]] = None,
     run_task: Optional[Callable[..., TaskResult]] = None,
 ) -> "Executor":
@@ -133,7 +132,7 @@ def make_executor(
     ``fault_plan`` is forwarded to every evaluation the executor runs.
     The caller owns the executor and closes it.
 
-    ``clock`` / ``sleep`` / ``pool_factory`` / ``run_task`` are
+    ``clock`` / ``pool_factory`` / ``run_task`` are
     injectable for tests (fake time, stub pools, canned evaluation).
     """
     if name == "serial":
@@ -148,7 +147,6 @@ def make_executor(
             point_timeout=point_timeout,
             fault_plan=fault_plan,
             clock=clock,
-            sleep=sleep,
             pool_factory=pool_factory,
             run_task=run_task,
         )

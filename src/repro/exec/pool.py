@@ -103,13 +103,12 @@ class PoolExecutor:
         point_timeout: Optional[float] = None,
         fault_plan: Optional[Any] = None,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         pool_factory: Optional[Callable[[], Any]] = None,
         run_task: Optional[Callable[..., TaskResult]] = None,
     ) -> None:
         """Pool executor over ``processes`` workers.
 
-        ``clock`` / ``sleep`` / ``pool_factory`` are injectable so
+        ``clock`` / ``pool_factory`` are injectable so
         tests drive hang detection with a fake clock and stub pools.
         ``run_task`` overrides the (picklable, module-level) task
         function shipped to workers; the default is
@@ -125,7 +124,6 @@ class PoolExecutor:
         self._point_timeout = point_timeout
         self._fault_plan = fault_plan
         self._clock = clock
-        self._sleep = sleep
         self._pool_factory = pool_factory or (
             lambda: multiprocessing.Pool(self.processes)
         )

@@ -319,7 +319,12 @@ def render_manifest(manifest: RunManifest) -> str:
     if manifest.kernel_stats:
         events = manifest.kernel_stats.get("events", 0)
         eps = manifest.kernel_stats.get("events_per_sec", 0.0)
-        lines.append(f"  kernel: {events} events, {eps:,.0f} events/s")
+        line = f"  kernel: {events} events, {eps:,.0f} events/s"
+        # Manifests written before the replay have no such key.
+        deferred = manifest.kernel_stats.get("deferred_firings")
+        if deferred is not None:
+            line += f", {deferred} deferred"
+        lines.append(line)
     if manifest.trace:
         lines.append(
             f"  trace: {manifest.trace.get('written', 0)} events -> "

@@ -43,7 +43,7 @@ from .errors import (
     WallClockExceededError,
 )
 from .gates import InputGate, OutputGate
-from .model import SANModel
+from .model import ReplayGroup, SANModel
 from .places import ExtendedPlace, Place
 from .profiling import KernelStats
 from .rewards import RewardResult, RewardVariable
@@ -107,6 +107,7 @@ __all__ = [
     "InputGate",
     "OutputGate",
     "SANModel",
+    "ReplayGroup",
     "Namespace",
     "to_dot",
     "replicate_submodel",

@@ -11,17 +11,85 @@ The model also provides structural validation (:meth:`validate`), a
 marking snapshot/restore used by replications and by the state-space
 generator, and a tiny linting pass that reports places no activity ever
 touches.
+
+A model may also declare one :class:`ReplayGroup`: a deterministic
+sub-cycle of its activities that the incremental kernel can fire
+outside its event cascade while nothing else observes the cycle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .activities import Activity, InstantaneousActivity, TimedActivity
 from .errors import ModelDefinitionError
+from .gates import InputGate
 from .places import ExtendedPlace, Place
 
-__all__ = ["SANModel"]
+__all__ = ["SANModel", "ReplayGroup"]
+
+
+class ReplayGroup:
+    """Activities the incremental kernel may fire outside its cascade.
+
+    While ``quiet`` holds, no activity outside the group can be enabled
+    by a change to a place the members write, so firing a member needs
+    no reconciliation beyond the members themselves. The kernel then
+    pops the members' clocks in the usual ``(time, sequence)`` order and
+    hands each firing to the member's handler in ``fire`` instead of the
+    cascade; it keeps the clocks, the integration, the tallies, the
+    trace and the per-event checks itself. The full kernel ignores the
+    group.
+
+    Parameters
+    ----------
+    name:
+        Diagnostic name.
+    members:
+        Names of the member activities (timed or instantaneous).
+    quiet:
+        An :class:`InputGate` whose predicate is true while no observer
+        of the members' places can be enabled. It must declare its
+        ``reads``, and a member may not write any of them.
+    writes:
+        Every place a member's firing changes, gate writes included.
+    fire:
+        One handler per member, ``state -> follow``: ``fire[k]``
+        applies ``members[k]``'s marking change (tokens and version
+        bumps, bypassing the dirty sink) and returns the indices of the
+        members the firing enables: the timed ones whose clocks the
+        cascade would reconcile, in definition order, then at most one
+        instantaneous member, the one the cascade would select next.
+        The kernel starts each named clock that is not already running
+        and fires the instantaneous member through its handler.
+    """
+
+    __slots__ = ("name", "members", "quiet", "writes", "fire")
+
+    def __init__(
+        self,
+        name: str,
+        members: Sequence[str],
+        quiet: InputGate,
+        writes: Sequence[str],
+        fire: Sequence[Callable[[object], Tuple[int, ...]]],
+    ) -> None:
+        if not name:
+            raise ModelDefinitionError("replay group name must be non-empty")
+        if not members:
+            raise ModelDefinitionError(f"replay group {name!r}: needs members")
+        if len(fire) != len(members) or not all(callable(fn) for fn in fire):
+            raise ModelDefinitionError(
+                f"replay group {name!r}: needs one callable handler per member"
+            )
+        self.name = name
+        self.members: Tuple[str, ...] = tuple(members)
+        self.quiet = quiet
+        self.writes: Tuple[str, ...] = tuple(writes)
+        self.fire = tuple(fire)
+
+    def __repr__(self) -> str:
+        return f"ReplayGroup({self.name!r}, members={list(self.members)})"
 
 
 class SANModel:
@@ -47,6 +115,9 @@ class SANModel:
         self._activities: Dict[str, Activity] = {}
         self._activity_order: List[Activity] = []
         self._submodels: Dict[str, List[str]] = {}
+        #: The model's :class:`ReplayGroup`, or ``None``. The
+        #: incremental kernel checks it when a simulator is built.
+        self.replay_group: Optional[ReplayGroup] = None
 
     # ------------------------------------------------------------------
     # Construction

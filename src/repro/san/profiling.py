@@ -77,13 +77,20 @@ class KernelStats:
         start is not counted.
     stabilisations:
         Stabilisation passes executed: one at the start of each run,
-        plus one per timed event for the full kernel, or one per timed
-        event that left an instantaneous activity to check for the
-        incremental kernel.
+        plus one per timed event for the full kernel, or one per
+        cascade that left an instantaneous activity to check for the
+        incremental kernel (a replayed firing runs no pass).
     stabilisation_firings:
-        Instantaneous firings across all stabilisation passes.
+        Instantaneous firings across all stabilisation passes,
+        replayed ones included.
     max_stabilisation_chain:
         Longest single stabilisation chain observed.
+    deferred_firings:
+        Firings the incremental kernel replayed outside its cascade
+        through the model's replay group (see
+        :class:`~repro.san.model.ReplayGroup`); they are counted in
+        ``events`` too. 0 for the full kernel and for a model without
+        a replay group.
     """
 
     kernel: str = ""
@@ -100,6 +107,7 @@ class KernelStats:
     stabilisations: int = 0
     stabilisation_firings: int = 0
     max_stabilisation_chain: int = 0
+    deferred_firings: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -137,6 +145,7 @@ class KernelStats:
         self.max_stabilisation_chain = max(
             self.max_stabilisation_chain, other.max_stabilisation_chain
         )
+        self.deferred_firings += other.deferred_firings
         return self
 
     def as_dict(self) -> Dict[str, Any]:
@@ -162,6 +171,8 @@ class KernelStats:
             f"  stabilisation: {self.stabilisations} passes, "
             f"{self.stabilisation_firings} instantaneous firings, "
             f"longest chain {self.max_stabilisation_chain}",
+            f"  deferred: {self.deferred_firings} firings replayed "
+            f"outside the cascade",
         ]
         return "\n".join(lines)
 

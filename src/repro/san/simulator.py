@@ -38,6 +38,18 @@ Two kernels implement steps 1 and 2:
   that does not declare its reads are re-checked after every firing,
   so models that never declared anything keep full-rescan semantics.
 
+For a model that declares a :class:`~repro.san.model.ReplayGroup`, the
+incremental kernel adds a **replay** step between scheduling and
+advance: while the group's quiet predicate holds (evaluated after every
+cascade), nothing outside the group can observe a member's firing, so
+a popped member fires through the group's handler instead of the
+cascade, and the clocks it starts wait in a small side heap. Both heaps
+hold the same entries and share one sequence counter, and the advance
+step pops the earlier of their two tops: the order one heap would pop
+them in. Integration, the zero-delay valve, tallies, the trace and the
+per-event checks are the advance step's, whichever way a firing goes.
+The full kernel ignores the declaration.
+
 Both kernels are trajectory-preserving: for the same seed they produce
 bit-identical firing sequences, because the dependency index only ever
 skips re-evaluations whose outcome could not have changed, candidates
@@ -58,12 +70,13 @@ import time as _time
 from collections import Counter
 from operator import attrgetter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .activities import Activity, TimedActivity
 from .errors import (
     InvariantViolationError,
     LivelockError,
+    ModelDefinitionError,
     SimulationError,
     WallClockExceededError,
 )
@@ -352,6 +365,7 @@ class Simulator:
         self._build_dependency_index()
         self._install_sinks()
         self._build_fire_plans()
+        self._build_replay()
         self._reset_counters()
 
     @staticmethod
@@ -488,6 +502,101 @@ class Simulator:
             for index, activity in enumerate(self._instantaneous)
         ]
 
+    def _build_replay(self) -> None:
+        """Resolve the model's :class:`~repro.san.model.ReplayGroup`.
+
+        The incremental kernel alone replays (the full kernel stays
+        the plain reference). A declaration that breaks one of the
+        replay's static preconditions is refused here, naming the
+        activity or place.
+        """
+        # Replayed firings push their clocks here, in the main heap's
+        # entry format and from its sequence counter, so popping the
+        # earlier top of the two heaps is the order one heap would pop
+        # them in. The side heap stays small, which is the point.
+        self._side: List[Tuple[float, int, int, int]] = []
+        self._replay: Optional[tuple] = None
+        self._replay_writes: frozenset = frozenset()
+        group = self.model.replay_group
+        if group is None or self.kernel != "incremental":
+            return
+
+        def refuse(detail: str) -> NoReturn:
+            raise ModelDefinitionError(f"replay group {group.name!r}: {detail}")
+
+        model = self.model
+        t_index = {a.name: i for i, a in enumerate(self._timed)}
+        i_index = {a.name: i for i, a in enumerate(self._instantaneous)}
+        for place_name in group.writes + group.quiet.reads:
+            if not model.has_place(place_name):
+                refuse(f"names unknown place {place_name!r}")
+        if not group.quiet.declares_reads:
+            refuse(f"quiet predicate {group.quiet.name!r} must declare its reads")
+        writes = set(group.writes)
+        for place_name in group.quiet.reads:
+            if place_name in writes:
+                refuse(
+                    f"quiet predicate reads {place_name!r}, which a member "
+                    f"writes: a replayed firing could end the quiet"
+                )
+        replay_local = [-1] * self._n_timed
+        member_timed: List[int] = []
+        member_slot: List[int] = []
+        for local, name in enumerate(group.members):
+            if name in t_index:
+                activity = self._timed[t_index[name]]
+                replay_local[t_index[name]] = local
+                member_timed.append(t_index[name])
+                member_slot.append(t_index[name])
+                if activity.resample_on:
+                    refuse(
+                        f"member {name!r} declares resample_on: a replayed "
+                        f"clock is never re-sampled"
+                    )
+            elif name in i_index:
+                activity = self._instantaneous[i_index[name]]
+                member_timed.append(-1)
+                member_slot.append(self._n_timed + i_index[name])
+            else:
+                refuse(f"names unknown activity {name!r}")
+            for gate in activity.input_gates:
+                if not gate.declares_reads:
+                    refuse(
+                        f"member {name!r}'s gate {gate.name!r} does not "
+                        f"declare its reads"
+                    )
+            if len(activity.cases) > 1:
+                refuse(
+                    f"member {name!r} has {len(activity.cases)} cases: a "
+                    f"replayed firing draws no case"
+                )
+            for place_name in activity.places_touched():
+                if place_name not in writes:
+                    refuse(
+                        f"member {name!r} writes {place_name!r} through an "
+                        f"arc, which the group's writes omit"
+                    )
+        members = set(group.members)
+        for activity in self._timed:
+            if activity.name in members:
+                continue
+            for place_name in activity.resample_on:
+                if place_name in writes:
+                    refuse(
+                        f"activity {activity.name!r} outside the group "
+                        f"watches {place_name!r} (resample_on), which a "
+                        f"member writes"
+                    )
+        self._replay = (
+            group.quiet.predicate,
+            group.fire,
+            replay_local,
+            tuple(member_timed),
+            tuple(member_slot),
+            group.members,
+        )
+        self._replay_writes = frozenset(writes)
+
     def _install_sinks(self) -> None:
         """Point every place's dirty sink at this run's dirty list.
 
@@ -605,6 +714,11 @@ class Simulator:
                     static_places.append(place)
             static.append((rv.name, rv.rate))
         rate_cache: List[Any] = [-1, ()]
+        # After a version-sum check, only a cascade can change a
+        # declared place when the replay group writes none of them, so
+        # the check is skipped until the next cascade.
+        rates_checked = False
+        keep_rates = self._replay is not None and not seen_places & self._replay_writes
         ctx_integrate = self._ctx_integrate
         integrands = bool(static or dynamic) or ctx_integrate is not None
         # Impulse rewards by plan slot, in reward order: one list index
@@ -676,11 +790,31 @@ class Simulator:
         n_stabilize = 0
         max_chain = 0
         counts = [0] * (n_timed + self._n_inst)
+        # The replay (incremental kernel, a model with a replay group):
+        # `quiet` is the group's predicate after the latest cascade.
+        # Only a cascade can change it, because no member writes a
+        # place it reads. Which heap an entry comes from does not
+        # matter: while an observer is armed, a member fires through
+        # the cascade like any other activity.
+        side = self._side
+        n_deferred = 0
+        quiet = False
+        if self._replay is not None:
+            (quiet_fn, replay_fire, replay_local, member_timed,
+             member_slot, member_names) = self._replay
+            quiet = quiet_fn(state)
+        else:
+            quiet_fn = None
         while True:
-            # ---- Advance: pop the earliest live clock, or close the
-            # run at `until` when none is due by then.
-            if heap:
-                fire_time, _, generation, index = heappop(heap)
+            # ---- Advance: pop the earliest live clock of the main and
+            # side heaps (their entries share one sequence counter, so
+            # this is the order one heap would pop them in), or close
+            # the run at `until` when none is due by then.
+            if heap or side:
+                if side and (not heap or side[0] < heap[0]):
+                    fire_time, _, generation, index = heappop(side)
+                else:
+                    fire_time, _, generation, index = heappop(heap)
                 schedule = schedules[index]
                 if generation != schedule.generation or schedule.fire_time is None:
                     n_stale += 1
@@ -705,17 +839,17 @@ class Simulator:
                     if fire_time > measured_start:
                         dt = fire_time - measured_start
                         if static:
-                            version_sum = sum(map(_VERSION, static_places))
-                            if version_sum != rate_cache[0]:
-                                rate_cache[0] = version_sum
-                                rate_cache[1] = tuple(
-                                    pair
-                                    for pair in (
-                                        (nm, rate_fn(state))
-                                        for nm, rate_fn in static
-                                    )
-                                    if pair[1]
-                                )
+                            if not rates_checked:
+                                version_sum = sum(map(_VERSION, static_places))
+                                if version_sum != rate_cache[0]:
+                                    rate_cache[0] = version_sum
+                                    nonzero = []
+                                    for nm, rate_fn in static:
+                                        rate = rate_fn(state)
+                                        if rate:
+                                            nonzero.append((nm, rate))
+                                    rate_cache[1] = nonzero
+                                rates_checked = keep_rates
                             for nm, rate in rate_cache[1]:
                                 accumulators[nm] += rate * dt
                         for nm, rate_fn in dynamic:
@@ -741,7 +875,62 @@ class Simulator:
             state.time = fire_time
             schedule.fire_time = None
             schedule.generation += 1
-            if not incremental:
+            if quiet and replay_local[index] >= 0:
+                # ---- Replay: nothing outside the group can observe
+                # this firing, so the group's own handler applies it
+                # and names the member clocks it starts (and the
+                # instantaneous member the cascade would select next);
+                # the clocks go to the side heap.
+                member = replay_local[index]
+                s_fired = 0
+                while True:
+                    follow = replay_fire[member](state)
+                    slot = member_slot[member]
+                    counts[slot] += 1
+                    n_deferred += 1
+                    imp = impulses[slot]
+                    if imp and fire_time >= warmup:
+                        for acc_name, impulse_fn in imp:
+                            accumulators[acc_name] += impulse_fn(state, 0)
+                    if record is not None:
+                        record(fire_time, member_names[member], 0)
+                    fired = member
+                    member = -1
+                    for member_next in follow:
+                        t_index = member_timed[member_next]
+                        if t_index < 0:
+                            member = member_next
+                            continue
+                        schedule = schedules[t_index]
+                        if schedule.fire_time is not None:
+                            continue
+                        delay = samplers[t_index](rngs[t_index], state)
+                        if not delay >= 0:
+                            raise SimulationError(
+                                f"activity {timed[t_index].name!r} "
+                                f"sampled invalid delay {delay}"
+                            )
+                        schedule.fire_time = t_fire = fire_time + delay
+                        self._sequence += 1
+                        n_pushes += 1
+                        heappush(
+                            side,
+                            (t_fire, self._sequence, schedule.generation, t_index),
+                        )
+                    if s_fired > max_chain_limit:
+                        raise LivelockError(
+                            "instantaneous",
+                            member_names[fired],
+                            s_fired,
+                            time=fire_time,
+                            marking=state.marking_snapshot(),
+                        )
+                    if member < 0:
+                        break
+                    s_fired += 1
+                if s_fired > max_chain:
+                    max_chain = s_fired
+            elif not incremental:
                 self._fire(t_plans[index], impulses, accumulators, warmup)
                 self._refresh_schedules()
                 event_count += 1 + self._stabilize(impulses, accumulators, warmup)
@@ -909,6 +1098,9 @@ class Simulator:
                         break
                     plan = i_plans[i_index]
                     s_fired += 1
+                if quiet_fn is not None:
+                    quiet = quiet_fn(state)
+                    rates_checked = False
             if invariants:
                 self._check_invariants(invariants)
             if wall_clock_budget is not None:
@@ -978,6 +1170,7 @@ class Simulator:
             stabilisations=self._n_stabilize,
             stabilisation_firings=self._n_stabilize_fired,
             max_stabilisation_chain=self._max_chain,
+            deferred_firings=n_deferred,
         )
         # Metrics are recorded once per run (never per event): three
         # dictionary lookups here, nothing inside the hot loop above.

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from scipy import stats as _scipy_stats
-
 __all__ = [
     "RunningStatistics",
     "ConfidenceInterval",
@@ -160,7 +158,12 @@ def t_critical(confidence: float, df: int) -> float:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=df))
+    # `stdtrit` is the inverse Student-t CDF that `scipy.stats.t.ppf`
+    # calls, bit for bit; importing `scipy.special` alone keeps the
+    # much heavier `scipy.stats` off every figure's import path.
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.5 + confidence / 2.0))
 
 
 def standard_error_of(interval: ConfidenceInterval) -> float:

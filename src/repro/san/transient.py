@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import StateSpaceError
 from .statespace import StateSpace
@@ -107,6 +106,8 @@ class TransientSolver:
     # ------------------------------------------------------------------
     def _terms(self, t: float):
         """Yield (poisson_weight, pi0 @ P^k) pairs covering 1-tol mass."""
+        from scipy import stats as _scipy_stats
+
         lam_t = self._rate * t
         vector = self._pi0.copy()
         cumulative = 0.0
@@ -155,6 +156,8 @@ class TransientSolver:
         * r(pi0 P^k)`` where ``N_t`` is the uniformization Poisson
         process.
         """
+        from scipy import stats as _scipy_stats
+
         if t < 0:
             raise StateSpaceError(f"time must be >= 0, got {t}")
         if t == 0:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ..failures.processes import (
     BurstProcess,
@@ -88,6 +87,7 @@ def ks_check(
 ) -> GofResult:
     """One-sample Kolmogorov–Smirnov test of ``samples`` against a
     closed-form CDF."""
+    from scipy import stats as _scipy_stats
 
     def vector_cdf(values: np.ndarray) -> np.ndarray:
         # kstest hands the whole sorted sample to the CDF at once; the
@@ -113,6 +113,8 @@ def chi_square_check(
     the closed-form CDF over those edges — an instrument independent
     of the KS statistic's supremum norm.
     """
+    from scipy import stats as _scipy_stats
+
     data = np.sort(np.asarray(samples, dtype=float))
     n = len(data)
     if n < bins * 5:
@@ -167,6 +169,8 @@ def check_poisson_process(
     """The homogeneous process must have exponential inter-arrivals
     (KS) and a Poisson-consistent arrival count (two-sided exact
     tail)."""
+    from scipy import stats as _scipy_stats
+
     rng = StreamRegistry(seed).get("validate/gof/poisson")
     arrivals = PoissonProcess(rate, rng).arrivals(horizon)
     gaps = np.diff([0.0] + list(arrivals))
@@ -207,6 +211,8 @@ def _rate_check(
 ) -> GofResult:
     """Normal-approximation check of an arrival count against its
     expectation (the count is a sum of many thin-window indicators)."""
+    from scipy import stats as _scipy_stats
+
     if expected <= 0:
         raise ValueError(f"expected count must be > 0, got {expected}")
     z = (count - expected) / math.sqrt(expected)
@@ -234,6 +240,8 @@ def check_modulated_process(
     the z-score is corrected by the MMPP over-dispersion factor
     (the long-window limit of var/mean for the two-phase chain).
     """
+    from scipy import stats as _scipy_stats
+
     rng = StreamRegistry(seed).get("validate/gof/modulated")
     process = ModulatedPoissonProcess(base_rate, r, alpha_fraction, window, rng)
     count = len(process.arrivals(horizon))
@@ -265,6 +273,8 @@ def check_burst_process(
     """Burst semantics: with ``p_e = 0`` the process degenerates to the
     base Poisson process exactly; with bursts on, the arrival count
     must exceed the base expectation (bursts only ever add)."""
+    from scipy import stats as _scipy_stats
+
     streams = StreamRegistry(seed)
     plain = BurstProcess(
         base_rate, r, 0.0, window, streams.get("validate/gof/burst-off")

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import stats as _scipy_stats
-
 from ..san.statistics import ConfidenceInterval, standard_error_of, t_critical
 
 __all__ = [
@@ -179,6 +177,8 @@ def welch_statistic(
 ) -> "tuple[float, float, float]":
     """Welch's t statistic, degrees of freedom, and two-sided p-value
     for two sampled summaries (Welch–Satterthwaite approximation)."""
+    from scipy import stats as _scipy_stats
+
     se_a, se_b = a.standard_error, b.standard_error
     if se_a is None or se_b is None:
         raise ValueError("both summaries need an estimable standard error")
@@ -202,6 +202,8 @@ def _one_sample(
 ) -> "tuple[float, float]":
     """One-sample t statistic and p-value of ``sampled`` against the
     exact value."""
+    from scipy import stats as _scipy_stats
+
     se = sampled.standard_error
     if se is None:
         raise ValueError("sampled summary needs an estimable standard error")

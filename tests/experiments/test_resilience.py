@@ -482,7 +482,7 @@ class TestDeterministicSupervision:
 
         return make_executor(
             "pool", processes=2, point_timeout=5.0, clock=clock,
-            sleep=clock.sleep, pool_factory=pool_factory,
+            pool_factory=pool_factory,
             run_task=run_task or self.ok_task,
         )
 

@@ -223,3 +223,17 @@ class TestKernelStamping:
         )
         assert "kernel=full" in text
         assert "kernel: 5000 events, 100,000 events/s" in text
+        assert "deferred" not in text
+
+    def test_deferred_firings_round_trip_and_render(self, tmp_path):
+        """A manifest carries the replay's share; one written before
+        the counter existed loads and renders without it."""
+        stats = {"kernel": "incremental", "events": 5000,
+                 "events_per_sec": 100000.0, "deferred_firings": 3800}
+        loaded = load_manifest(
+            write_manifest(make_manifest(kernel_stats=stats), str(tmp_path))
+        )
+        assert loaded.kernel_stats["deferred_firings"] == 3800
+        assert "kernel: 5000 events, 100,000 events/s, 3800 deferred" in (
+            render_manifest(loaded)
+        )

@@ -63,6 +63,7 @@ class TestKernelStats:
                 wall_seconds=1.0,
                 heap_pushes=5,
                 max_stabilisation_chain=2,
+                deferred_firings=6,
             )
         )
         total.merge(
@@ -72,12 +73,14 @@ class TestKernelStats:
                 wall_seconds=3.0,
                 heap_pushes=7,
                 max_stabilisation_chain=4,
+                deferred_firings=20,
             )
         )
         assert total.runs == 2
         assert total.events == 40
         assert total.wall_seconds == pytest.approx(4.0)
         assert total.heap_pushes == 12
+        assert total.deferred_firings == 26
         # Extrema merge by max, not sum.
         assert total.max_stabilisation_chain == 4
         assert total.kernel == "incremental"
@@ -101,11 +104,13 @@ class TestKernelStats:
             wall_seconds=1.0,
             enabled_checks=10,
             enabled_checks_skipped=90,
+            deferred_firings=750,
         )
         text = stats.summary()
         assert "incremental" in text
         assert "1,000 events/s" in text
         assert "90.0% avoided" in text
+        assert "deferred: 750 firings replayed outside the cascade" in text
 
 
 class TestAggregation:

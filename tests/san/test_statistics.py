@@ -14,6 +14,7 @@ from repro.san import (
     batch_means,
     confidence_interval,
     replicate,
+    t_critical,
 )
 
 
@@ -151,3 +152,18 @@ class TestIntervalValidation:
     def test_str_marks_unvalidated(self):
         assert "unvalidated" in str(confidence_interval([5.0]))
         assert "unvalidated" not in str(confidence_interval([1.0, 2.0]))
+
+
+def test_t_critical_is_scipy_t_ppf_bit_for_bit():
+    """``t_critical`` calls the inverse Student-t CDF that
+    ``scipy.stats.t.ppf`` calls, without importing ``scipy.stats``:
+    over the whole grid the values, and so every interval half-width,
+    are the same floats."""
+    from scipy import stats
+
+    confidences = [0.8 + k / 1000.0 for k in range(200)] + [0.95, 0.99, 0.999]
+    dfs = np.arange(1, 200)
+    for confidence in confidences:
+        expected = stats.t.ppf(0.5 + confidence / 2.0, df=dfs)
+        got = [t_critical(confidence, int(df)) for df in dfs]
+        assert got == [float(value) for value in expected], confidence
