@@ -11,16 +11,14 @@ Subpackages
     The paper's model: twelve composed submodels of a coordinated
     checkpointing supercomputer, with useful-work accounting.
 ``repro.analytical``
-    Baselines and closed forms: Young, Daly, Vaidya, coordination
-    order statistics, the correlated-failure birth–death chain.
+    Baselines and closed forms: Young, Daly, coordination order
+    statistics, the correlated-failure birth–death chain.
 ``repro.cluster``
     A message-level discrete-event simulator of the actual 6-step
     checkpoint protocol over per-node state machines (ground truth for
     the aggregate SAN model).
 ``repro.failures``
     Failure arrival processes and synthetic trace tooling.
-``repro.workload``
-    The BSP application workload model.
 ``repro.backends``
     The unified evaluation-backend layer: one ``Backend`` protocol
     over SAN simulation, exact CTMC solves, the cluster simulator and
@@ -29,6 +27,9 @@ Subpackages
 ``repro.exec``
     Serializable evaluation tasks and the serial, pool and queue
     executors that run them.
+``repro.service``
+    ``repro worker``: a process draining a queue sweep's points beside
+    it.
 ``repro.experiments``
     The evaluation harness regenerating every figure of the paper,
     with checkpointed sweeps, one retry loop (retries on derived

@@ -32,10 +32,8 @@ from .simulation import (
     SimulationResult,
     run_single,
     simulate,
-    simulate_batch_means,
 )
 from .system import CheckpointSystem, build_system
-from .trajectory import TrajectoryResult, trajectory
 
 __all__ = [
     "ModelParameters",
@@ -55,12 +53,9 @@ __all__ = [
     "SimulationPlan",
     "SimulationResult",
     "simulate",
-    "simulate_batch_means",
     "run_single",
     "CompletionResult",
     "CompletionStudy",
     "simulate_completion",
     "completion_study",
-    "TrajectoryResult",
-    "trajectory",
 ]

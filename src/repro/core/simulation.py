@@ -36,7 +36,6 @@ __all__ = [
     "SimulationPlan",
     "SimulationResult",
     "simulate",
-    "simulate_batch_means",
     "run_single",
 ]
 
@@ -232,73 +231,6 @@ def run_single(
     run_single.last_kernel_stats = output.kernel_stats  # type: ignore[attr-defined]
     profiling.record(output.kernel_stats)
     return measures
-
-
-def simulate_batch_means(
-    params: ModelParameters,
-    warmup: float = DEFAULT_WARMUP,
-    batch_length: float = 200.0 * HOUR,
-    batches: int = 20,
-    seed: int = 0,
-    confidence: float = 0.95,
-) -> SimulationResult:
-    """Single-long-run steady-state estimation by batch means.
-
-    The classical alternative to independent replications: one
-    trajectory of ``warmup + batches * batch_length``, with the
-    post-transient window split into contiguous batches whose averages
-    are treated as approximately independent. Cheaper than
-    replications (one transient instead of many) at the price of
-    residual batch correlation; the tests verify both estimators
-    agree.
-    """
-    if batches < 2:
-        raise ValueError(f"need at least 2 batches, got {batches}")
-    if batch_length <= 0:
-        raise ValueError(f"batch_length must be > 0, got {batch_length}")
-    system = build_system(params)
-    rewards = [useful_work_reward(system.ledger)]
-    rewards.extend(breakdown_rewards())
-    simulator = Simulator(system.model, ctx=system.ledger, streams=StreamRegistry(seed))
-    # Burn the transient without measuring.
-    if warmup > 0:
-        simulator.run(until=warmup, warmup=0.0, rewards=())
-    per_reward: Dict[str, List[float]] = {}
-    event_counts: List[int] = []
-    for batch in range(batches):
-        until = warmup + (batch + 1) * batch_length
-        output = simulator.run(until=until, warmup=0.0, rewards=rewards)
-        profiling.record(output.kernel_stats)
-        event_counts.append(output.event_count)
-        for name, result in output.rewards.items():
-            per_reward.setdefault(name, []).append(result.time_average)
-
-    uwf_samples = per_reward[USEFUL_WORK]
-    uwf = confidence_interval(uwf_samples, confidence)
-    tuw = confidence_interval(
-        [value * params.n_processors for value in uwf_samples], confidence
-    )
-    breakdown = {
-        name: confidence_interval(values, confidence)
-        for name, values in per_reward.items()
-        if name != USEFUL_WORK
-    }
-    plan = SimulationPlan(
-        warmup=warmup,
-        observation=batches * batch_length,
-        replications=1,
-        confidence=confidence,
-    )
-    return SimulationResult(
-        params=params,
-        plan=plan,
-        useful_work_fraction=uwf,
-        total_useful_work=tuw,
-        breakdown=breakdown,
-        samples=uwf_samples,
-        counters=system.ledger.counters,
-        event_counts=event_counts,
-    )
 
 
 def simulate(

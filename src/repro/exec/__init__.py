@@ -13,10 +13,11 @@ tasks into :class:`~repro.exec.task.TaskResult` envelopes is an
   fan-out with pool-death recovery; the one executor that takes a
   timeout and kills a hung point.
 * :class:`~repro.exec.queue.QueueExecutor` — file-backed persistent
-  queue with priority ordering and cache-key deduplication, so
-  concurrent figures sharing points evaluate each point once. Its
-  :class:`~repro.exec.queue.WorkQueue` is the one owner of a queue
-  directory, shared with the service worker and the job API.
+  queue with cache-key deduplication, so concurrent figures sharing
+  points, and ``repro worker`` processes draining beside a sweep,
+  evaluate each point once. Its :class:`~repro.exec.queue.WorkQueue`
+  is the one owner of a queue directory, shared with the service
+  worker.
 
 Retry policy, backoff, fallback backends, journaling and failure
 reporting live one layer up, in

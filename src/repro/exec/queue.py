@@ -1,25 +1,27 @@
-"""File-backed persistent work queue with dedup and priority order.
+"""File-backed persistent work queue with dedup, shared by a sweep and
+its workers.
 
 This module is the only code that knows how a queue directory is laid
 out::
 
     <queue_dir>/
-      pending/   <priority:06d>-<counter:08d>-<cache_key>.json
+      pending/   000000-<counter:08d>-<cache_key>.json
       inflight/  same filename, moved here atomically while executing
       results/   a ResultCache root: <backend>/<key[:2]>/<key>.json
-      counter    persisted FIFO tie-break counter
+      counter    persisted FIFO counter
 
-:class:`WorkQueue` owns that layout and the three steps every user of
-a queue directory shares — :class:`QueueExecutor`, the service worker
-(:mod:`repro.service.worker`) and the job API
-(:mod:`repro.service.jobs`):
+:class:`WorkQueue` owns that layout and the steps every user of a
+queue directory shares — :class:`QueueExecutor` (a ``run-figure
+--executor queue`` sweep) and the service worker
+(:mod:`repro.service.worker`, ``repro worker``):
 
 * **enqueue** (:meth:`WorkQueue.enqueue`): coalesce on a key that is
   answered, queued or in flight, else take the next counter and write
   the pending file;
 * **claim and run** (:meth:`WorkQueue.claim` /
   :meth:`WorkQueue.run_claim`): decode the claimed task, heartbeat the
-  claim while it runs, store an ok result, drop the claim;
+  claim while it runs, store an ok result, drop the claim — or, when
+  the run raises (Ctrl-C), move the claim back to ``pending/``;
 * **lookup** (:meth:`WorkQueue.lookup`): the stored result of a key.
 
 ``results/`` is a :class:`~repro.backends.cache.ResultCache` root. It
@@ -32,8 +34,7 @@ is a miss that is evaluated again. Failures are never stored.
 
 Every file is written atomically (temp file + fsync + ``os.replace``)
 and a task is *claimed* by an atomic rename from ``pending/`` to
-``inflight/``, so two drainers can share one queue directory without
-double-running a task.
+``inflight/``, so two drainers can never claim the same task.
 
 Deduplication: tasks are keyed by the canonical cache digest
 (:meth:`~repro.exec.task.EvaluationTask.cache_key`). Submitting a key
@@ -43,13 +44,25 @@ in the results store does not enqueue new work — the submission is
 key. Concurrent figures sharing points therefore evaluate each unique
 point exactly once per queue.
 
-Priority: lower ``task.priority`` values run first (then submission
-order) — the lexicographic sort of the zero-padded filenames is the
-schedule. The FIFO tie-break counter is *persistent*: the next value
+Order: submission order — the lexicographic sort of the filenames is
+the schedule. The leading field is always ``000000``; older versions
+wrote a queue priority there, and a queue directory they left still
+sorts and reads as before. The counter is *persistent*: the next value
 is derived from the highest counter visible in ``pending/`` +
 ``inflight/`` and the ``counter`` file (updated atomically), so
 submission order survives restarts and holds across processes sharing
 one queue directory.
+
+A sweep waits for the drainers beside it. When nothing is claimable,
+:meth:`QueueExecutor.drain` goes through its waiting keys in
+submission order: a key with a task file in ``pending/`` or
+``inflight/`` is held (a pending file is a race the next claim takes,
+an in-flight one is another drainer's lease) and left alone; a key
+with no task file is looked up in ``results/`` — another drainer
+answered it — and only a key with neither is evaluated from the
+in-memory submission (the other drainer's run failed, or its task file
+was unreadable and dropped). While every waiting key is held, the
+sweep runs the janitor and polls every :data:`POLL_INTERVAL_SECONDS`.
 
 Crash recovery is lease-based: while a drainer executes a claimed
 task it *heartbeats* the in-flight file's mtime (a touch every
@@ -59,8 +72,9 @@ The janitor requeues in-flight files whose lease actually expired —
 older than :data:`INFLIGHT_SWEEP_AGE_SECONDS` since the *last
 heartbeat* — back into ``pending/``, publishing the count as the
 ``queue.orphans_requeued`` metric. A slow task with a live heartbeat
-is never requeued; a claim whose drainer crashed stops beating and
-is.
+is never requeued; a claim whose drainer was killed stops beating and
+is, so a sweep waiting on it resumes at most ``orphan_age`` later. An
+interrupted drainer gives its claim back at once instead.
 """
 
 from __future__ import annotations
@@ -71,7 +85,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple,
+)
 
 from .._atomic import atomic_write
 from ..backends import EvaluationResult, ResultCache
@@ -83,6 +99,7 @@ from .task import EvaluationTask, TaskError, TaskResult
 __all__ = [
     "INFLIGHT_SWEEP_AGE_SECONDS",
     "HEARTBEAT_DIVISOR",
+    "POLL_INTERVAL_SECONDS",
     "InflightLease",
     "QueueExecutor",
     "WorkQueue",
@@ -99,11 +116,16 @@ INFLIGHT_SWEEP_AGE_SECONDS = 60.0
 #: always several beats fresher than the janitor's threshold.
 HEARTBEAT_DIVISOR = 3.0
 
+#: Seconds a drainer sleeps when nothing is claimable: between polls
+#: of an empty queue (the service worker's default) and while a sweep
+#: waits on keys another drainer holds.
+POLL_INTERVAL_SECONDS = 0.1
+
 
 def atomic_write_json(path: str, payload: Any) -> None:
     """Durably write ``payload`` as JSON: the writer of every JSON file
-    under a queue directory (task files, the counter, job records,
-    metrics snapshots)."""
+    under a queue directory (task files, the counter, metrics
+    snapshots)."""
     atomic_write(path, json.dumps(payload, sort_keys=True),
                  prefix=".queue-", suffix=".json.tmp")
 
@@ -208,22 +230,15 @@ class WorkQueue:
         ``None``: an absent, pruned or unreadable entry is a miss."""
         return self.results.get_entry(backend_id, key)
 
-    def _task_files(self, key: str) -> List[str]:
-        suffix = f"-{key}.json"
-        found = []
+    def queued_keys(self) -> Set[str]:
+        """The keys with a task file pending or claimed right now."""
+        keys = set()
         for directory in (self.pending_dir, self.inflight_dir):
-            found.extend(
-                os.path.join(directory, name)
-                for name in _names(directory) if name.endswith(suffix)
-            )
-        return found
-
-    def in_flight(self, key: str) -> bool:
-        """True while a drainer holds the claim on ``key``'s task."""
-        return any(
-            os.path.dirname(path) == self.inflight_dir
-            for path in self._task_files(key)
-        )
+            for name in _names(directory):
+                parts = name.split("-", 2)
+                if len(parts) == 3 and name.endswith(".json"):
+                    keys.add(parts[2][: -len(".json")])
+        return keys
 
     def depth(self) -> int:
         """Task files pending or claimed right now."""
@@ -233,7 +248,7 @@ class WorkQueue:
     # Enqueue
     # ------------------------------------------------------------------
     def next_counter(self) -> int:
-        """Allocate the next FIFO tie-break counter.
+        """Allocate the next FIFO counter.
 
         The value is ``max(persisted counter file, highest counter still
         queued + 1)`` — never a per-process zero — so submission order
@@ -275,9 +290,9 @@ class WorkQueue:
         stored = self.lookup(task.backend, key)
         if stored is not None:
             return stored, False
-        if self._task_files(key):
+        if key in self.queued_keys():
             return None, False
-        name = f"{max(0, task.priority):06d}-{self.next_counter():08d}-{key}"
+        name = f"000000-{self.next_counter():08d}-{key}"
         atomic_write_json(
             os.path.join(self.pending_dir, f"{name}.json"),
             task.to_json_dict(),
@@ -317,14 +332,19 @@ class WorkQueue:
         Returns the claimed in-flight path, or ``None`` when nothing is
         claimable. Losing a rename race to another drainer just moves
         on to the next file — two drainers can never claim the same
-        task.
+        task. The file's mtime is set to now before the rename, so the
+        lease starts with the claim: a task that waited in ``pending/``
+        longer than ``orphan_age`` never looks expired to a janitor.
         """
+        now = self._clock()
         for name in sorted(_names(self.pending_dir)):
             if not name.endswith(".json"):
                 continue
+            source = os.path.join(self.pending_dir, name)
             target = os.path.join(self.inflight_dir, name)
             try:
-                os.replace(os.path.join(self.pending_dir, name), target)
+                os.utime(source, (now, now))
+                os.replace(source, target)
             except OSError:
                 continue  # another drainer claimed it first
             return target
@@ -338,9 +358,13 @@ class WorkQueue:
         Decodes the task, runs ``run(task)`` while an
         :class:`InflightLease` heartbeats the claim (another drainer's
         janitor must see a live lease, however slow the task), stores
-        an ok result and drops the claim. An unreadable task file is
-        dropped rather than left to poison the queue, and
-        :class:`~repro.exec.task.TaskError` says so.
+        an ok result and drops the claim. When ``run`` raises (in
+        practice an interrupt: :func:`~repro.exec.task.execute_task`
+        reports every ``Exception`` as an error result), the claim goes
+        back to ``pending/`` before the exception propagates, so the
+        next drainer takes it at once rather than after the lease. An
+        unreadable task file is dropped rather than left to poison the
+        queue, and :class:`~repro.exec.task.TaskError` says so.
         """
         try:
             with open(claimed, "r", encoding="utf-8") as handle:
@@ -352,8 +376,17 @@ class WorkQueue:
                 f"{os.path.basename(claimed)} ({exc})"
             ) from exc
         key = task.cache_key()
-        with InflightLease(claimed, self.orphan_age, self._clock):
-            result = run(task)
+        try:
+            with InflightLease(claimed, self.orphan_age, self._clock):
+                result = run(task)
+        except BaseException:
+            try:
+                os.replace(claimed, os.path.join(
+                    self.pending_dir, os.path.basename(claimed)
+                ))
+            except OSError:
+                pass  # a janitor already requeued it
+            raise
         self.store(task.backend, key, result)
         _unlink(claimed)
         return key, result
@@ -370,7 +403,9 @@ class WorkQueue:
 
 
 class QueueExecutor:
-    """Persistent on-disk queue executor with coalescing."""
+    """Persistent on-disk queue executor with coalescing; shares its
+    queue directory with other sweeps and ``repro worker`` processes
+    without evaluating a key twice."""
 
     capabilities = ExecutorCapabilities(name="queue")
 
@@ -400,6 +435,9 @@ class QueueExecutor:
         self._fault_plan = fault_plan
         self._run_task = run_task
         self._waiters: Dict[str, List[EvaluationTask]] = {}
+        # Keys whose task file this executor wrote: their first waiter
+        # was not counted as coalesced at submission.
+        self._enqueued: Set[str] = set()
         self._served: Deque[Tuple[EvaluationTask, EvaluationResult]] = deque()
         self._executed = 0
         self._coalesced = 0
@@ -435,9 +473,12 @@ class QueueExecutor:
             self._coalesced += 1
             return
         self._waiters[key] = [task]
-        if not enqueued:
-            # Persisted by an earlier (possibly crashed) submitter:
-            # ride on that file instead of enqueueing a duplicate.
+        if enqueued:
+            self._enqueued.add(key)
+        else:
+            # Persisted by an earlier (possibly crashed) submitter or
+            # claimed by another drainer: ride on that file instead of
+            # enqueueing a duplicate.
             self._coalesced += 1
         self._depth_high_water = max(
             self._depth_high_water, self.queue.depth()
@@ -461,6 +502,7 @@ class QueueExecutor:
     def _dispatch(self, key: str, result: TaskResult) -> List[TaskResult]:
         """Stamp one evaluation's result onto every waiting submission."""
         waiters = self._waiters.pop(key, [])
+        self._enqueued.discard(key)
         stamped = []
         for position, waiter in enumerate(waiters):
             stamped.append(
@@ -475,11 +517,51 @@ class QueueExecutor:
             )
         return stamped
 
+    def _settle(self) -> Optional[List[TaskResult]]:
+        """Answer the first waiting key that no drainer holds; ``None``
+        when every waiting key has a task file pending or in flight.
+
+        The task files are listed before the results are looked up:
+        :meth:`WorkQueue.run_claim` stores before it drops the claim,
+        so a key whose file is gone after an ok run has its result
+        stored.
+        """
+        held = self.queue.queued_keys()
+        for key, waiters in self._waiters.items():
+            if key in held:
+                continue
+            task = waiters[0]
+            stored = self.queue.lookup(task.backend, key)
+            if stored is None:
+                # The other drainer's run failed (errors are never
+                # stored) or the task file was unreadable and dropped:
+                # evaluate the in-memory submission.
+                result = self._run(task)
+                self.queue.store(task.backend, key, result)
+                return self._dispatch(key, result)
+            # Another drainer answered it: every waiter is coalesced
+            # (all but a first waiter that enqueued its own file were
+            # counted at submission).
+            self._coalesced += key in self._enqueued
+            self._enqueued.discard(key)
+            del self._waiters[key]
+            return [
+                TaskResult.from_evaluation(waiter, stored, coalesced=True)
+                for waiter in waiters
+            ]
+        return None
+
     def drain(self) -> Iterator[TaskResult]:
-        """Execute queued tasks in priority order; yield results for
-        every local submission (coalesced ones included) until none
-        remain waiting. Queued tasks belonging to other submitters are
-        executed and stored but not yielded."""
+        """Yield a result for every local submission (coalesced ones
+        included) until none remains waiting.
+
+        Claimable task files run here in submission order; files of
+        other submitters are executed and stored but not yielded. When
+        nothing is claimable, :meth:`_settle` answers a waiting key no
+        other drainer holds; while every waiting key is held, the
+        janitor requeues expired leases and the drain polls every
+        :data:`POLL_INTERVAL_SECONDS`.
+        """
         while self._waiters or self._served:
             while self._served:
                 waiter, stored = self._served.popleft()
@@ -490,22 +572,21 @@ class QueueExecutor:
                 continue
             claimed = self.queue.claim()
             if claimed is None:
-                # Waiters remain but no file is claimable (lost to a
-                # crash before the janitor threshold, or claimed by a
-                # foreign drainer that died): evaluate from the
-                # in-memory submission so the sweep always completes.
-                key = next(iter(self._waiters))
-                task = self._waiters[key][0]
-                result = self._run(task)
-                self.queue.store(task.backend, key, result)
+                results = self._settle()
+                if results is None:
+                    requeued = self.queue.sweep()
+                    self._orphans_requeued += requeued
+                    if not requeued:
+                        time.sleep(POLL_INTERVAL_SECONDS)
+                    continue
             else:
                 try:
                     key, result = self.queue.run_claim(claimed, self._run)
                 except TaskError as exc:
                     self.notes.append(f"work queue: {exc}")
                     continue
-            for stamped in self._dispatch(key, result):
-                yield stamped
+                results = self._dispatch(key, result)
+            yield from results
 
     def close(self) -> None:
         """Nothing to release — the queue directory *is* the state."""

@@ -135,8 +135,6 @@ class EvaluationTask:
         The point's own seed (``sweep seed + index`` by convention).
     attempt:
         Zero-based retry counter stamped by the supervisor.
-    priority:
-        Queue ordering hint (lower runs first; non-negative).
     cache_dir:
         Optional result-cache root the executing side writes clean
         results through to.
@@ -152,7 +150,6 @@ class EvaluationTask:
     backend: str
     base_seed: int = 0
     attempt: int = 0
-    priority: int = 0
     cache_dir: Optional[str] = None
     schema_version: int = TASK_SCHEMA_VERSION
 
@@ -198,7 +195,6 @@ class EvaluationTask:
             "backend": self.backend,
             "base_seed": self.base_seed,
             "attempt": self.attempt,
-            "priority": self.priority,
             "cache_dir": self.cache_dir,
             "params": asdict(self.params),
             "plan": {
@@ -240,6 +236,8 @@ class EvaluationTask:
                 seed=plan_payload["seed"],
                 duration=plan_payload["duration"],
             )
+            # Tasks queued while the queue had priorities carry a
+            # ``priority`` field, which is not read.
             return cls(
                 index=int(payload["index"]),
                 series=payload["series"],
@@ -249,7 +247,6 @@ class EvaluationTask:
                 backend=payload["backend"],
                 base_seed=int(payload["base_seed"]),
                 attempt=int(payload["attempt"]),
-                priority=int(payload["priority"]),
                 cache_dir=payload.get("cache_dir"),
             )
         except TaskError:

@@ -21,11 +21,9 @@ Usage::
     python -m repro run-figure fig4a --retries 2 --degrade-to san-sim-full
     python -m repro chaos fig4a --preset quick --scale 0.1 --max-points 4 \
         --crash 0.5 --hang 0.25 --hang-seconds 120 --deadline 30
-    python -m repro worker --queue-dir q --idle-exit 10   # queue drainer
-    python -m repro job submit fig4a --queue-dir q --preset quick \
-        --max-points 6 --tenant ci
-    python -m repro job status JOB --queue-dir q --wait --timeout 300
-    python -m repro job collect JOB --queue-dir q --save-json out
+    python -m repro worker --queue-dir q    # drain q beside a queue sweep
+    python -m repro run-figure fig4a --preset quick --executor queue \
+        --queue-dir q --save-json out      # the sweep the workers share
     python -m repro cache prune --cache-dir cache --max-bytes 1048576
 """
 
@@ -42,6 +40,7 @@ from typing import List, Optional
 from ..backends import BackendError, all_backends, backend_ids
 from ..core.simulation import PLAN_KERNELS
 from ..exec import EXECUTOR_IDS, ExecutorError
+from ..exec.queue import POLL_INTERVAL_SECONDS
 from ..strategies import StrategyError
 from .config import FIGURE_IDS, PRESETS
 from .figures import FIGURE_RUNNERS
@@ -71,6 +70,45 @@ def finite_float(text: str) -> float:
             f"must be a finite number, got {text!r}"
         )
     return value
+
+
+def _at_least(value, text: str, low: int, strict: bool = False):
+    """``value`` when it is at least ``low`` (above it when
+    ``strict``), else the argparse error that names the bound."""
+    if value < low or (strict and value == low):
+        raise argparse.ArgumentTypeError(
+            f"must be {'>' if strict else '>='} {low}, got {text!r}"
+        )
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A finite float above 0: a timeout."""
+    return _at_least(finite_float(text), text, 0, strict=True)
+
+
+def non_negative_float(text: str) -> float:
+    """A finite float of 0 or more: a wait, where 0 means at once."""
+    return _at_least(finite_float(text), text, 0)
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+
+
+def positive_int(text: str) -> int:
+    """An integer of 1 or more: a count of points, processes or tasks."""
+    return _at_least(_integer(text), text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """An integer of 0 or more: a count of retries."""
+    return _at_least(_integer(text), text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,118 +237,33 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: worker-<pid>)",
     )
     worker.add_argument(
-        "--poll-interval", type=finite_float, default=0.2, metavar="SECONDS",
-        help="sleep between polls of an empty queue (default: 0.2)",
+        "--poll-interval", type=non_negative_float,
+        default=POLL_INTERVAL_SECONDS, metavar="SECONDS",
+        help="sleep between polls of an empty queue "
+             f"(default: {POLL_INTERVAL_SECONDS:g})",
     )
     worker.add_argument(
-        "--idle-exit", type=finite_float, default=None, metavar="SECONDS",
+        "--idle-exit", type=non_negative_float, default=None,
+        metavar="SECONDS",
         help="exit after this long with nothing claimable "
              "(default: run until signalled)",
     )
     worker.add_argument(
-        "--max-tasks", type=int, default=None, metavar="N",
+        "--max-tasks", type=positive_int, default=None, metavar="N",
         help="exit after executing N tasks (default: unlimited)",
     )
     worker.add_argument(
-        "--orphan-age", type=finite_float, default=None, metavar="SECONDS",
+        "--orphan-age", type=non_negative_float, default=None,
+        metavar="SECONDS",
         help="in-flight lease threshold shared by janitor and heartbeat "
-             "(default: 60)",
+             "(default: 60; 0 requeues every claim at once)",
     )
     worker.add_argument(
-        "--point-timeout", type=finite_float, default=None, metavar="SECONDS",
+        "--point-timeout", type=positive_float, default=None,
+        metavar="SECONDS",
         help="wall-clock limit per task, applied as the simulation's "
-             "wall-clock budget (cooperative)",
-    )
-
-    job = sub.add_parser(
-        "job",
-        help=(
-            "submit a figure sweep as a named job on a shared queue, "
-            "poll its status, or collect the finished figure from the "
-            "results store (never blocks a worker)"
-        ),
-    )
-    job_sub = job.add_subparsers(dest="job_command", required=True)
-    job_submit = job_sub.add_parser(
-        "submit", help="enqueue one figure sweep as a named job"
-    )
-    job_submit.add_argument("figure", help="sweep figure id (e.g. fig4a)")
-    job_submit.add_argument(
-        "--queue-dir", required=True, metavar="DIR",
-        help="shared queue directory workers drain",
-    )
-    job_submit.add_argument(
-        "--preset", default="quick", choices=sorted(PRESETS),
-        help="simulation length/replication preset (default: quick)",
-    )
-    job_submit.add_argument("--seed", type=int, default=0,
-                            help="root random seed")
-    job_submit.add_argument(
-        "--max-points", type=int, default=None, metavar="N",
-        help="slice the sweep to its first N points",
-    )
-    job_submit.add_argument(
-        "--priority", type=int, default=0,
-        help="queue priority (lower runs first; default: 0)",
-    )
-    job_submit.add_argument(
-        "--tenant", default="default", metavar="LABEL",
-        help="tenant label for per-tenant accounting (default: 'default')",
-    )
-    job_submit.add_argument(
-        "--name", default=None, metavar="NAME",
-        help="human-readable job name (default: the figure id)",
-    )
-    job_submit.add_argument(
-        "--backend", default=None, choices=backend_ids(),
-        help="evaluation backend override (default: the figure's)",
-    )
-    job_submit.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache the workers should use",
-    )
-    job_status_p = job_sub.add_parser(
-        "status",
-        help=(
-            "poll one job: a point is done once its result reads back "
-            "from the queue's result cache (DIR/results)"
-        ),
-    )
-    job_status_p.add_argument("job_id", help="job id printed by submit")
-    job_status_p.add_argument(
-        "--queue-dir", required=True, metavar="DIR",
-    )
-    job_status_p.add_argument(
-        "--json", action="store_true",
-        help="print the status as JSON instead of one line",
-    )
-    job_status_p.add_argument(
-        "--wait", action="store_true",
-        help="poll until the job finishes (exit 1 on --timeout)",
-    )
-    job_status_p.add_argument(
-        "--timeout", type=finite_float, default=300.0, metavar="SECONDS",
-        help="give up waiting after this long (default: 300)",
-    )
-    job_status_p.add_argument(
-        "--poll-interval", type=finite_float, default=0.5, metavar="SECONDS",
-        help="sleep between polls with --wait (default: 0.5)",
-    )
-    job_collect = job_sub.add_parser(
-        "collect",
-        help=(
-            "assemble the finished job's figure from the queue's result "
-            "cache; a pruned or unreadable entry leaves the job "
-            "unfinished until a re-submit evaluates it again"
-        ),
-    )
-    job_collect.add_argument("job_id", help="job id printed by submit")
-    job_collect.add_argument(
-        "--queue-dir", required=True, metavar="DIR",
-    )
-    job_collect.add_argument(
-        "--save-json", default=None, metavar="DIR",
-        help="archive the collected figure as JSON in this directory",
+             "wall-clock budget (cooperative); a task whose sweep set "
+             "a lower --point-timeout keeps the lower one",
     )
 
     cache = sub.add_parser(
@@ -530,7 +483,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--processes",
-        type=int,
+        type=positive_int,
         default=None,
         help="worker processes for the sweep (default: serial)",
     )
@@ -558,7 +511,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-points",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="slice each sweep figure to its first N points",
@@ -599,7 +552,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=2,
         help="times a failed or hung point is retried (with backoff)",
     )
@@ -612,7 +565,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--point-timeout",
-        type=finite_float,
+        type=positive_float,
         default=None,
         metavar="SECONDS",
         help=(
@@ -673,7 +626,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-sample",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="with --trace-out: keep one event in every N per kind",
@@ -817,7 +770,7 @@ def _obs_command(path: str, as_json: bool = False) -> int:
 
     A directory renders every ``*.manifest.json`` and every
     ``*.metrics.json`` inside it (the latter is what service workers
-    and job submitters leave under ``<queue_dir>/obs/``); a
+    leave under ``<queue_dir>/obs/``); a
     ``.manifest.json`` file renders that manifest; any other JSON file
     is treated as a metrics snapshot written by ``--metrics-out``.
     Returns 0 when everything validated, 1 otherwise.
@@ -943,87 +896,6 @@ def _worker_command(args: argparse.Namespace) -> int:
         f"{worker.failed} failed, {worker.dropped} dropped"
     )
     return 0
-
-
-def _job_command(args: argparse.Namespace) -> int:
-    """The ``job`` subcommand: submit / status / collect.
-
-    Exit codes: 0 success (status: job done, or a non---wait poll),
-    1 job not done in time (--wait) or figure-level failure, 2
-    operational error (unknown figure, unfinished collect, bad
-    record).
-    """
-    from ..service import JobError, collect_job, job_status, submit_job
-
-    if args.job_command == "submit":
-        try:
-            record = submit_job(
-                args.queue_dir,
-                args.figure,
-                preset=args.preset,
-                seed=args.seed,
-                max_points=args.max_points,
-                priority=args.priority,
-                tenant=args.tenant,
-                name=args.name,
-                backend=args.backend,
-                cache_dir=args.cache_dir,
-            )
-        except JobError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        queued = record.submitted - record.served_from_cache - record.coalesced
-        print(record.job_id)
-        print(
-            f"submitted {record.submitted} point(s) for tenant "
-            f"{record.tenant!r}: {queued} queued, "
-            f"{record.served_from_cache} already answered, "
-            f"{record.coalesced} coalesced with queued work",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.job_command == "status":
-        import json as _json
-
-        try:
-            status = job_status(args.queue_dir, args.job_id)
-            if args.wait:
-                deadline = time.time() + args.timeout
-                while not status.finished and time.time() < deadline:
-                    time.sleep(args.poll_interval)
-                    status = job_status(args.queue_dir, args.job_id)
-        except JobError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(_json.dumps(status.to_json_dict(), indent=2, sort_keys=True))
-        else:
-            print(status.render())
-        if args.wait and not status.finished:
-            print(
-                f"error: job {args.job_id} not finished after "
-                f"{args.timeout:g}s",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.job_command == "collect":
-        try:
-            figure = collect_job(args.queue_dir, args.job_id)
-        except JobError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(render_figure(figure))
-        if args.save_json:
-            from .archive import save_figure
-
-            path = save_figure(figure, args.save_json)
-            print(f"archived to {path}", file=sys.stderr)
-        return 0
-
-    raise AssertionError(f"unhandled job command {args.job_command!r}")
 
 
 def _cache_command(args: argparse.Namespace) -> int:
@@ -1268,13 +1140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             return _worker_command(args)
         except (BackendError, ExecutorError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.command == "job":
-        try:
-            return _job_command(args)
-        except (BackendError, ExecutorError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

@@ -149,17 +149,16 @@ def build_sweep_tasks(
     seed: int,
     backend: str,
     cache_dir: Optional[str] = None,
-    priority: int = 0,
     skip_keys: Optional[Dict[Tuple[str, float], Outcome]] = None,
 ) -> List[EvaluationTask]:
     """The :class:`~repro.exec.EvaluationTask` list for a sweep.
 
     One task per point not already answered in ``skip_keys``, seeded
     ``seed + index`` (the historical per-point convention the retry
-    derivation builds on). This is the single construction recipe for
-    the in-process sweep (:func:`run_sweep`) and the service-mode job
-    API (:mod:`repro.service.jobs`), so both submit byte-identical
-    work and coalesce on the same cache keys.
+    derivation builds on). Every executor gets this list from
+    :func:`run_sweep`; on the queue executor the tasks' cache keys are
+    what a sweep and the ``repro worker`` processes beside it
+    coalesce on.
     """
     skip = skip_keys or {}
     return [
@@ -173,7 +172,6 @@ def build_sweep_tasks(
             plan=eval_plan,
             backend=backend,
             base_seed=seed + index,
-            priority=priority,
             cache_dir=cache_dir,
         )
         for index, point in enumerate(points)

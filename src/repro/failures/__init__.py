@@ -3,7 +3,6 @@ correlation arithmetic."""
 
 from .correlation import CorrelationSpec, window_occupancy
 from .processes import BurstProcess, ModulatedPoissonProcess, PoissonProcess
-from .spatial import generate_spatial_trace, group_concentration, spatial_locality
 from .traces import FailureRecord, clustering_coefficient, estimate_mtbf, generate_trace
 
 __all__ = [
@@ -16,7 +15,4 @@ __all__ = [
     "generate_trace",
     "estimate_mtbf",
     "clustering_coefficient",
-    "generate_spatial_trace",
-    "spatial_locality",
-    "group_concentration",
 ]

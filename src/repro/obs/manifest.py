@@ -394,39 +394,11 @@ def render_manifest(manifest: RunManifest) -> str:
     return "\n".join(lines)
 
 
-def tenant_counters(counters: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Group ``tenant.<label>.<kind>`` counters by tenant label.
-
-    The service layer accounts per tenant with flat counter names
-    (``tenant.ci.submitted``, ``tenant.ci.evaluated`` ...); this
-    regroups them into ``{label: {kind: value}}`` for rendering.
-    Labels may themselves contain dots, so the *last* segment is the
-    kind.
-    """
-    grouped: Dict[str, Dict[str, Any]] = {}
-    for name, value in counters.items():
-        if not name.startswith("tenant."):
-            continue
-        rest = name[len("tenant."):]
-        label, _, kind = rest.rpartition(".")
-        if not label or not kind:
-            continue
-        grouped.setdefault(label, {})[kind] = value
-    return grouped
-
-
 def render_metrics_snapshot(payload: Dict[str, Any]) -> str:
     """Human-readable report of one metrics snapshot (the
-    ``--metrics-out`` / service ``*.metrics.json`` format).
-
-    Renders counters, gauges and timing summaries, plus a per-tenant
-    rollup of the service layer's ``tenant.<label>.<kind>`` counters
-    (submitted / served_from_cache / evaluated / failed) when any are
-    present.
-    """
+    ``--metrics-out`` / service worker ``*.metrics.json`` format):
+    counters, gauges and timing summaries."""
     lines: List[str] = []
-    counters = payload.get("counters") or {}
-    tenants = tenant_counters(counters)
     for section in ("counters", "gauges"):
         values = payload.get(section) or {}
         if values:
@@ -442,23 +414,4 @@ def render_metrics_snapshot(payload: Dict[str, Any]) -> str:
                 f"total={summary.get('total_seconds', 0.0):.3f}s "
                 f"mean={summary.get('mean_seconds', 0.0):.4f}s"
             )
-    if tenants:
-        lines.append("tenants:")
-        for label, kinds in sorted(tenants.items()):
-            shown = ", ".join(
-                f"{kind}={kinds[kind]}"
-                for kind in (
-                    "submitted", "served_from_cache", "evaluated", "failed"
-                )
-                if kind in kinds
-            )
-            extra = ", ".join(
-                f"{kind}={value}" for kind, value in sorted(kinds.items())
-                if kind not in (
-                    "submitted", "served_from_cache", "evaluated", "failed"
-                )
-            )
-            if extra:
-                shown = f"{shown}, {extra}" if shown else extra
-            lines.append(f"  {label:<20} {shown}")
     return "\n".join(lines)

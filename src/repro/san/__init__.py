@@ -62,9 +62,7 @@ from .transient import TransientSolution, TransientSolver
 from .statistics import (
     ConfidenceInterval,
     RunningStatistics,
-    batch_means,
     confidence_interval,
-    pooled_interval,
     replicate,
     standard_error_of,
     t_critical,
@@ -134,8 +132,6 @@ __all__ = [
     "confidence_interval",
     "t_critical",
     "standard_error_of",
-    "pooled_interval",
-    "batch_means",
     "replicate",
     "Tracer",
     "NullTracer",

@@ -1,4 +1,4 @@
-"""Output analysis: confidence intervals, replications, batch means.
+"""Output analysis: confidence intervals and replications.
 
 The paper simulates to steady state with a 95% confidence level. This
 module provides the matching machinery:
@@ -7,16 +7,14 @@ module provides the matching machinery:
   mean/variance;
 * :class:`ConfidenceInterval` — Student-t interval over replications;
 * :func:`replicate` — run a model factory across independent
-  replications and aggregate each reward variable;
-* :func:`batch_means` — single-long-run batch-means interval, the
-  standard alternative when replications are expensive.
+  replications and aggregate each reward variable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 __all__ = [
     "RunningStatistics",
@@ -24,8 +22,6 @@ __all__ = [
     "confidence_interval",
     "t_critical",
     "standard_error_of",
-    "pooled_interval",
-    "batch_means",
     "replicate",
 ]
 
@@ -185,18 +181,6 @@ def standard_error_of(interval: ConfidenceInterval) -> float:
     )
 
 
-def pooled_interval(
-    intervals: Sequence[ConfidenceInterval], confidence: float = 0.95
-) -> ConfidenceInterval:
-    """Merge per-batch intervals over equal sample counts by pooling
-    their means (merge-of-replications consistency: splitting one
-    replication set into groups and pooling the group means must
-    reproduce the grand mean)."""
-    if not intervals:
-        raise ValueError("pooled_interval needs at least one interval")
-    return confidence_interval([ci.mean for ci in intervals], confidence)
-
-
 def confidence_interval(
     values: Sequence[float], confidence: float = 0.95
 ) -> ConfidenceInterval:
@@ -219,31 +203,6 @@ def confidence_interval(
         )
     half_width = t_critical(confidence, n - 1) * statistics.stddev / math.sqrt(n)
     return ConfidenceInterval(statistics.mean, half_width, confidence, n)
-
-
-def batch_means(
-    series: Sequence[float],
-    batches: int = 20,
-    confidence: float = 0.95,
-) -> ConfidenceInterval:
-    """Batch-means confidence interval for a (possibly autocorrelated)
-    stationary series from a single long run.
-
-    The series is split into ``batches`` equal contiguous batches; the
-    batch averages are treated as approximately independent.
-    """
-    if batches < 2:
-        raise ValueError(f"need at least 2 batches, got {batches}")
-    if len(series) < batches:
-        raise ValueError(
-            f"series of length {len(series)} cannot form {batches} batches"
-        )
-    batch_size = len(series) // batches
-    averages: List[float] = []
-    for index in range(batches):
-        chunk = series[index * batch_size : (index + 1) * batch_size]
-        averages.append(sum(chunk) / len(chunk))
-    return confidence_interval(averages, confidence)
 
 
 def replicate(

@@ -1,8 +1,9 @@
 """The service worker: a long-running queue drainer process.
 
-``repro worker --queue-dir Q`` runs one of these. The loop is the
-smallest thing that is correct against the queue's concurrency
-contract:
+``repro worker --queue-dir Q`` runs one of these, usually several
+beside a ``run-figure --executor queue --queue-dir Q`` sweep. The
+loop is the smallest thing that is correct against the queue's
+concurrency contract:
 
 1. sweep expired in-flight leases back to the pending tasks (the
    janitor of :class:`~repro.exec.queue.WorkQueue` — only claims
@@ -12,34 +13,32 @@ contract:
 3. run the claim through :meth:`~repro.exec.queue.WorkQueue.run_claim`,
    the same step :class:`~repro.exec.QueueExecutor` drains with: the
    task executes through the standard
-   :func:`~repro.exec.task.execute_task` (with ``--point-timeout`` as
-   the plan's wall-clock budget) while an
-   :class:`~repro.exec.InflightLease` heartbeats the claim, so
-   however slow the point is, no other janitor steals it; an ok
-   result goes into the queue's results store (the store executors
-   and the job API look up) and the claim is dropped;
-4. count the task for its tenant and append one line to the worker's
-   evaluation log.
+   :func:`~repro.exec.task.execute_task` under the wall-clock budget
+   its plan carries (a sweep's ``--point-timeout``, lowered further
+   by the worker's own) while an :class:`~repro.exec.InflightLease`
+   heartbeats the claim, so however slow the point is, no other
+   janitor steals it; an ok result goes into the queue's results
+   store, where the sweep that submitted the task finds it, and the
+   claim is dropped;
+4. append one line to the worker's evaluation log.
 
-Several workers share one queue directory safely: the rename in step
-2 is the mutual exclusion, and the integration tests assert the
-global property it buys — N workers, one submitted job, zero
-double-evaluations.
+Several workers and a sweep share one queue directory safely: the
+rename in step 2 is the mutual exclusion, and the sweep's drain waits
+on a claim a worker holds instead of evaluating it; the integration
+test asserts what the two buy — two workers beside one sweep, zero
+double evaluations.
 
 Shutdown is cooperative: SIGTERM (and SIGINT) set a flag checked
 between tasks, so the current task always finishes, its result is
 stored, and the claim is released before the process exits — a
 drained SIGTERM never creates an orphan for the janitor to recover.
 
-Accounting: each executed task increments
-``tenant.<label>.evaluated`` or ``.failed`` (the tenant comes from
-the job records next to the queue; tasks submitted outside any job
-count under ``anonymous``), and the worker persists its metrics
-snapshot to ``<queue_dir>/obs/worker-<id>.metrics.json`` after every
-task so ``repro obs`` can render the tenant counters while the
-worker is alive or after it exited. A task file that does not decode
-is dropped from the queue; the worker counts it in ``dropped`` and
-keeps the reason in ``notes``, which ``repro worker`` prints on exit.
+The worker persists its metrics snapshot to
+``<queue_dir>/obs/<worker_id>.metrics.json`` after every task so
+``repro obs`` can render it while the worker is alive or after it
+exited. A task file that does not decode is dropped from the queue;
+the worker counts it in ``dropped`` and keeps the reason in
+``notes``, which ``repro worker`` prints on exit.
 """
 
 from __future__ import annotations
@@ -49,15 +48,34 @@ import os
 import signal
 import time
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..exec import TaskError, TaskResult
-from ..exec.queue import INFLIGHT_SWEEP_AGE_SECONDS, WorkQueue
+from ..exec.queue import (
+    INFLIGHT_SWEEP_AGE_SECONDS,
+    POLL_INTERVAL_SECONDS,
+    WorkQueue,
+    atomic_write_json,
+)
 from ..exec.task import EvaluationTask, execute_task, tighten_budget
 from ..obs import metrics as obs_metrics
-from .jobs import write_metrics_snapshot
 
-__all__ = ["ServiceWorker"]
+__all__ = ["ServiceWorker", "write_metrics_snapshot"]
+
+
+def write_metrics_snapshot(queue_dir: str, name: str) -> str:
+    """Persist the process metrics registry as
+    ``<queue_dir>/obs/<name>.metrics.json`` (atomic); returns the path.
+
+    Metrics registries are process-local, so every worker drops its
+    snapshot here for ``repro obs <queue_dir>/obs`` to render after
+    the process is gone.
+    """
+    directory = os.path.join(queue_dir, "obs")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{name}.metrics.json")
+    atomic_write_json(path, obs_metrics.registry().snapshot())
+    return path
 
 
 class ServiceWorker:
@@ -93,7 +111,7 @@ class ServiceWorker:
         self,
         queue_dir: str,
         worker_id: Optional[str] = None,
-        poll_interval: float = 0.2,
+        poll_interval: float = POLL_INTERVAL_SECONDS,
         idle_exit: Optional[float] = None,
         max_tasks: Optional[int] = None,
         orphan_age: float = INFLIGHT_SWEEP_AGE_SECONDS,
@@ -124,10 +142,6 @@ class ServiceWorker:
         self._log_path = os.path.join(
             workers_dir, f"{self.worker_id}.log.jsonl"
         )
-        # key -> tenant label, lazily rebuilt from the job records so
-        # accounting follows jobs submitted after the worker started.
-        self._tenants: Dict[str, str] = {}
-        self._tenant_jobs_seen: int = -1
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -145,37 +159,8 @@ class ServiceWorker:
         signal.signal(signal.SIGINT, handler)
 
     # ------------------------------------------------------------------
-    # Tenant accounting
+    # Accounting
     # ------------------------------------------------------------------
-    def _tenant_of(self, key: str) -> str:
-        """The tenant label owning a cache key (``anonymous`` when no
-        job record claims it)."""
-        tenant = self._tenants.get(key)
-        if tenant is not None:
-            return tenant
-        jobs_dir = os.path.join(self.queue_dir, "jobs")
-        try:
-            names = sorted(
-                name for name in os.listdir(jobs_dir)
-                if name.endswith(".json")
-            )
-        except OSError:
-            names = []
-        if len(names) != self._tenant_jobs_seen:
-            self._tenant_jobs_seen = len(names)
-            for name in names:
-                try:
-                    with open(
-                        os.path.join(jobs_dir, name), "r", encoding="utf-8"
-                    ) as handle:
-                        record = json.load(handle)
-                    label = str(record.get("tenant", "anonymous"))
-                    for point in record.get("points", []):
-                        self._tenants.setdefault(str(point.get("key")), label)
-                except (OSError, ValueError, AttributeError):
-                    continue  # a torn or foreign record never stops a worker
-        return self._tenants.get(key, "anonymous")
-
     def _log_evaluation(self, key: str, status: str) -> None:
         """Append one JSONL line per executed task (the integration
         tests count these per key to prove zero double-evaluations)."""
@@ -213,15 +198,9 @@ class ServiceWorker:
             self.notes.append(f"work queue: {exc}")
             return
         self.executed += 1
-        tenant = self._tenant_of(key)
-        reg = obs_metrics.registry()
-        if result.ok:
-            reg.counter(f"tenant.{tenant}.evaluated").inc()
-            self._log_evaluation(key, "ok")
-        else:
+        if not result.ok:
             self.failed += 1
-            reg.counter(f"tenant.{tenant}.failed").inc()
-            self._log_evaluation(key, "error")
+        self._log_evaluation(key, "ok" if result.ok else "error")
         self._snapshot()
 
     def run(self) -> int:

@@ -1,5 +1,5 @@
-"""Tests for the analytical baselines (Young, Daly, Vaidya,
-Plank-Thomason, the renewal predictor)."""
+"""Tests for the analytical baselines (Young, Daly, the renewal
+predictor)."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytical import availability, daly, useful_work, vaidya, young
+from repro.analytical import daly, useful_work, young
 from repro.core import HOUR, MINUTE, YEAR
 
 
@@ -92,29 +92,6 @@ class TestDaly:
             daly.optimal_interval(0.0, 1.0)
 
 
-class TestVaidya:
-    def test_latency_increases_waste(self):
-        low = vaidya.useful_fraction(900.0, 47.0, 47.0, 600.0, 3852.0)
-        high = vaidya.useful_fraction(900.0, 47.0, 178.0, 600.0, 3852.0)
-        assert high < low
-
-    def test_latency_must_cover_overhead(self):
-        with pytest.raises(ValueError):
-            vaidya.useful_fraction(900.0, 50.0, 40.0, 0.0, 3852.0)
-
-    def test_overhead_ratio(self):
-        assert vaidya.overhead_ratio(900.0, 100.0) == pytest.approx(0.1)
-
-    def test_optimal_interval_reduces_to_young_like(self):
-        # With L == C and a large MTBF the optimum tracks sqrt(2CM).
-        overhead, mtbf = 10.0, 1e6
-        optimum = vaidya.optimal_interval(overhead, overhead, mtbf)
-        # The latency term adds waste linear in tau, shifting the
-        # optimum below Young's; it must stay within the same decade.
-        young_opt = young.optimal_interval(overhead, mtbf)
-        assert 0.2 * young_opt < optimum < 1.5 * young_opt
-
-
 class TestRenewalPredictor:
     def test_failure_free_limit(self):
         fraction = useful_work.useful_work_fraction(1800.0, 57.0, 1e18, 600.0)
@@ -172,33 +149,3 @@ class TestRenewalPredictor:
     def test_fraction_in_unit_interval(self, interval, overhead, mtbf, mttr):
         fraction = useful_work.useful_work_fraction(interval, overhead, mtbf, mttr)
         assert 0.0 <= fraction <= 1.0
-
-
-class TestAvailability:
-    def test_matches_renewal(self):
-        assert availability.availability(1800.0, 57.0, 600.0, 3852.0) == pytest.approx(
-            useful_work.useful_work_fraction(1800.0, 57.0, 3852.0, 600.0)
-        )
-
-    def test_best_interval_brackets_theory(self):
-        overhead, mtbf = 57.0, 3852.0
-        best = availability.best_interval(overhead, 600.0, mtbf)
-        # Optimum must be near sqrt(2 delta M) (Young) for these values.
-        assert best == pytest.approx(young.optimal_interval(overhead, mtbf), rel=0.35)
-
-    def test_best_interval_is_best_on_grid(self):
-        overhead, rollback, mtbf = 57.0, 600.0, 3852.0
-        best = availability.best_interval(overhead, rollback, mtbf)
-        best_value = availability.availability(best, overhead, rollback, mtbf)
-        for interval, value in availability.availability_curve(
-            [300, 600, 900, 1800, 3600], overhead, rollback, mtbf
-        ):
-            assert best_value >= value - 1e-9
-
-    def test_curve_shape(self):
-        curve = availability.availability_curve(
-            [60, 600, 6000, 60000], 57.0, 600.0, 3852.0
-        )
-        values = [value for _, value in curve]
-        assert values[0] < max(values)  # too-frequent checkpointing hurts
-        assert values[-1] < max(values)  # too-rare checkpointing hurts

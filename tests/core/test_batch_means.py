@@ -1,20 +1,13 @@
-"""Tests for single-run batch-means estimation and run continuation."""
+"""Run continuation: a second ``Simulator.run`` call continues the
+same trajectory. (The single-run batch-means estimator these tests
+were written beside is gone; the continuation it relied on stays.)"""
 
 import pytest
 
-from repro.core import (
-    HOUR,
-    YEAR,
-    ModelParameters,
-    SimulationPlan,
-    simulate,
-    simulate_batch_means,
-)
 from repro.san import (
     Arc,
     Case,
     Deterministic,
-    Exponential,
     RewardVariable,
     SANModel,
     Simulator,
@@ -76,52 +69,3 @@ class TestRunContinuation:
             simulator.run(until=5.0)
         with pytest.raises(SimulationError):
             simulator.run(until=3.0)
-
-
-class TestBatchMeans:
-    def test_agrees_with_replications(self):
-        params = ModelParameters(mttf_node=1 * YEAR)
-        batch = simulate_batch_means(
-            params, warmup=30 * HOUR, batch_length=80 * HOUR, batches=10, seed=5
-        )
-        replicated = simulate(
-            params,
-            SimulationPlan(warmup=30 * HOUR, observation=300 * HOUR, replications=3),
-            seed=5,
-        )
-        assert batch.useful_work_fraction.mean == pytest.approx(
-            replicated.useful_work_fraction.mean, abs=0.05
-        )
-
-    def test_sample_count(self):
-        result = simulate_batch_means(
-            ModelParameters(), warmup=10 * HOUR, batch_length=30 * HOUR,
-            batches=5, seed=6,
-        )
-        assert len(result.samples) == 5
-        assert result.useful_work_fraction.samples == 5
-        assert len(result.event_counts) == 5
-
-    def test_breakdown_present(self):
-        result = simulate_batch_means(
-            ModelParameters(), warmup=5 * HOUR, batch_length=20 * HOUR,
-            batches=3, seed=7,
-        )
-        assert "frac_execution" in result.breakdown
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_batch_means(ModelParameters(), batches=1)
-        with pytest.raises(ValueError):
-            simulate_batch_means(ModelParameters(), batch_length=0.0)
-
-    def test_reproducible(self):
-        a = simulate_batch_means(
-            ModelParameters(), warmup=5 * HOUR, batch_length=20 * HOUR,
-            batches=3, seed=8,
-        )
-        b = simulate_batch_means(
-            ModelParameters(), warmup=5 * HOUR, batch_length=20 * HOUR,
-            batches=3, seed=8,
-        )
-        assert a.samples == b.samples

@@ -1,16 +1,21 @@
-"""Queue executor specifics: dedup, priority, persistence, janitor.
+"""Queue executor specifics: dedup, order, persistence, janitor, and
+sharing a queue with other drainers.
 
 The on-disk contract: pending task files sort lexicographically into
 the schedule, identical submissions coalesce on the canonical cache
 key, ok results persist in the results store (a result-cache root) so
 later executors (or a second run of the same figure) are served
-without re-evaluating, and a startup janitor requeues in-flight files
-orphaned by a crashed drainer.
+without re-evaluating, a janitor requeues in-flight files orphaned by
+a crashed drainer, and a drain waits on a key another drainer holds
+instead of evaluating it again.
 """
 
 import json
 import os
+import threading
 import time
+
+import pytest
 
 from repro.backends import EvaluationPlan, EvaluationResult, MetricValue
 from repro.core import HOUR, ModelParameters, SimulationPlan
@@ -27,7 +32,7 @@ TINY_SIM = SimulationPlan(warmup=2 * HOUR, observation=20 * HOUR, replications=2
 TINY = EvaluationPlan(simulation=TINY_SIM)
 
 
-def make_task(index=0, n_processors=8192, priority=0, base_seed=11, attempt=0):
+def make_task(index=0, n_processors=8192, base_seed=11, attempt=0):
     return EvaluationTask(
         index=index,
         series="s",
@@ -36,7 +41,6 @@ def make_task(index=0, n_processors=8192, priority=0, base_seed=11, attempt=0):
         plan=TINY,
         backend="analytical",
         base_seed=base_seed,
-        priority=priority,
         attempt=attempt,
     )
 
@@ -89,6 +93,22 @@ class TestCoalescing:
         assert second.stats()["tasks_executed"] == 0
         assert second.stats()["coalesced"] == 1
 
+    def test_unreadable_stored_result_is_evaluated_again(self, tmp_path):
+        first = QueueExecutor(str(tmp_path))
+        task = make_task()
+        first.submit(task)
+        list(first.drain())
+        entry = first.queue.results.entry_path(task.backend, task.cache_key())
+        with open(entry, "w", encoding="utf-8") as handle:
+            handle.write("{not json")
+
+        second = QueueExecutor(str(tmp_path))
+        second.submit(task)
+        assert len(os.listdir(tmp_path / "pending")) == 1
+        [result] = list(second.drain())
+        assert result.ok and not result.coalesced
+        assert second.stats()["tasks_executed"] == 1
+
     def test_distinct_seeds_are_distinct_work(self, tmp_path):
         executor = QueueExecutor(str(tmp_path))
         executor.submit(make_task(base_seed=11))
@@ -116,22 +136,8 @@ class TestCoalescing:
         assert os.listdir(tmp_path / "pending") == []
 
 
-class TestPriorityOrdering:
-    def test_lower_priority_value_runs_first(self, tmp_path):
-        executed = []
-
-        def spy(task, *args):
-            executed.append(task.index)
-            return ok_result(task)
-
-        executor = QueueExecutor(str(tmp_path), run_task=spy)
-        executor.submit(make_task(index=0, n_processors=8192, priority=5))
-        executor.submit(make_task(index=1, n_processors=16384, priority=0))
-        executor.submit(make_task(index=2, n_processors=32768, priority=5))
-        list(executor.drain())
-        assert executed == [1, 0, 2]
-
-    def test_same_priority_keeps_submission_order(self, tmp_path):
+class TestOrdering:
+    def test_submission_order_is_the_schedule(self, tmp_path):
         executed = []
 
         def spy(task, *args):
@@ -380,6 +386,21 @@ class TestInflightLease:
         lease = InflightLease(str(tmp_path / "gone.json"), orphan_age=60.0)
         lease.beat()  # must not raise
 
+    def test_lease_starts_at_the_claim(self, tmp_path):
+        # A task that waited in pending/ for longer than orphan_age is
+        # claimed with a fresh lease: a sibling's janitor, sweeping
+        # before the first heartbeat, must leave it alone.
+        now = time.time()
+        executor = QueueExecutor(str(tmp_path))
+        executor.submit(make_task())
+        [name] = os.listdir(tmp_path / "pending")
+        waited = now - 3 * INFLIGHT_SWEEP_AGE_SECONDS
+        os.utime(tmp_path / "pending" / name, (waited, waited))
+        assert WorkQueue(str(tmp_path), clock=lambda: now).claim()
+        sibling = WorkQueue(str(tmp_path), clock=lambda: now + 1.0)
+        assert sibling.sweep() == 0
+        assert os.listdir(tmp_path / "inflight") == [name]
+
     def test_zero_orphan_age_disables_the_thread(self, tmp_path):
         path = tmp_path / "claim.json"
         path.write_text("{}", encoding="utf-8")
@@ -419,6 +440,93 @@ class TestInflightLease:
         [result] = list(executor.drain())
         assert result.ok
         assert executor.stats()["tasks_executed"] == 1
+
+
+def error_result(task, fault_plan=None):
+    return TaskResult(
+        status="error", index=task.index, series=task.series, x=task.x,
+        attempt=task.attempt, seed_used=task.seed,
+        failure={"error_type": "RuntimeError", "error_message": "injected"},
+    )
+
+
+class TestSharedQueue:
+    """A drain beside another drainer: a key that drainer holds is
+    waited on, never evaluated a second time (regression: the drain
+    evaluated from memory whenever nothing was claimable, so a sweep
+    beside ``repro worker`` processes repeated every point they took)."""
+
+    @staticmethod
+    def submit_and_claim(tmp_path, **kwargs):
+        """Submit one task, then claim its file as another drainer."""
+        executor = QueueExecutor(str(tmp_path), **kwargs)
+        executor.submit(make_task())
+        other = WorkQueue(str(tmp_path))
+        claimed = other.claim()
+        assert claimed is not None
+        return executor, other, claimed
+
+    def test_sweep_waits_for_a_live_claim(self, tmp_path):
+        executor, other, claimed = self.submit_and_claim(tmp_path)
+
+        def slow_ok(task):
+            time.sleep(0.3)
+            return ok_result(task)
+
+        drainer = threading.Thread(
+            target=other.run_claim, args=(claimed, slow_ok)
+        )
+        drainer.start()
+        try:
+            [result] = list(executor.drain())
+        finally:
+            drainer.join(timeout=30)
+        assert not drainer.is_alive()
+        assert result.ok and result.coalesced
+        assert result.mean == 0.0
+        assert executor.stats()["tasks_executed"] == 0
+        assert executor.stats()["coalesced"] == 1
+
+    def test_expired_claim_is_requeued_and_run_once(self, tmp_path):
+        now = [time.time()]
+        executed = []
+
+        def spy(task, *args):
+            executed.append(task.index)
+            return ok_result(task)
+
+        executor, _, _ = self.submit_and_claim(
+            tmp_path, run_task=spy, clock=lambda: now[0]
+        )
+        # The other drainer died holding the claim: once its lease is
+        # past orphan_age, the drain's janitor requeues it.
+        now[0] += INFLIGHT_SWEEP_AGE_SECONDS + 5.0
+        [result] = list(executor.drain())
+        assert result.ok and not result.coalesced
+        assert executed == [0]
+        assert executor.stats()["tasks_executed"] == 1
+        assert executor.stats()["orphans_requeued"] == 1
+        assert os.listdir(tmp_path / "pending") == []
+        assert os.listdir(tmp_path / "inflight") == []
+
+    def test_key_another_drainer_failed_is_evaluated_here(self, tmp_path):
+        executor, other, claimed = self.submit_and_claim(tmp_path)
+        other.run_claim(claimed, error_result)  # not stored, file dropped
+        [result] = list(executor.drain())
+        assert result.ok and not result.coalesced
+        assert executor.stats()["tasks_executed"] == 1
+        assert len(stored_entries(tmp_path)) == 1
+
+    def test_interrupt_gives_the_claim_back(self, tmp_path):
+        def interrupted(task, *args):
+            raise KeyboardInterrupt
+
+        executor = QueueExecutor(str(tmp_path), run_task=interrupted)
+        executor.submit(make_task())
+        with pytest.raises(KeyboardInterrupt):
+            list(executor.drain())
+        assert len(os.listdir(tmp_path / "pending")) == 1
+        assert os.listdir(tmp_path / "inflight") == []
 
 
 class TestResultsStore:

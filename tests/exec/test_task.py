@@ -46,7 +46,6 @@ def make_task(**overrides):
         backend="analytical",
         base_seed=17,
         attempt=2,
-        priority=1,
         cache_dir=None,
     )
     fields.update(overrides)
@@ -127,6 +126,28 @@ class TestEvaluationTask:
         rebuilt = EvaluationTask.from_json_dict(payload)
         assert rebuilt.plan == task.plan
         assert rebuilt.cache_key() == task.cache_key()
+        assert rebuilt.cache_key() == "4954dd9716c822166574f6b21f0af49d"
+
+    def test_task_queued_with_a_priority_keeps_its_key(self):
+        # Task files written while the queue had priorities carry a
+        # priority field; it is not read, and the key is unchanged.
+        from repro.backends import TOTAL_USEFUL_WORK
+        from repro.experiments.config import plan_for
+        from repro.experiments.figures import FIGURE_SPECS
+        from repro.experiments.runner import sweep_eval_plan
+
+        task = make_task(
+            params=FIGURE_SPECS["fig4a"].points()[0].params,
+            plan=sweep_eval_plan(TOTAL_USEFUL_WORK, plan_for("quick"), 0),
+            backend="san-sim",
+            base_seed=0,
+            attempt=0,
+        )
+        payload = task.to_json_dict()
+        assert "priority" not in payload
+        payload["priority"] = 3
+        rebuilt = EvaluationTask.from_json_dict(payload)
+        assert rebuilt == task
         assert rebuilt.cache_key() == "4954dd9716c822166574f6b21f0af49d"
 
     def test_batched_task_is_rejected_naming_the_kernel(self):

@@ -389,15 +389,110 @@ def test_every_float_option_rejects_non_finite_values():
                 for subparser in action.choices.values():
                     yield from actions(subparser)
 
+    checked = (cli.finite_float, cli.positive_float, cli.non_negative_float)
     float_options = [
         action for action in actions(cli.build_parser())
-        if action.type in (float, cli.finite_float)
+        if action.type is float or action.type in checked
     ]
-    # 28 options in cli.py, 32 once those shared by run-figure,
-    # run-all and claims are counted on each command.
-    assert len(float_options) >= 32
-    assert all(action.type is cli.finite_float for action in float_options)
+    # 26 options in cli.py, 30 once those shared by run-figure,
+    # run-all and claims are counted on each command (the job
+    # command's two went with it).
+    assert len(float_options) >= 30
+    assert all(action.type in checked for action in float_options)
     assert cli.finite_float("1e-3") == 0.001
-    for text in ("nan", "inf", "-inf", "NaN", "Infinity"):
-        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
-            cli.finite_float(text)
+    for parse in checked:
+        for text in ("nan", "inf", "-inf", "NaN", "Infinity"):
+            with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+                parse(text)
+
+
+#: Worker flags whose bad values used to start the worker: a negative
+#: poll crashed on the first empty poll, a negative timeout stranded
+#: the first claim in inflight/, a non-positive task cap exited
+#: having claimed nothing, and a negative orphan age silently turned
+#: off the janitor and the heartbeat.
+BAD_WORKER_VALUES = [
+    ("--poll-interval", "-1"),
+    ("--idle-exit", "-1"),
+    ("--orphan-age", "-5"),
+    ("--point-timeout", "-5"),
+    ("--point-timeout", "0"),
+    ("--max-tasks", "0"),
+    ("--max-tasks", "-3"),
+]
+
+
+@pytest.fixture
+def quiet_worker(monkeypatch):
+    """Keep a worker started in-process off this process's signals."""
+    from repro.service import ServiceWorker
+
+    monkeypatch.setattr(
+        ServiceWorker, "install_signal_handlers", lambda self: None
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value", BAD_WORKER_VALUES,
+    ids=[f"{flag}={value}" for flag, value in BAD_WORKER_VALUES],
+)
+def test_worker_rejects_bad_numbers_before_it_starts(
+    flag, value, tmp_path, quiet_worker, capsys
+):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["worker", "--queue-dir", str(tmp_path),
+                  "--idle-exit", "0", flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_worker_zero_orphan_age_and_idle_exit_stay_valid(
+    tmp_path, quiet_worker
+):
+    assert cli.main(["worker", "--queue-dir", str(tmp_path),
+                     "--idle-exit", "0", "--orphan-age", "0"]) == 0
+
+
+#: Run-option values that used to run: no points at all, a slice from
+#: the end, a traceback, or a silent serial run.
+BAD_RUN_VALUES = [
+    ("--max-points", "0"),
+    ("--max-points", "-1"),
+    ("--processes", "-1"),
+    ("--processes", "0"),
+    ("--retries", "-2"),
+    ("--point-timeout", "-5"),
+    ("--point-timeout", "0"),
+    ("--trace-sample", "-1"),
+    ("--trace-sample", "0"),
+]
+
+
+@pytest.mark.parametrize("command", [["run-figure", "fig4a"], ["run-all"]],
+                         ids=["run-figure", "run-all"])
+@pytest.mark.parametrize(
+    "flag, value", BAD_RUN_VALUES,
+    ids=[f"{flag}={value}" for flag, value in BAD_RUN_VALUES],
+)
+def test_run_options_reject_bad_numbers(command, flag, value, monkeypatch,
+                                        capsys):
+    seen = {}
+
+    def capturing_runner(**kwargs):
+        seen.update(kwargs)
+        raise BackendError("stop after capture")
+
+    for figure_id in list(cli.FIGURE_RUNNERS):
+        monkeypatch.setitem(cli.FIGURE_RUNNERS, figure_id, capturing_runner)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, "--preset", "quick", flag, value])
+    assert excinfo.value.code == 2
+    assert seen == {}
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_run_figure_rejects_an_empty_slice():
+    from repro.experiments.figures import run_figure
+
+    with pytest.raises(ValueError, match="max_points must be >= 1, got 0"):
+        run_figure("fig4a", preset="quick", max_points=0)

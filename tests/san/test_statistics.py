@@ -11,7 +11,6 @@ from repro.san import (
     ConfidenceInterval,
     RunningStatistics,
     StreamRegistry,
-    batch_means,
     confidence_interval,
     replicate,
     t_critical,
@@ -99,21 +98,6 @@ class TestConfidenceInterval:
             if confidence_interval(list(sample)).contains(10.0):
                 hits += 1
         assert hits / trials == pytest.approx(0.95, abs=0.04)
-
-
-class TestBatchMeans:
-    def test_iid_series(self):
-        rng = StreamRegistry(1).get("test/statistics")
-        series = list(rng.normal(5.0, 1.0, size=2000))
-        ci = batch_means(series, batches=20)
-        assert ci.contains(5.0)
-        assert ci.samples == 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            batch_means([1.0, 2.0], batches=1)
-        with pytest.raises(ValueError):
-            batch_means([1.0], batches=2)
 
 
 class TestReplicate:

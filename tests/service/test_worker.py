@@ -4,20 +4,34 @@ import json
 import os
 import signal
 import time
+from dataclasses import replace
 
 from repro.backends import EvaluationResult, MetricValue
-from repro.exec import TaskResult
-from repro.service import submit_job
+from repro.exec import QueueExecutor, TaskResult
+from repro.exec.task import tighten_budget
+from repro.experiments.config import plan_for
+from repro.experiments.figures import FIGURE_SPECS
+from repro.experiments.runner import build_sweep_tasks, sweep_eval_plan
 from repro.service.worker import ServiceWorker
 
 
-def submit_small(queue_dir, **kwargs):
-    defaults = dict(
-        preset="quick", seed=3, max_points=2, tenant="acme",
-        backend="analytical",
+def small_tasks(max_points=2):
+    """The first quick fig4a points at seed 3 on the analytical
+    backend, built as a sweep builds them."""
+    spec = FIGURE_SPECS["fig4a"]
+    eval_plan = sweep_eval_plan(spec.metric, plan_for("quick"), 3)
+    return build_sweep_tasks(
+        spec.points()[:max_points], eval_plan, 3, "analytical"
     )
-    defaults.update(kwargs)
-    return submit_job(str(queue_dir), "fig4a", **defaults)
+
+
+def submit_small(queue_dir, max_points=2, tasks=None):
+    """Queue tasks as a queue sweep submits them; returns their keys."""
+    executor = QueueExecutor(str(queue_dir))
+    tasks = small_tasks(max_points) if tasks is None else tasks
+    for task in tasks:
+        executor.submit(task)
+    return [task.cache_key() for task in tasks]
 
 
 def canned(status="ok"):
@@ -49,14 +63,12 @@ def stored_keys(queue_dir):
 
 class TestDrainLoop:
     def test_drains_queue_and_stores_results(self, tmp_path):
-        record = submit_small(tmp_path)
+        keys = submit_small(tmp_path)
         worker = ServiceWorker(str(tmp_path), idle_exit=0.0)
         assert worker.run() == 2
         assert os.listdir(tmp_path / "pending") == []
         assert os.listdir(tmp_path / "inflight") == []
-        assert stored_keys(tmp_path) == sorted(
-            point["key"] for point in record.points
-        )
+        assert stored_keys(tmp_path) == sorted(keys)
 
     def test_max_tasks_bounds_the_run(self, tmp_path):
         submit_small(tmp_path)
@@ -67,11 +79,7 @@ class TestDrainLoop:
         assert len(os.listdir(tmp_path / "pending")) == 1
 
     def test_failed_task_is_logged_not_stored(self, tmp_path):
-        from repro.obs import metrics
-
         submit_small(tmp_path)
-        failed_counter = metrics.registry().counter("tenant.acme.failed")
-        before = failed_counter.value
         worker = ServiceWorker(
             str(tmp_path), idle_exit=0.0, run_task=canned("error"),
             worker_id="w-fail",
@@ -79,13 +87,12 @@ class TestDrainLoop:
         worker.run()
         assert worker.failed == 2
         assert stored_keys(tmp_path) == []
-        assert failed_counter.value == before + 2
         log = (tmp_path / "workers" / "w-fail.log.jsonl").read_text()
         statuses = [json.loads(line)["status"] for line in log.splitlines()]
         assert statuses == ["error", "error"]
 
     def test_point_timeout_becomes_the_task_budget(self, tmp_path):
-        record = submit_small(tmp_path)
+        keys = submit_small(tmp_path)
         budgets = []
 
         def spy(task, *args):
@@ -96,10 +103,28 @@ class TestDrainLoop:
             str(tmp_path), idle_exit=0.0, point_timeout=7.5, run_task=spy
         ).run()
         assert budgets == [7.5, 7.5]
-        # The budget does not fork the key: the job finds its results.
-        from repro.service import job_status
+        # The budget does not fork the key: the results are filed
+        # under the keys the sweep submitted.
+        assert stored_keys(tmp_path) == sorted(keys)
 
-        assert job_status(str(tmp_path), record.job_id).finished
+    def test_sweep_point_timeout_bounds_the_worker(self, tmp_path):
+        # A sweep's --point-timeout travels in the task plan; the
+        # worker's own timeout only ever lowers it.
+        tasks = [
+            replace(task, plan=tighten_budget(task.plan, 5.0))
+            for task in small_tasks()
+        ]
+        submit_small(tmp_path, tasks=tasks)
+        budgets = []
+
+        def spy(task, *args):
+            budgets.append(task.plan.simulation.wall_clock_budget)
+            return canned()(task)
+
+        ServiceWorker(
+            str(tmp_path), idle_exit=0.0, point_timeout=7.5, run_task=spy
+        ).run()
+        assert budgets == [5.0, 5.0]
 
     def test_unreadable_task_file_is_dropped(self, tmp_path):
         # Two task files no drainer can run: a torn write, and a task
@@ -147,48 +172,18 @@ class TestDrainLoop:
         assert "0 task(s) executed, 0 failed, 1 dropped" in out
 
     def test_evaluation_log_and_snapshot(self, tmp_path):
-        from repro.obs import metrics
-
-        record = submit_small(tmp_path)
-        # The registry is process-global: compare against its value
-        # before this worker runs, not against zero.
-        before = metrics.registry().counter("tenant.acme.evaluated").value
+        keys = submit_small(tmp_path)
         worker = ServiceWorker(str(tmp_path), idle_exit=0.0, worker_id="w1")
         worker.run()
         log_path = tmp_path / "workers" / "w1.log.jsonl"
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
-        assert sorted(line["key"] for line in lines) == sorted(
-            point["key"] for point in record.points
-        )
+        assert sorted(line["key"] for line in lines) == sorted(keys)
         assert all(line["worker"] == "w1" for line in lines)
+        assert all(line["status"] == "ok" for line in lines)
         snapshot_path = tmp_path / "obs" / "w1.metrics.json"
         with open(snapshot_path, encoding="utf-8") as handle:
             snapshot = json.load(handle)
-        assert snapshot["counters"].get("tenant.acme.evaluated") == before + 2
-
-    def test_tenant_of_unowned_key_is_anonymous(self, tmp_path):
-        from repro.exec import QueueExecutor
-
-        # Queue a task directly (no job record claims its key).
-        from repro.backends import EvaluationPlan
-        from repro.core import HOUR, ModelParameters, SimulationPlan
-        from repro.exec import EvaluationTask
-        from repro.obs import metrics
-
-        task = EvaluationTask(
-            index=0, series="s", x=1.0,
-            params=ModelParameters(n_processors=8192),
-            plan=EvaluationPlan(simulation=SimulationPlan(
-                warmup=2 * HOUR, observation=20 * HOUR, replications=1
-            )),
-            backend="analytical", base_seed=1,
-        )
-        executor = QueueExecutor(str(tmp_path))
-        executor.submit(task)
-        anon = metrics.registry().counter("tenant.anonymous.evaluated")
-        before = anon.value
-        ServiceWorker(str(tmp_path), idle_exit=0.0).run()
-        assert anon.value == before + 1
+        assert {"counters", "gauges", "timings"} <= set(snapshot)
 
 
 class TestShutdown:
@@ -260,7 +255,7 @@ class TestLeaseIntegration:
     def test_crashed_workers_claim_is_recovered(self, tmp_path):
         # Simulate a crash: a claim sits in inflight/ with an expired
         # lease; the next worker's janitor requeues and executes it.
-        record = submit_small(tmp_path, max_points=1)
+        keys = submit_small(tmp_path, max_points=1)
         claimed = ServiceWorker(
             str(tmp_path), idle_exit=0.0, max_tasks=0
         )
@@ -274,4 +269,4 @@ class TestLeaseIntegration:
         # pass by making the loop believe a period elapsed.
         assert worker.run() == 1
         assert os.listdir(tmp_path / "inflight") == []
-        assert stored_keys(tmp_path) == [record.points[0]["key"]]
+        assert stored_keys(tmp_path) == keys

@@ -1,12 +1,14 @@
-"""Two real drainer processes on one shared queue: the global
-properties the service exists for.
+"""Two real drainer processes beside one queue sweep: the global
+property the queue's drain rule exists for.
 
-A fig4a slice is submitted once as a job; two ``repro worker``
-subprocesses race over the queue. Assertions: every point was
-evaluated exactly once across both workers (the per-key counts of the
-workers' evaluation logs), both workers exit cleanly on SIGTERM, and
-the collected archive is byte-for-byte identical to a serial
-``run_figure`` of the same slice.
+Two ``repro worker`` subprocesses start on a fresh queue; once both
+are draining, an in-process ``run_figure(executor="queue")`` sweep of a
+fig4a slice submits its points to the same queue and drains beside
+them. Assertions: every point was evaluated exactly once across the
+workers' evaluation logs and the sweep's ``tasks_executed`` (a sweep
+that evaluated a point a worker holds would count it twice), both
+workers exit cleanly on SIGTERM, and the sweep's archive is
+byte-for-byte identical to a serial ``run_figure`` of the same slice.
 """
 
 import collections
@@ -16,20 +18,17 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.experiments.archive import save_figure
 from repro.experiments.figures import run_figure
-from repro.service import collect_job, job_status, submit_job
 
 POINTS = 4
-DEADLINE = 240.0
 
 
 def spawn_worker(queue_dir, worker_id):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -52,33 +51,28 @@ def spawn_worker(queue_dir, worker_id):
 @pytest.mark.slow
 def test_two_workers_zero_double_evaluations_bit_identical(tmp_path):
     queue_dir = tmp_path / "queue"
-    record = submit_job(
-        str(queue_dir), "fig4a", preset="quick", seed=1,
-        max_points=POINTS, tenant="ci", name="itest",
-    )
     workers = [
         spawn_worker(queue_dir, "itest-a"),
         spawn_worker(queue_dir, "itest-b"),
     ]
+    outputs = []
     try:
-        deadline = time.time() + DEADLINE
-        status = job_status(str(queue_dir), record.job_id)
-        while not status.finished and time.time() < deadline:
-            assert any(proc.poll() is None for proc in workers), (
-                "both workers died before the job finished: "
-                + " / ".join(proc.stdout.read() for proc in workers)
-            )
-            time.sleep(0.2)
-            status = job_status(str(queue_dir), record.job_id)
-        assert status.finished, f"job stuck: {status.render()}"
+        # Start the sweep only once both workers poll the queue, so
+        # they compete for its points.
+        for proc in workers:
+            banner = proc.stdout.readline()
+            assert "draining" in banner, banner
+        figure = run_figure(
+            "fig4a", preset="quick", seed=1, max_points=POINTS,
+            executor="queue", queue_dir=str(queue_dir),
+        )
     finally:
         for proc in workers:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)
-        outputs = []
         for proc in workers:
             try:
-                out, _ = proc.communicate(timeout=30)
+                out, _ = proc.communicate(timeout=60)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 out, _ = proc.communicate()
@@ -87,25 +81,29 @@ def test_two_workers_zero_double_evaluations_bit_identical(tmp_path):
     # SIGTERM is a clean exit, not a crash.
     assert all(proc.returncode == 0 for proc in workers), outputs
 
-    # Zero double-evaluations: each key appears exactly once across
-    # both workers' evaluation logs.
+    # Zero double evaluations: no key repeats in the workers' logs,
+    # and the workers' evaluations plus the sweep's own add up to one
+    # per point.
     counts = collections.Counter()
     workers_dir = queue_dir / "workers"
     for name in os.listdir(workers_dir):
         with open(workers_dir / name, encoding="utf-8") as handle:
             for line in handle:
                 counts[json.loads(line)["key"]] += 1
-    expected_keys = {point["key"] for point in record.points}
-    assert set(counts) == expected_keys
     assert all(count == 1 for count in counts.values()), counts
+    executed_here = figure.manifest.execution["tasks_executed"]
+    assert sum(counts.values()) + executed_here == POINTS, (
+        counts, executed_here
+    )
+    assert counts, "no worker took a point; the test proved nothing"
+    assert not figure.failures
 
-    # The collected archive is bit-identical to a serial run.
-    figure = collect_job(str(queue_dir), record.job_id)
-    save_figure(figure, str(tmp_path / "service_out"))
+    # The sweep's archive is bit-identical to a serial run.
+    save_figure(figure, str(tmp_path / "queue_out"))
     serial = run_figure("fig4a", preset="quick", seed=1, max_points=POINTS)
     save_figure(serial, str(tmp_path / "serial_out"))
     assert filecmp.cmp(
-        str(tmp_path / "service_out" / "fig4a.json"),
+        str(tmp_path / "queue_out" / "fig4a.json"),
         str(tmp_path / "serial_out" / "fig4a.json"),
         shallow=False,
     )

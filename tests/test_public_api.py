@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.analytical",
     "repro.cluster",
     "repro.failures",
-    "repro.workload",
     "repro.backends",
     "repro.exec",
     "repro.experiments",
@@ -41,20 +40,17 @@ MODULES = [
     "repro.san.transient",
     "repro.san.dot",
     "repro.core.completion",
-    "repro.core.trajectory",
     "repro.core.ledger",
     "repro.core.metrics",
     "repro.core.parameters",
     "repro.core.simulation",
     "repro.core.system",
-    "repro.analytical.availability",
     "repro.analytical.coordination",
     "repro.analytical.daly",
     "repro.analytical.design",
     "repro.analytical.sensitivity",
     "repro.analytical.markov",
     "repro.analytical.useful_work",
-    "repro.analytical.vaidya",
     "repro.analytical.young",
     "repro.cluster.engine",
     "repro.cluster.filesystem",
@@ -64,10 +60,7 @@ MODULES = [
     "repro.cluster.simulator",
     "repro.failures.correlation",
     "repro.failures.processes",
-    "repro.failures.spatial",
     "repro.failures.traces",
-    "repro.workload.bsp",
-    "repro.workload.generator",
     "repro.backends.base",
     "repro.backends.registry",
     "repro.backends.san_sim",

@@ -8,7 +8,6 @@ from scipy import stats as scipy_stats
 from repro.san.statistics import (
     ConfidenceInterval,
     confidence_interval,
-    pooled_interval,
     standard_error_of,
     t_critical,
 )
@@ -52,15 +51,6 @@ class TestSanStatisticsHelpers:
         one = ConfidenceInterval(1.0, 0.0, 0.95, 1, validated=False)
         with pytest.raises(ValueError):
             standard_error_of(one)
-
-    def test_pooled_interval_is_grand_mean(self):
-        intervals = [
-            confidence_interval([1.0, 2.0, 3.0]),
-            confidence_interval([4.0, 5.0, 6.0]),
-        ]
-        pooled = pooled_interval(intervals)
-        assert pooled.mean == pytest.approx(3.5)
-        assert pooled.samples == 2
 
 
 class TestSampleSummary:
