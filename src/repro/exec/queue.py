@@ -278,26 +278,24 @@ class WorkQueue:
 
     def enqueue(
         self, task: EvaluationTask, key: str
-    ) -> Tuple[Optional[EvaluationResult], bool]:
+    ) -> Optional[EvaluationResult]:
         """Persist ``task`` (cache key ``key``) unless it coalesces.
 
-        Returns ``(stored, enqueued)``. ``stored`` is the answer
-        already in the results store, and then nothing is enqueued.
-        Otherwise ``enqueued`` is False when a task file for the key is
-        already pending or in flight (the submission rides on it) and
-        True when a new pending file was written.
+        Returns the answer already in the results store, and then
+        nothing is enqueued. Otherwise returns ``None``, having written
+        a new pending file unless one for the key is already pending or
+        in flight (the submission rides on it).
         """
         stored = self.lookup(task.backend, key)
         if stored is not None:
-            return stored, False
-        if key in self.queued_keys():
-            return None, False
-        name = f"000000-{self.next_counter():08d}-{key}"
-        atomic_write_json(
-            os.path.join(self.pending_dir, f"{name}.json"),
-            task.to_json_dict(),
-        )
-        return None, True
+            return stored
+        if key not in self.queued_keys():
+            name = f"000000-{self.next_counter():08d}-{key}"
+            atomic_write_json(
+                os.path.join(self.pending_dir, f"{name}.json"),
+                task.to_json_dict(),
+            )
+        return None
 
     # ------------------------------------------------------------------
     # Claim and run
@@ -435,9 +433,6 @@ class QueueExecutor:
         self._fault_plan = fault_plan
         self._run_task = run_task
         self._waiters: Dict[str, List[EvaluationTask]] = {}
-        # Keys whose task file this executor wrote: their first waiter
-        # was not counted as coalesced at submission.
-        self._enqueued: Set[str] = set()
         self._served: Deque[Tuple[EvaluationTask, EvaluationResult]] = deque()
         self._executed = 0
         self._coalesced = 0
@@ -457,9 +452,14 @@ class QueueExecutor:
         """Enqueue one task, coalescing on its cache key.
 
         A key already being waited on, already queued on disk, or
-        already answered in the results store is not enqueued again;
-        the submission is counted as coalesced and served from the
-        single evaluation of that key.
+        already answered in the results store is not enqueued again.
+        The ``coalesced`` count is the number of results stamped
+        coalesced: a submission served from another evaluation. A
+        later waiter on a key and a key answered in the store count
+        here; a first waiter counts only when :meth:`_settle` serves
+        it another drainer's stored result, and not when this executor
+        runs the key itself, even from a file an earlier (possibly
+        crashed) submitter left pending.
         """
         key = task.cache_key()
         waiters = self._waiters.get(key)
@@ -467,19 +467,12 @@ class QueueExecutor:
             waiters.append(task)
             self._coalesced += 1
             return
-        stored, enqueued = self.queue.enqueue(task, key)
+        stored = self.queue.enqueue(task, key)
         if stored is not None:
             self._served.append((task, stored))
             self._coalesced += 1
             return
         self._waiters[key] = [task]
-        if enqueued:
-            self._enqueued.add(key)
-        else:
-            # Persisted by an earlier (possibly crashed) submitter or
-            # claimed by another drainer: ride on that file instead of
-            # enqueueing a duplicate.
-            self._coalesced += 1
         self._depth_high_water = max(
             self._depth_high_water, self.queue.depth()
         )
@@ -502,7 +495,6 @@ class QueueExecutor:
     def _dispatch(self, key: str, result: TaskResult) -> List[TaskResult]:
         """Stamp one evaluation's result onto every waiting submission."""
         waiters = self._waiters.pop(key, [])
-        self._enqueued.discard(key)
         stamped = []
         for position, waiter in enumerate(waiters):
             stamped.append(
@@ -539,11 +531,9 @@ class QueueExecutor:
                 result = self._run(task)
                 self.queue.store(task.backend, key, result)
                 return self._dispatch(key, result)
-            # Another drainer answered it: every waiter is coalesced
-            # (all but a first waiter that enqueued its own file were
-            # counted at submission).
-            self._coalesced += key in self._enqueued
-            self._enqueued.discard(key)
+            # Another drainer answered it: every waiter is coalesced,
+            # and all but the first were counted at submission.
+            self._coalesced += 1
             del self._waiters[key]
             return [
                 TaskResult.from_evaluation(waiter, stored, coalesced=True)

@@ -146,17 +146,43 @@ class ConfidenceInterval:
         )
 
 
+#: Two-sided 95% Student-t quantiles for 1–30 degrees of freedom: entry
+#: ``df - 1`` is ``float(stdtrit(df, 0.5 + 0.95 / 2.0))`` as scipy
+#: 1.17.1 computes it. Every interval a figure prints comes from here
+#: (df 1, 2 and 4 at the quick, standard and full presets), so no
+#: figure run imports scipy.
+_T_95 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+
+
 def t_critical(confidence: float, df: int) -> float:
     """The two-sided Student-t critical value at ``confidence`` with
     ``df`` degrees of freedom (the multiplier turning a standard error
-    into a confidence half-width)."""
+    into a confidence half-width).
+
+    The 95% value at an integer ``df`` up to 30 is read from a table;
+    any other pair is computed by ``scipy.special.stdtrit``. Both give
+    the float ``scipy.stats.t.ppf`` gives, bit for bit.
+    """
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    if confidence == 0.95 and isinstance(df, int) and df <= len(_T_95):
+        return _T_95[df - 1]
     # `stdtrit` is the inverse Student-t CDF that `scipy.stats.t.ppf`
     # calls, bit for bit; importing `scipy.special` alone keeps the
-    # much heavier `scipy.stats` off every figure's import path.
+    # much heavier `scipy.stats` out of the process.
     from scipy.special import stdtrit
 
     return float(stdtrit(df, 0.5 + confidence / 2.0))

@@ -130,10 +130,42 @@ class TestCoalescing:
         survivor.submit(task)
         pending = os.listdir(tmp_path / "pending")
         assert len(pending) == 1
-        assert survivor.stats()["coalesced"] == 1
         [result] = list(survivor.drain())
-        assert result.ok
+        assert result.ok and not result.coalesced
+        # The survivor ran the file itself: an evaluation, not a
+        # coalesced submission.
+        assert survivor.stats()["coalesced"] == 0
+        assert survivor.stats()["tasks_executed"] == 1
         assert os.listdir(tmp_path / "pending") == []
+
+    def test_coalesced_count_is_the_results_stamped_coalesced(self, tmp_path):
+        # Every way a submission coalesces, in one drain: a rider on a
+        # crashed submitter's file (run here) and its duplicate, a key
+        # answered in the store, and a key another drainer answered
+        # after it was submitted, with its duplicate.
+        executor = QueueExecutor(str(tmp_path), run_task=ok_result)
+        answered_later = make_task(index=2, n_processors=32768)
+        executor.submit(answered_later)
+        other = WorkQueue(str(tmp_path))
+        other.run_claim(other.claim(), ok_result)
+
+        stored = make_task(index=1, n_processors=16384)
+        first = QueueExecutor(str(tmp_path), run_task=ok_result)
+        first.submit(stored)
+        list(first.drain())
+        rider = make_task(index=0, n_processors=8192)
+        QueueExecutor(str(tmp_path)).submit(rider)  # never drained
+
+        for task in (rider, rider, stored, answered_later):
+            executor.submit(task)
+        results = list(executor.drain())
+        assert sorted((r.index, r.coalesced) for r in results) == [
+            (0, False), (0, True), (1, True), (2, True), (2, True),
+        ]
+        assert executor.stats()["coalesced"] == sum(
+            r.coalesced for r in results
+        )
+        assert executor.stats()["tasks_executed"] == 1
 
 
 class TestOrdering:

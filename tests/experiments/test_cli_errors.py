@@ -95,7 +95,8 @@ class TestArchiveSchemaErrors:
         )
         figure.series["s"] = [(1.0, 0.5, 0.0)]
         path = save_figure(figure, str(tmp_path))
-        payload = json.loads(open(path, encoding="utf-8").read())
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         payload["schema_version"] = FIGURE_SCHEMA_VERSION + 1
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)

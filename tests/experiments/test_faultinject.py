@@ -231,7 +231,8 @@ class TestCorruptionHelpers:
     def test_corrupt_tail_appends_torn_record(self, tmp_path):
         path = self.write_journal(tmp_path)
         corrupt_journal_tail(path)
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         assert len(lines) == 3
         assert lines[2].startswith('{"kind": "point", "series"')
         assert not lines[2].endswith("}")  # genuinely torn
@@ -239,7 +240,8 @@ class TestCorruptionHelpers:
     def test_corrupt_line_overwrites_in_place(self, tmp_path):
         path = self.write_journal(tmp_path)
         corrupt_journal_line(path, 1)
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         assert lines[0] == '{"kind": "header"}'
         assert "garbage" in lines[1]
 
@@ -253,4 +255,5 @@ class TestCorruptionHelpers:
             tmp_path, lines=("a", "b", "c", "d")
         )
         truncate_journal(path, 2)
-        assert open(path).read() == "a\nb\n"
+        with open(path) as handle:
+            assert handle.read() == "a\nb\n"

@@ -349,7 +349,8 @@ class TestJournalUnit:
         journal.begin("fp", {"figure_id": "f"})
         journal.record_point(0, "s", 1.0, 0.5, 0.1, attempt=1, seed_used=99)
         journal.close()
-        header, point = [json.loads(line) for line in open(path)]
+        with open(path) as handle:
+            header, point = [json.loads(line) for line in handle]
         assert header["kind"] == "header"
         assert header["figure_id"] == "f"
         assert point["kind"] == "point"
