@@ -29,13 +29,13 @@ def test_san_event_throughput(benchmark):
     def run():
         return run_single(ModelParameters(), _SAN_PLAN, seed=1)
 
-    measures = benchmark.pedantic(run, rounds=1, iterations=1)
-    stats = run_single.last_kernel_stats
+    _, output, _ = benchmark.pedantic(run, rounds=1, iterations=1)
+    stats = output.kernel_stats
     benchmark.extra_info["kernel"] = stats.kernel
     benchmark.extra_info["events"] = stats.events
     benchmark.extra_info["events_per_sec"] = stats.events_per_sec
     benchmark.extra_info["check_efficiency"] = stats.check_efficiency
-    assert measures["_events"] > 1000
+    assert output.event_count > 1000
     assert stats.kernel == "incremental"
 
 

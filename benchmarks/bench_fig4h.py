@@ -1,7 +1,5 @@
 """Figure 4h: total useful work vs nodes at 16 processors per node."""
 
-from repro.experiments import FIGURE_RUNNERS
-
 
 def test_fig4h(quick_figure):
     figure = quick_figure("fig4h", seed=47)

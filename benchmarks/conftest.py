@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import FIGURE_RUNNERS, validate_figure
+from repro.experiments import run_figure, validate_figure
 
 
 def regenerate(benchmark, figure_id: str, seed: int = 0):
     """Time one regeneration of a figure at the quick preset."""
-    runner = FIGURE_RUNNERS[figure_id]
     return benchmark.pedantic(
-        lambda: runner(preset="quick", seed=seed), rounds=1, iterations=1
+        lambda: run_figure(figure_id, preset="quick", seed=seed),
+        rounds=1, iterations=1,
     )
 
 

@@ -14,12 +14,13 @@ The primary entry point is :func:`simulate`::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.trace import NullSink, default_sink
 from ..san import (
     ConfidenceInterval,
     RewardVariable,
+    SimulationOutput,
     Simulator,
     SinkTracer,
     StreamRegistry,
@@ -194,11 +195,13 @@ def run_single(
     plan: SimulationPlan,
     seed: int,
     extra_rewards: Sequence[RewardVariable] = (),
-) -> Dict[str, float]:
-    """Run one replication; return each reward's time average.
+) -> Tuple[Dict[str, float], SimulationOutput, LedgerCounters]:
+    """Run one replication.
 
-    Builds a fresh model (construction is cheap compared to a run) so
-    replications never share mutable state.
+    Returns each reward's time average, the run's output (its event
+    count and kernel stats) and the ledger's counters. Builds a fresh
+    model (construction is cheap compared to a run) so replications
+    never share mutable state.
     """
     system = build_system(params)
     rewards = [useful_work_reward(system.ledger)]
@@ -223,14 +226,8 @@ def run_single(
         wall_clock_budget=plan.wall_clock_budget,
     )
     measures = {name: result.time_average for name, result in output.rewards.items()}
-    measures["_events"] = float(output.event_count)
-    # Stash the counters and kernel stats for the caller (not rewards;
-    # underscore measure keys are popped by `simulate` and must stay
-    # floats, so richer diagnostics ride function attributes instead).
-    run_single.last_counters = system.ledger.counters  # type: ignore[attr-defined]
-    run_single.last_kernel_stats = output.kernel_stats  # type: ignore[attr-defined]
     profiling.record(output.kernel_stats)
-    return measures
+    return measures, output, system.ledger.counters
 
 
 def simulate(
@@ -254,9 +251,10 @@ def simulate(
     counters: Optional[LedgerCounters] = None
     for replication in range(plan.replications):
         replication_seed = root.spawn(replication).seed
-        measures = run_single(params, plan, replication_seed, extra_rewards)
-        event_counts.append(int(measures.pop("_events")))
-        counters = getattr(run_single, "last_counters", None)
+        measures, output, counters = run_single(
+            params, plan, replication_seed, extra_rewards
+        )
+        event_counts.append(output.event_count)
         for name, value in measures.items():
             per_reward.setdefault(name, []).append(value)
 

@@ -1,26 +1,23 @@
 """The evaluation harness: regenerate every table and figure.
 
-Programmatic use::
+Every figure is named once, in :data:`FIGURE_SPECS`, and regenerated
+by :func:`run_figure`::
 
-    from repro.experiments import figures, render_figure, validate_figure
-    result = figures.figure_4a(preset="quick", seed=1)
+    from repro.experiments import render_figure, run_figure, validate_figure
+    result = run_figure("fig4a", preset="quick", seed=1)
     print(render_figure(result))
     for check in validate_figure(result):
         print(check)
 
-Command line: ``python -m repro run-figure fig4a --preset quick``.
+Command line: ``python -m repro run-figure fig4a --preset quick``
+(``python -m repro list`` prints every id).
 """
 
 from . import figures
-from .config import FIGURE_IDS, PRESETS, base_parameters, plan_for
-from .figures import FIGURE_RUNNERS, FIGURE_SPECS, run_figure
+from .config import PRESETS, base_parameters, plan_for
+from .figures import FIGURE_SPECS, run_figure
 from .specs import FigureSpec
-from .report import (
-    figure_to_json,
-    render_ascii_chart,
-    render_figure,
-    render_table3,
-)
+from .report import render_ascii_chart, render_figure, render_table3
 from .archive import (
     FIGURE_SCHEMA_VERSION,
     Discrepancy,
@@ -53,11 +50,9 @@ from .validation import ShapeCheck, validate_figure
 
 __all__ = [
     "figures",
-    "FIGURE_RUNNERS",
     "FIGURE_SPECS",
     "FigureSpec",
     "run_figure",
-    "FIGURE_IDS",
     "PRESETS",
     "base_parameters",
     "plan_for",
@@ -67,7 +62,6 @@ __all__ = [
     "render_figure",
     "render_ascii_chart",
     "render_table3",
-    "figure_to_json",
     "ShapeCheck",
     "validate_figure",
     "FIGURE_SCHEMA_VERSION",

@@ -8,6 +8,8 @@ Usage::
     python -m repro run-figure fig4a --preset quick --seed 7
     python -m repro run-figure fig4a --preset quick --backend analytical
     python -m repro run-all --preset standard --output EXPERIMENTS.out.md
+    python -m repro claims --preset standard --processes 2 --save-json out
+    python -m repro claims --from-json out  # judge an archive, run nothing
     python -m repro run-figure fig4a --checkpoint-dir ckpt --resume \
         --retries 3 --point-timeout 1800 --processes 4 --cache-dir cache
     python -m repro run-figure fig4a --preset quick --save-json out \
@@ -35,21 +37,22 @@ import math
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..backends import BackendError, all_backends, backend_ids
 from ..core.simulation import PLAN_KERNELS
 from ..exec import EXECUTOR_IDS, ExecutorError
 from ..exec.queue import POLL_INTERVAL_SECONDS
 from ..strategies import StrategyError
-from .config import FIGURE_IDS, PRESETS
-from .figures import FIGURE_RUNNERS
+from .config import PRESETS
+from .figures import FIGURE_SPECS, run_figure
 from .report import (
     render_ascii_chart,
     render_figure,
     render_table3,
     write_markdown_section,
 )
+from .runner import FigureResult
 from .validation import validate_figure
 
 __all__ = ["main", "build_parser"]
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run-figure", help="regenerate one figure")
-    run.add_argument("figure", choices=sorted(FIGURE_RUNNERS))
+    run.add_argument("figure", choices=sorted(FIGURE_SPECS))
     _add_run_options(run)
 
     run_all = sub.add_parser("run-all", help="regenerate every figure")
@@ -321,12 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help="do not group activities by submodel")
 
     claims = sub.add_parser(
-        "claims", help="evaluate the paper's claims against fresh runs"
+        "claims",
+        help=(
+            "evaluate the paper's claims, regenerating each figure they "
+            "need as run-figure does"
+        ),
     )
     _add_run_options(claims)
     claims.add_argument(
         "--from-json", default=None, metavar="DIR",
-        help="evaluate against an existing JSON archive instead of re-running",
+        help=(
+            "read the figures from this JSON archive; only figures it "
+            "lacks are regenerated"
+        ),
     )
 
     compare = sub.add_parser(
@@ -656,12 +666,16 @@ def _resilience_from_args(args: argparse.Namespace):
     )
 
 
-def _run_one(figure_id: str, args: argparse.Namespace, stream) -> bool:
+def _run_one(
+    figure_id: str, args: argparse.Namespace, stream
+) -> Tuple[FigureResult, bool]:
+    """Regenerate one figure with every run option, print it and its
+    shape checks, and write what the options ask for. Returns the
+    figure and whether it has no failed point and no failed check."""
     from ..obs import trace as obs_trace
     from ..obs import metrics as obs_metrics
     from ..san import profiling
 
-    runner = FIGURE_RUNNERS[figure_id]
     processes = args.processes
     executor = getattr(args, "executor", None)
     kernel_stats = getattr(args, "kernel_stats", False)
@@ -695,7 +709,8 @@ def _run_one(figure_id: str, args: argparse.Namespace, stream) -> bool:
         previous_sink = obs_trace.set_default_sink(sink)
     started = time.time()
     try:
-        figure = runner(
+        figure = run_figure(
+            figure_id,
             preset=args.preset,
             seed=args.seed,
             processes=processes,
@@ -762,7 +777,7 @@ def _run_one(figure_id: str, args: argparse.Namespace, stream) -> bool:
                 f"{manifest_path(args.save_json, figure.figure_id)}"
             )
     print()
-    return ok
+    return figure, ok
 
 
 def _obs_command(path: str, as_json: bool = False) -> int:
@@ -896,6 +911,35 @@ def _worker_command(args: argparse.Namespace) -> int:
         f"{worker.failed} failed, {worker.dropped} dropped"
     )
     return 0
+
+
+def _claims_command(args: argparse.Namespace) -> int:
+    """The ``claims`` subcommand: judge the paper's claims on figures
+    read from ``--from-json`` or regenerated by :func:`_run_one`.
+
+    Exit 1 when a claim diverges or a regenerated figure has a failed
+    point, else 0.
+    """
+    from .archive import load_archive
+    from .paper_claims import CLAIMS, evaluate_claims, render_claims
+
+    figures = load_archive(args.from_json) if args.from_json else {}
+    ok = True
+    for figure_id in dict.fromkeys(claim.figure_id for claim in CLAIMS):
+        if figure_id not in figures:
+            figure, _ = _run_one(figure_id, args, stream=None)
+            figures[figure_id] = figure
+            ok = ok and not figure.failures
+    outcomes = evaluate_claims(figures)
+    print(render_claims(outcomes))
+    judged = {outcome.claim.claim_id for outcome in outcomes}
+    skipped = [claim.claim_id for claim in CLAIMS if claim.claim_id not in judged]
+    if skipped:
+        print(
+            "not judged, their figures lack the points they read: "
+            + ", ".join(skipped)
+        )
+    return 0 if ok and all(outcome.holds for outcome in outcomes) else 1
 
 
 def _cache_command(args: argparse.Namespace) -> int:
@@ -1033,7 +1077,6 @@ def _chaos_command(args: argparse.Namespace) -> int:
     """
     from .chaos import default_chaos_resilience, run_chaos
     from .faultinject import BackendFaultPlan
-    from .figures import FIGURE_SPECS
 
     spec = FIGURE_SPECS.get(args.figure)
     if spec is None or spec.custom is not None:
@@ -1094,7 +1137,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
-        for figure_id in FIGURE_IDS:
+        print("table3")
+        for figure_id in FIGURE_SPECS:
             print(figure_id)
         return 0
 
@@ -1162,7 +1206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "run-figure":
         try:
-            ok = _run_one(args.figure, args, stream=None)
+            _, ok = _run_one(args.figure, args, stream=None)
         except (BackendError, ExecutorError, StrategyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1178,15 +1222,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "claims":
-        from .archive import load_archive
-        from .paper_claims import evaluate_claims, render_claims
-
-        figures = load_archive(args.from_json) if args.from_json else None
-        outcomes = evaluate_claims(
-            preset=args.preset, seed=args.seed, figures=figures
-        )
-        print(render_claims(outcomes))
-        return 0 if all(outcome.holds for outcome in outcomes) else 1
+        try:
+            return _claims_command(args)
+        except (BackendError, ExecutorError, StrategyError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "compare":
         from .archive import compare_archives
@@ -1271,9 +1311,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         all_ok = True
         print(render_table3())
         print()
-        for figure_id in sorted(FIGURE_RUNNERS):
+        for figure_id in sorted(FIGURE_SPECS):
             try:
-                all_ok = _run_one(figure_id, args, stream) and all_ok
+                all_ok = _run_one(figure_id, args, stream)[1] and all_ok
             except (BackendError, ExecutorError, StrategyError) as exc:
                 print(f"error: {figure_id}: {exc}\n", file=sys.stderr)
                 all_ok = False

@@ -1,8 +1,8 @@
-"""Experiment presets and the per-figure parameter grids.
+"""Experiment presets, the base configuration and the shared grids.
 
-Every figure of the paper's evaluation (Section 7) is described here
-as data: the x-axis grid, the series, and the configuration each point
-runs. Three presets trade accuracy for time:
+The figures themselves are declared in
+:mod:`repro.experiments.figures`. Three presets trade accuracy for
+time:
 
 * ``quick`` — benchmark-suite scale (minutes for everything);
 * ``standard`` — faithful shapes with tight-enough intervals;
@@ -16,7 +16,6 @@ windows give the same steady-state estimates at lower cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..core.parameters import HOUR, MINUTE, YEAR, CoordinationMode, ModelParameters
@@ -27,7 +26,6 @@ __all__ = [
     "plan_for",
     "PROCESSOR_GRID",
     "INTERVAL_GRID_MIN",
-    "FIGURE_IDS",
     "base_parameters",
 ]
 
@@ -36,27 +34,6 @@ PROCESSOR_GRID: Tuple[int, ...] = (8192, 16384, 32768, 65536, 131072, 262144)
 
 #: The paper's checkpoint-interval grid in minutes (Figures 4b/4d/4f).
 INTERVAL_GRID_MIN: Tuple[int, ...] = (15, 30, 60, 120, 240)
-
-#: Every experiment the harness can regenerate.
-FIGURE_IDS: Tuple[str, ...] = (
-    "table3",
-    "section7.1",
-    "fig4a",
-    "fig4b",
-    "fig4c",
-    "fig4d",
-    "fig4e",
-    "fig4f",
-    "fig4g",
-    "fig4h",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig3",
-    "coordination-law",
-    "strategy-compare",
-)
 
 PRESETS: Dict[str, SimulationPlan] = {
     "quick": SimulationPlan(warmup=20 * HOUR, observation=150 * HOUR, replications=2),

@@ -2,9 +2,9 @@
 
 Every figure is a :class:`~repro.experiments.specs.FigureSpec` in
 :data:`FIGURE_SPECS` — id, axes, metric, evaluation backend, and a
-points builder — regenerated by the generic :func:`run_figure`. The
-``figure_*`` functions remain as thin named wrappers so existing
-callers (CLI, benchmarks, paper-claims checks) keep working.
+points builder — and :func:`run_figure` regenerates any of them by id.
+The table is the one list of figures: every command and benchmark
+names a figure by its key there.
 
 Figures that are not parameter sweeps (the exact Figure 3 chain, the
 coordination-law cross-validation, the Section 7.1 headline) plug a
@@ -36,27 +36,7 @@ from .resilience import ResilienceOptions
 from .runner import FigureResult, SweepPoint, run_sweep
 from .specs import FigureSpec
 
-__all__ = [
-    "figure_4a",
-    "figure_4b",
-    "figure_4c",
-    "figure_4d",
-    "figure_4e",
-    "figure_4f",
-    "figure_4g",
-    "figure_4h",
-    "figure_5",
-    "figure_6",
-    "figure_7",
-    "figure_8",
-    "figure_3",
-    "coordination_law",
-    "section_7_1",
-    "strategy_compare",
-    "run_figure",
-    "FIGURE_SPECS",
-    "FIGURE_RUNNERS",
-]
+__all__ = ["FIGURE_SPECS", "run_figure"]
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +318,7 @@ def _fig8_points() -> List[SweepPoint]:
 # ----------------------------------------------------------------------
 # Custom (non-sweep) figures
 # ----------------------------------------------------------------------
-def _figure_3(
+def _fig3_chain(
     preset: str = "standard",
     seed: int = 0,
     processes: Optional[int] = None,
@@ -472,10 +452,12 @@ def _section_7_1(
 # ----------------------------------------------------------------------
 # The declarative table, and the generic runner
 # ----------------------------------------------------------------------
-#: Every figure of the evaluation, declared.
+#: Every figure of the evaluation, declared, in the order ``repro list``
+#: prints them.
 FIGURE_SPECS: Dict[str, FigureSpec] = {
     spec.figure_id: spec
     for spec in (
+        FigureSpec("section7.1", custom=_section_7_1),
         FigureSpec(
             "fig4a",
             "Useful work vs number of processors for different MTTFs",
@@ -561,6 +543,8 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             "useful_work_fraction",
             _fig8_points,
         ),
+        FigureSpec("fig3", backend="ctmc", custom=_fig3_chain),
+        FigureSpec("coordination-law", backend="cluster", custom=_coordination_law),
         FigureSpec(
             "strategy-compare",
             "Useful work fraction vs processors per checkpointing strategy",
@@ -568,9 +552,6 @@ FIGURE_SPECS: Dict[str, FigureSpec] = {
             "useful_work_fraction",
             _strategy_compare_points,
         ),
-        FigureSpec("fig3", backend="ctmc", custom=_figure_3),
-        FigureSpec("coordination-law", backend="cluster", custom=_coordination_law),
-        FigureSpec("section7.1", custom=_section_7_1),
     )
 }
 
@@ -703,142 +684,3 @@ def run_figure(
         figure.manifest.preset = preset
         figure.manifest.notes = list(figure.notes)
     return figure
-
-
-# ----------------------------------------------------------------------
-# Named wrappers (stable public API over the specs)
-# ----------------------------------------------------------------------
-def _wrapper(figure_id: str, doc: str):
-    """A named ``figure_*`` function delegating to :func:`run_figure`."""
-
-    def runner(
-        preset: str = "standard",
-        seed: int = 0,
-        processes: Optional[int] = None,
-        resilience: Optional[ResilienceOptions] = None,
-        backend: Optional[str] = None,
-        kernel: Optional[str] = None,
-        strategy: Optional[str] = None,
-        executor=None,
-        queue_dir: Optional[str] = None,
-        max_points: Optional[int] = None,
-    ) -> FigureResult:
-        return run_figure(
-            figure_id, preset=preset, seed=seed, processes=processes,
-            resilience=resilience, backend=backend, kernel=kernel,
-            strategy=strategy, executor=executor, queue_dir=queue_dir,
-            max_points=max_points,
-        )
-
-    runner.__name__ = "figure_" + figure_id.replace("fig", "", 1)
-    runner.__qualname__ = runner.__name__
-    runner.__doc__ = doc
-    return runner
-
-
-figure_4a = _wrapper(
-    "fig4a",
-    """Total useful work vs number of processors for different MTTFs
-    (MTTR = 10 min, checkpoint interval = 30 min).""",
-)
-figure_4b = _wrapper(
-    "fig4b",
-    """Total useful work vs checkpoint interval for different numbers
-    of processors (MTTF = 1 yr, MTTR = 10 min).""",
-)
-figure_4c = _wrapper(
-    "fig4c",
-    """Total useful work vs number of processors for different MTTRs
-    (MTTF = 1 yr, checkpoint interval = 30 min).""",
-)
-figure_4d = _wrapper(
-    "fig4d",
-    """Total useful work vs checkpoint interval for different MTTRs
-    (MTTF = 1 yr, 64K processors).""",
-)
-figure_4e = _wrapper(
-    "fig4e",
-    """Total useful work vs number of processors for different
-    checkpoint intervals (MTTF = 1 yr, MTTR = 10 min).""",
-)
-figure_4f = _wrapper(
-    "fig4f",
-    """Total useful work vs checkpoint interval for different MTTFs
-    (MTTR = 10 min, 64K processors).""",
-)
-figure_4g = _wrapper(
-    "fig4g",
-    """Total useful work vs number of nodes at 32 processors per node
-    (MTTF per node of 1 and 2 years).""",
-)
-figure_4h = _wrapper(
-    "fig4h",
-    """Total useful work vs number of nodes at 16 processors per node
-    (MTTF per node of 1 and 2 years).""",
-)
-figure_5 = _wrapper(
-    "fig5",
-    """Useful work fraction vs processors under pure coordination
-    (no failures, no timeout); see the spec's points builder for the
-    exact configuration and the attached closed-form notes.""",
-)
-figure_6 = _wrapper(
-    "fig6",
-    """Useful work fraction vs processors under coordination with
-    timeouts (MTTF per node = 3 yrs, interval = 30 min, MTTQ = 10 s).""",
-)
-figure_7 = _wrapper(
-    "fig7",
-    """Useful work fraction vs probability of correlated failure for
-    error-propagation correlated failures (MTTF = 3 yrs, 256K
-    processors, window = 3 min).""",
-)
-figure_8 = _wrapper(
-    "fig8",
-    """Useful work fraction vs processors with and without generic
-    correlated failures (coefficient = 0.0025, factor = 400, MTTF =
-    3 yrs, interval = 30 min) — the whole-system failure rate doubles.""",
-)
-figure_3 = _wrapper(
-    "fig3",
-    """The Section 6 birth–death chain, solved exactly for the paper's
-    worked example (n = 1024, p = 0.3, MTTR = 10 min, MTTF = 25 yrs,
-    giving r ≈ 550).""",
-)
-coordination_law = _wrapper(
-    "coordination-law",
-    """Cross-validation of the Section 5 coordination law against the
-    message-level cluster simulator: measured mean coordination time
-    vs ``MTTQ * H_n`` for increasing node counts.""",
-)
-section_7_1 = _wrapper(
-    "section7.1",
-    """The Section 7.1 headline: the optimum processor count for the
-    base configuration and the useful work fraction at the peak.""",
-)
-strategy_compare = _wrapper(
-    "strategy-compare",
-    """Useful work fraction vs processors at base parameters, run once
-    per checkpointing strategy (``--strategy`` / the ``strategy``
-    keyword) to compare the protocol variants of the strategy zoo.""",
-)
-
-#: Dispatch table used by the CLI and the benchmark suite.
-FIGURE_RUNNERS = {
-    "fig4a": figure_4a,
-    "fig4b": figure_4b,
-    "fig4c": figure_4c,
-    "fig4d": figure_4d,
-    "fig4e": figure_4e,
-    "fig4f": figure_4f,
-    "fig4g": figure_4g,
-    "fig4h": figure_4h,
-    "fig5": figure_5,
-    "fig6": figure_6,
-    "fig7": figure_7,
-    "fig8": figure_8,
-    "fig3": figure_3,
-    "coordination-law": coordination_law,
-    "section7.1": section_7_1,
-    "strategy-compare": strategy_compare,
-}

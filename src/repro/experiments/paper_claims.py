@@ -4,22 +4,26 @@ EXPERIMENTS.md records the paper-vs-measured comparison as prose; this
 module makes the comparison *executable*: each :class:`Claim` names a
 claim the paper makes, the figure it rests on, the value the paper
 reports, and a function that extracts the measured counterpart and
-judges it. ``python -m repro claims`` regenerates the needed figures
-once and prints the verdict table.
+judges it. ``python -m repro claims`` regenerates each needed figure
+the way ``run-figure`` does (or reads it from an archive) and prints
+the verdict table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .figures import FIGURE_RUNNERS
+from .config import INTERVAL_GRID_MIN, PROCESSOR_GRID
 from .runner import FigureResult
 
 __all__ = ["Claim", "ClaimOutcome", "CLAIMS", "evaluate_claims", "render_claims"]
 
-#: A check returns (measured description, holds?).
-CheckFunction = Callable[[FigureResult], Tuple[str, bool]]
+#: A check returns (measured description, holds?), or None when the
+#: figure lacks a series or x value the check reads (a
+#: ``--max-points`` slice): such a claim is not judged.
+Verdict = Optional[Tuple[str, bool]]
+CheckFunction = Callable[[FigureResult], Verdict]
 
 
 @dataclass(frozen=True)
@@ -50,27 +54,48 @@ class ClaimOutcome:
         )
 
 
-def _optimum_processors(figure: FigureResult) -> Tuple[str, bool]:
+def _covers(
+    figure: FigureResult, labels: Sequence[str], xs: Sequence[float]
+) -> bool:
+    """Whether the figure has every curve in ``labels`` at every x in
+    ``xs``."""
+    for label in labels:
+        present = {x for x, _, _ in figure.series.get(label, ())}
+        if not all(x in present for x in xs):
+            return False
+    return True
+
+
+def _optimum_processors(figure: FigureResult) -> Verdict:
+    if not _covers(figure, ["MTTF (yrs) = 1"], PROCESSOR_GRID):
+        return None
     peak = figure.peak_x("MTTF (yrs) = 1")
     return f"peak at {int(peak)} processors", peak == 131072
 
 
-def _uwf_at_peak(figure: FigureResult) -> Tuple[str, bool]:
+def _uwf_at_peak(figure: FigureResult) -> Verdict:
     label = "MTTF (yrs) = 1"
+    if not _covers(figure, [label], PROCESSOR_GRID):
+        return None
     peak_x = figure.peak_x(label)
     points = {x: y for x, y, _ in figure.series[label]}
     fraction = points[peak_x] / peak_x
     return f"UWF {fraction:.3f} at {int(peak_x)} processors", abs(fraction - 0.427) < 0.06
 
 
-def _below_half_at_peak(figure: FigureResult) -> Tuple[str, bool]:
+def _below_half_at_peak(figure: FigureResult) -> Verdict:
     label = "MTTF (yrs) = 1"
+    if not _covers(figure, [label], PROCESSOR_GRID):
+        return None
     peak_x = figure.peak_x(label)
     points = {x: y for x, y, _ in figure.series[label]}
     fraction = points[peak_x] / peak_x
     return f"UWF {fraction:.3f}", fraction < 0.5
 
-def _flat_then_fall_64k(figure: FigureResult) -> Tuple[str, bool]:
+
+def _flat_then_fall_64k(figure: FigureResult) -> Verdict:
+    if not _covers(figure, ["processors = 65536"], INTERVAL_GRID_MIN[:3]):
+        return None
     ys = figure.y_values("processors = 65536")
     head_variation = abs(ys[1] - ys[0]) / max(ys[0], ys[1])
     drop = (ys[1] - ys[2]) / ys[1]
@@ -81,17 +106,23 @@ def _flat_then_fall_64k(figure: FigureResult) -> Tuple[str, bool]:
     )
 
 
-def _no_practical_optimum(figure: FigureResult) -> Tuple[str, bool]:
+def _no_practical_optimum(figure: FigureResult) -> Verdict:
     # For every system size, the best interval is 15 or 30 minutes.
+    labels = [f"processors = {n}" for n in PROCESSOR_GRID]
+    if not _covers(figure, labels, INTERVAL_GRID_MIN):
+        return None
     winners = []
     for label, points in figure.series.items():
         best_x = max(points, key=lambda p: p[1])[0]
-        winners.append(best_x)
+        winners.append(int(best_x))  # an archive reads 15 back as 15.0
     holds = all(x <= 30 for x in winners)
     return f"best intervals: {sorted(set(winners))}", holds
 
 
-def _optimum_shifts_with_interval(figure: FigureResult) -> Tuple[str, bool]:
+def _optimum_shifts_with_interval(figure: FigureResult) -> Verdict:
+    labels = ["chkpt_interval (mins) = 30", "chkpt_interval (mins) = 60"]
+    if not _covers(figure, labels, PROCESSOR_GRID):
+        return None
     peak_30 = figure.peak_x("chkpt_interval (mins) = 30")
     peak_60 = figure.peak_x("chkpt_interval (mins) = 60")
     return (
@@ -100,14 +131,16 @@ def _optimum_shifts_with_interval(figure: FigureResult) -> Tuple[str, bool]:
     )
 
 
-def _coordination_logarithmic(figure: FigureResult) -> Tuple[str, bool]:
-    ys = figure.y_values("MTTQ=10s")
-    total_drop = ys[0] - ys[-1]
+def _coordination_logarithmic(figure: FigureResult) -> Verdict:
     # Each 4x step in n costs a roughly constant increment: compare
-    # the first-half and second-half drops.
-    half = len(ys) // 2
-    first = ys[0] - ys[half]
-    second = ys[half] - ys[-1]
+    # the drops over the two halves of the 1..4^15 grid.
+    label, middle, last = "MTTQ=10s", 4**8, 4**15
+    if not _covers(figure, [label], (1, middle, last)):
+        return None
+    ys = {x: y for x, y, _ in figure.series[label]}
+    total_drop = ys[1] - ys[last]
+    first = ys[1] - ys[middle]
+    second = ys[middle] - ys[last]
     holds = total_drop < 0.12 and abs(first - second) < 0.4 * total_drop
     return (
         f"total drop {total_drop:.3f} over 2^30x processors, halves "
@@ -116,25 +149,34 @@ def _coordination_logarithmic(figure: FigureResult) -> Tuple[str, bool]:
     )
 
 
-def _small_timeouts_collapse(figure: FigureResult) -> Tuple[str, bool]:
+def _small_timeouts_collapse(figure: FigureResult) -> Verdict:
+    if not _covers(figure, ["no timeout", "timeout=20s"], (8192,)):
+        return None
     none = figure.y_values("no timeout")[0]  # 8192 processors
     short = figure.y_values("timeout=20s")[0]
     return f"UWF {none:.3f} without timeout vs {short:.3f} at 20 s", short < 0.5 * none
 
 
-def _generous_timeout_safe_small(figure: FigureResult) -> Tuple[str, bool]:
+def _generous_timeout_safe_small(figure: FigureResult) -> Verdict:
+    if not _covers(figure, ["no timeout", "timeout=120s"], (8192,)):
+        return None
     none = figure.y_values("no timeout")[0]
     generous = figure.y_values("timeout=120s")[0]
     return f"UWF {generous:.3f} at 120 s vs {none:.3f}", abs(generous - none) < 0.1
 
 
-def _propagation_insensitive(figure: FigureResult) -> Tuple[str, bool]:
+def _propagation_insensitive(figure: FigureResult) -> Verdict:
     values = [y for points in figure.series.values() for _, y, _ in points]
+    if not values:
+        return None
     spread = (max(values) - min(values)) / max(values)
     return f"UWF band {min(values):.3f}-{max(values):.3f}", spread < 0.25
 
 
-def _generic_drop(figure: FigureResult) -> Tuple[str, bool]:
+def _generic_drop(figure: FigureResult) -> Verdict:
+    labels = ["without correlated failure", "with correlated failure"]
+    if not _covers(figure, labels, (262144,)):
+        return None
     without = {x: y for x, y, _ in figure.series["without correlated failure"]}
     with_cf = {x: y for x, y, _ in figure.series["with correlated failure"]}
     drop = without[262144] - with_cf[262144]
@@ -224,28 +266,22 @@ CLAIMS: List[Claim] = [
 
 
 def evaluate_claims(
-    preset: str = "standard",
-    seed: int = 0,
-    figures: Optional[Dict[str, FigureResult]] = None,
+    figures: Dict[str, FigureResult],
     claims: Optional[List[Claim]] = None,
 ) -> List[ClaimOutcome]:
-    """Evaluate the claims, regenerating each needed figure once.
+    """Judge each claim on its figure in ``figures`` (keyed by figure
+    id); runs nothing.
 
-    ``figures`` may supply pre-computed figures (e.g. loaded from an
-    archive) keyed by figure id; anything missing is regenerated at
-    ``preset``.
+    A claim whose figure is absent, or lacks a point the claim reads,
+    is not judged and has no outcome.
     """
-    claims = CLAIMS if claims is None else claims
-    cache: Dict[str, FigureResult] = dict(figures or {})
     outcomes: List[ClaimOutcome] = []
-    for claim in claims:
-        figure = cache.get(claim.figure_id)
-        if figure is None:
-            runner = FIGURE_RUNNERS[claim.figure_id]
-            figure = runner(preset=preset, seed=seed)
-            cache[claim.figure_id] = figure
-        measured, holds = claim.check(figure)
-        outcomes.append(ClaimOutcome(claim=claim, measured=measured, holds=holds))
+    for claim in CLAIMS if claims is None else claims:
+        figure = figures.get(claim.figure_id)
+        verdict = None if figure is None else claim.check(figure)
+        if verdict is not None:
+            measured, holds = verdict
+            outcomes.append(ClaimOutcome(claim=claim, measured=measured, holds=holds))
     return outcomes
 
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 from ..core.parameters import MINUTE, YEAR, ModelParameters
 from .runner import FigureResult
@@ -13,7 +11,6 @@ __all__ = [
     "render_figure",
     "render_ascii_chart",
     "render_table3",
-    "figure_to_json",
     "write_markdown_section",
 ]
 
@@ -166,11 +163,6 @@ def render_table3(params: Optional[ModelParameters] = None) -> str:
     for name, value, comment in rows:
         lines.append(f"{name.ljust(name_width)}  {value.ljust(value_width)}  {comment}")
     return "\n".join(lines)
-
-
-def figure_to_json(figure: FigureResult) -> str:
-    """Serialise a figure result for archival."""
-    return json.dumps(asdict(figure), indent=2, sort_keys=True)
 
 
 def write_markdown_section(figure: FigureResult, stream: TextIO) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from .config import INTERVAL_GRID_MIN
 from .runner import FigureResult
 
 __all__ = [
@@ -159,7 +160,13 @@ def _expects_flat_head(figure_id: str, label: str) -> bool:
 
 
 def validate_figure(figure: FigureResult) -> List[ShapeCheck]:
-    """The built-in checks for each known figure id."""
+    """The built-in checks for each known figure id.
+
+    A check is skipped when the figure lacks the points it reads, as
+    a ``--max-points`` slice does: an optimum needs 3 points, a
+    decline 2, an interval curve the whole interval grid, and fig8's
+    degradation both curves at 262144 processors.
+    """
     checks: List[ShapeCheck] = []
     fid = figure.figure_id
     if fid in ("fig4a", "fig4c", "fig4e", "section7.1"):
@@ -172,6 +179,8 @@ def validate_figure(figure: FigureResult) -> List[ShapeCheck]:
         for label, points in figure.series.items():
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
+            if not set(INTERVAL_GRID_MIN) <= set(xs):
+                continue
             if not _expects_flat_head(fid, label):
                 # Outside the moderately-stressed regime the paper's
                 # own curves are not flat either: extremely stressed
@@ -194,6 +203,8 @@ def validate_figure(figure: FigureResult) -> List[ShapeCheck]:
         for label, points in figure.series.items():
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
+            if len(points) < 2:
+                continue
             checks.append(
                 is_monotone_decreasing(
                     xs, ys, f"{fid}/{label} logarithmic decline", tolerance=0.01
@@ -202,15 +213,14 @@ def validate_figure(figure: FigureResult) -> List[ShapeCheck]:
     if fid == "fig8":
         without = {p[0]: p[1] for p in figure.series.get("without correlated failure", [])}
         with_cf = {p[0]: p[1] for p in figure.series.get("with correlated failure", [])}
-        shared = sorted(set(without) & set(with_cf))
-        if shared:
-            largest = shared[-1]
-            drop = relative_drop(without[largest], with_cf[largest])
+        at_scale = 262144
+        if at_scale in without and at_scale in with_cf:
+            drop = relative_drop(without[at_scale], with_cf[at_scale])
             checks.append(
                 ShapeCheck(
                     "fig8 correlated degradation at scale",
                     drop >= 0.2,
-                    f"UWF drop at {int(largest)} processors: {drop:.2%} (paper: ~51%)",
+                    f"UWF drop at {at_scale} processors: {drop:.2%} (paper: ~51%)",
                 )
             )
     if fid == "fig7":

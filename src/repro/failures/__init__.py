@@ -1,18 +1,16 @@
 """Failure process machinery: arrival processes, synthetic traces and
 correlation arithmetic."""
 
-from .correlation import CorrelationSpec, window_occupancy
+from .correlation import CorrelationSpec
 from .processes import BurstProcess, ModulatedPoissonProcess, PoissonProcess
-from .traces import FailureRecord, clustering_coefficient, estimate_mtbf, generate_trace
+from .traces import FailureRecord, clustering_coefficient, generate_trace
 
 __all__ = [
     "PoissonProcess",
     "ModulatedPoissonProcess",
     "BurstProcess",
     "CorrelationSpec",
-    "window_occupancy",
     "FailureRecord",
     "generate_trace",
-    "estimate_mtbf",
     "clustering_coefficient",
 ]

@@ -3,8 +3,7 @@
 Small, well-tested helpers shared by the SAN submodels' documentation,
 the failure processes and the experiment configs: translating between
 the paper's three parameterisations of correlation (conditional
-probability ``p``, rate multiplier ``r``, coefficient ``alpha``) and
-deriving the windows' long-run occupancy.
+probability ``p``, rate multiplier ``r``, coefficient ``alpha``).
 """
 
 from __future__ import annotations
@@ -13,16 +12,7 @@ from dataclasses import dataclass
 
 from ..analytical.markov import conditional_probability, frate_factor, generic_system_rate
 
-__all__ = ["CorrelationSpec", "window_occupancy"]
-
-
-def window_occupancy(alpha: float) -> float:
-    """Long-run fraction of time inside a generic correlated window —
-    by construction equal to the coefficient ``alpha`` itself (the
-    identity is kept as a named function so call sites read clearly)."""
-    if not 0 <= alpha < 1:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return alpha
+__all__ = ["CorrelationSpec"]
 
 
 @dataclass(frozen=True)

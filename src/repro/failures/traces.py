@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["FailureRecord", "generate_trace", "estimate_mtbf", "clustering_coefficient"]
+__all__ = ["FailureRecord", "generate_trace", "clustering_coefficient"]
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,6 @@ def generate_trace(
         )
         if not correlated and p_e > 0 and rng.random() < p_e:
             burst_until = t + window
-
-
-def estimate_mtbf(trace: Sequence[FailureRecord]) -> float:
-    """Mean inter-failure time of a trace (needs >= 2 records)."""
-    if len(trace) < 2:
-        raise ValueError("need at least two failures to estimate MTBF")
-    times = np.array([record.time for record in trace])
-    return float(np.mean(np.diff(times)))
 
 
 def clustering_coefficient(trace: Sequence[FailureRecord], window: float) -> float:

@@ -74,7 +74,6 @@ from .trace import (
     SinkTracer,
     TraceEvent,
     Tracer,
-    WindowTracer,
 )
 
 __all__ = [
@@ -136,7 +135,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "MemoryTracer",
-    "WindowTracer",
     "CallbackTracer",
     "SinkTracer",
     "TraceEvent",

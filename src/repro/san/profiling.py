@@ -25,7 +25,6 @@ __all__ = [
     "KernelStats",
     "enable_aggregation",
     "disable_aggregation",
-    "aggregation_enabled",
     "record",
     "aggregated",
 ]
@@ -190,11 +189,6 @@ def enable_aggregation(reset: bool = True) -> None:
 def disable_aggregation() -> None:
     """Stop accumulating and drop the current aggregate."""
     _aggregate[0] = None
-
-
-def aggregation_enabled() -> bool:
-    """True while :func:`record` is accumulating."""
-    return _aggregate[0] is not None
 
 
 def record(stats: Optional[KernelStats]) -> None:

@@ -2,17 +2,15 @@
 
 Tracers observe every activity firing. The default :class:`NullTracer`
 costs one no-op call per event; :class:`MemoryTracer` keeps events for
-test assertions and debugging; :class:`WindowTracer` keeps only the
-most recent events of long runs; :class:`SinkTracer` bridges firings
+test assertions and debugging; :class:`SinkTracer` bridges firings
 into the unified observability sink (:mod:`repro.obs.trace`), where
 they interleave with cluster protocol events in one exported stream.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..obs.trace import TraceSink
 
@@ -21,7 +19,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "MemoryTracer",
-    "WindowTracer",
     "CallbackTracer",
     "SinkTracer",
 ]
@@ -56,11 +53,8 @@ class NullTracer(Tracer):
 
 
 class MemoryTracer(Tracer):
-    """Stores every event in order.
-
-    Only suitable for short runs; prefer :class:`WindowTracer` for
-    long simulations.
-    """
+    """Stores every event in order (only suitable for short runs; a
+    long one streams through :class:`SinkTracer` instead)."""
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
@@ -75,24 +69,6 @@ class MemoryTracer(Tracer):
     def times_of(self, name: str) -> List[float]:
         """Firing times of one activity."""
         return [event.time for event in self.events if event.activity == name]
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class WindowTracer(Tracer):
-    """Keeps the most recent ``capacity`` events."""
-
-    def __init__(self, capacity: int = 10_000) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
-
-    def record(self, time: float, activity: str, case: int) -> None:
-        self.events.append(TraceEvent(time, activity, case))
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)

@@ -223,7 +223,7 @@ def check_merge_of_replications(
     from ..core.simulation import run_single
 
     for replication in range(half, replications):
-        measures = run_single(params, plan, root.spawn(replication).seed)
+        measures, _, _ = run_single(params, plan, root.spawn(replication).seed)
         second_samples.append(measures["useful_work"])
 
     samples_match = merged.samples == first.samples + second_samples

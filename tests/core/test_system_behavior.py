@@ -212,14 +212,16 @@ class TestCoordinationModes:
 class TestDeterminism:
     def test_same_seed_same_result(self):
         params = ModelParameters(mttf_node=0.5 * YEAR)
-        a = run_single(params, QUICK, seed=42)
-        b = run_single(params, QUICK, seed=42)
+        a, a_output, a_counters = run_single(params, QUICK, seed=42)
+        b, b_output, b_counters = run_single(params, QUICK, seed=42)
         assert a == b
+        assert a_output.event_count == b_output.event_count
+        assert a_counters == b_counters
 
     def test_different_seeds_differ(self):
         params = ModelParameters(mttf_node=0.5 * YEAR)
-        a = run_single(params, QUICK, seed=42)
-        b = run_single(params, QUICK, seed=43)
+        a, _, _ = run_single(params, QUICK, seed=42)
+        b, _, _ = run_single(params, QUICK, seed=43)
         assert a[USEFUL_WORK] != b[USEFUL_WORK]
 
 

@@ -121,10 +121,10 @@ class TestArchiveSchemaErrors:
 
 class TestExitCodeMapping:
     def test_backend_error_maps_to_exit_2(self, monkeypatch, capsys):
-        def exploding_runner(**kwargs):
+        def exploding_runner(figure_id, **kwargs):
             raise BackendError("synthetic backend failure")
 
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", exploding_runner)
+        monkeypatch.setattr(cli, "run_figure", exploding_runner)
         rc = cli.main(["run-figure", "fig4a", "--preset", "quick"])
         captured = capsys.readouterr()
         assert rc == 2
@@ -158,11 +158,11 @@ class TestExitCodeMapping:
     def test_kernel_forwarded_to_runner(self, monkeypatch):
         seen = {}
 
-        def capturing_runner(**kwargs):
+        def capturing_runner(figure_id, **kwargs):
             seen.update(kwargs)
             raise BackendError("stop after capture")
 
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        monkeypatch.setattr(cli, "run_figure", capturing_runner)
         rc = cli.main(
             ["run-figure", "fig4a", "--preset", "quick", "--kernel", "full"]
         )
@@ -229,11 +229,11 @@ class TestExitCodeMapping:
     def test_executor_options_forwarded_to_runner(self, monkeypatch):
         seen = {}
 
-        def capturing_runner(**kwargs):
+        def capturing_runner(figure_id, **kwargs):
             seen.update(kwargs)
             raise BackendError("stop after capture")
 
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        monkeypatch.setattr(cli, "run_figure", capturing_runner)
         rc = cli.main(
             ["run-figure", "fig4a", "--preset", "quick",
              "--executor", "queue", "--queue-dir", "q", "--max-points", "4"]
@@ -246,11 +246,11 @@ class TestExitCodeMapping:
     def test_degrade_to_forwarded_in_order(self, monkeypatch):
         seen = {}
 
-        def capturing_runner(**kwargs):
+        def capturing_runner(figure_id, **kwargs):
             seen.update(kwargs)
             raise BackendError("stop after capture")
 
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        monkeypatch.setattr(cli, "run_figure", capturing_runner)
         rc = cli.main(
             ["run-figure", "fig4a", "--preset", "quick", "--retries", "3",
              "--degrade-to", "san-sim-full", "--degrade-to", "analytical"]
@@ -275,11 +275,11 @@ class TestExitCodeMapping:
         # must get a serial sweep, and the CLI says what it ignored.
         seen = {}
 
-        def capturing_runner(**kwargs):
+        def capturing_runner(figure_id, **kwargs):
             seen.update(kwargs)
             raise BackendError("stop after capture")
 
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        monkeypatch.setattr(cli, "run_figure", capturing_runner)
         argv = ["run-figure", "fig4a", "--preset", "quick", *extra, flag]
         if flag == "--trace-out":
             argv.append(str(tmp_path / "trace.jsonl"))
@@ -373,7 +373,7 @@ def test_non_finite_float_flag_is_a_usage_error(flag, argv, monkeypatch,
     # running (the completion study would never finish).
     monkeypatch.setattr(repro.analytical.design, "explore", _never_reached)
     monkeypatch.setattr(repro.core, "completion_study", _never_reached)
-    monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", _never_reached)
+    monkeypatch.setattr(cli, "run_figure", _never_reached)
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
@@ -479,12 +479,11 @@ def test_run_options_reject_bad_numbers(command, flag, value, monkeypatch,
                                         capsys):
     seen = {}
 
-    def capturing_runner(**kwargs):
+    def capturing_runner(figure_id, **kwargs):
         seen.update(kwargs)
         raise BackendError("stop after capture")
 
-    for figure_id in list(cli.FIGURE_RUNNERS):
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, figure_id, capturing_runner)
+    monkeypatch.setattr(cli, "run_figure", capturing_runner)
     with pytest.raises(SystemExit) as excinfo:
         cli.main([*command, "--preset", "quick", flag, value])
     assert excinfo.value.code == 2

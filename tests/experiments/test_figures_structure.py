@@ -1,15 +1,15 @@
-"""Structure tests for every figure runner, at micro scale.
+"""Structure tests for every figure spec, at micro scale.
 
-Each runner must produce the paper's exact series and grids. To keep
-this affordable, the preset resolution is monkeypatched to a tiny
-plan — these tests verify *structure* (labels, grids, configuration),
+Each figure must come out with the paper's exact series and grids. To
+keep this affordable, the preset resolution is monkeypatched to a
+tiny plan — these tests verify *structure* (labels, grids, configuration),
 not statistics (the benchmarks and EXPERIMENTS.md cover those).
 """
 
 import pytest
 
 from repro.core import HOUR, SimulationPlan
-from repro.experiments import FIGURE_RUNNERS, figures
+from repro.experiments import figures
 
 MICRO = SimulationPlan(warmup=1 * HOUR, observation=8 * HOUR, replications=1)
 
@@ -25,7 +25,7 @@ INTERVALS = [15.0, 30.0, 60.0, 120.0, 240.0]
 
 class TestFigure4Series:
     def test_fig4a(self):
-        figure = figures.figure_4a(preset="quick", seed=1)
+        figure = figures.run_figure("fig4a", preset="quick", seed=1)
         assert set(figure.series) == {
             "MTTF (yrs) = 0.125",
             "MTTF (yrs) = 0.25",
@@ -38,13 +38,13 @@ class TestFigure4Series:
         assert figure.metric == "total_useful_work"
 
     def test_fig4b(self):
-        figure = figures.figure_4b(preset="quick", seed=1)
+        figure = figures.run_figure("fig4b", preset="quick", seed=1)
         assert len(figure.series) == 6
         for label in figure.series:
             assert figure.x_values(label) == INTERVALS
 
     def test_fig4c(self):
-        figure = figures.figure_4c(preset="quick", seed=1)
+        figure = figures.run_figure("fig4c", preset="quick", seed=1)
         assert set(figure.series) == {
             "MTTR (mins) = 10",
             "MTTR (mins) = 20",
@@ -53,30 +53,30 @@ class TestFigure4Series:
         }
 
     def test_fig4d(self):
-        figure = figures.figure_4d(preset="quick", seed=1)
+        figure = figures.run_figure("fig4d", preset="quick", seed=1)
         for label in figure.series:
             assert figure.x_values(label) == INTERVALS
 
     def test_fig4e(self):
-        figure = figures.figure_4e(preset="quick", seed=1)
+        figure = figures.run_figure("fig4e", preset="quick", seed=1)
         assert len(figure.series) == 5
         for label in figure.series:
             assert figure.x_values(label) == PROCESSOR_GRID
 
     def test_fig4f(self):
-        figure = figures.figure_4f(preset="quick", seed=1)
+        figure = figures.run_figure("fig4f", preset="quick", seed=1)
         assert set(figure.series) == {
             f"MTTF per node (yrs) = {y}" for y in (1, 2, 4, 8, 16)
         }
 
     def test_fig4g_nodes_axis(self):
-        figure = figures.figure_4g(preset="quick", seed=1)
+        figure = figures.run_figure("fig4g", preset="quick", seed=1)
         for label in figure.series:
             assert figure.x_values(label) == [8192.0, 16384.0, 32768.0]
         assert figure.x_label == "number of nodes"
 
     def test_fig4h_nodes_axis(self):
-        figure = figures.figure_4h(preset="quick", seed=1)
+        figure = figures.run_figure("fig4h", preset="quick", seed=1)
         for label in figure.series:
             assert figure.x_values(label) == [
                 8192.0, 16384.0, 32768.0, 65536.0,
@@ -85,7 +85,7 @@ class TestFigure4Series:
 
 class TestCoordinationFigures:
     def test_fig5_grid_and_notes(self):
-        figure = figures.figure_5(preset="quick", seed=1)
+        figure = figures.run_figure("fig5", preset="quick", seed=1)
         assert set(figure.series) == {"MTTQ=10s", "MTTQ=2s", "MTTQ=0.5s"}
         xs = figure.x_values("MTTQ=10s")
         assert xs[0] == 1.0
@@ -98,7 +98,7 @@ class TestCoordinationFigures:
         assert figure.metric == "useful_work_fraction"
 
     def test_fig6_series(self):
-        figure = figures.figure_6(preset="quick", seed=1)
+        figure = figures.run_figure("fig6", preset="quick", seed=1)
         assert set(figure.series) == {
             "no coordination",
             "no timeout",
@@ -113,7 +113,7 @@ class TestCoordinationFigures:
 
 class TestCorrelatedFigures:
     def test_fig7_grid(self):
-        figure = figures.figure_7(preset="quick", seed=1)
+        figure = figures.run_figure("fig7", preset="quick", seed=1)
         assert set(figure.series) == {
             "frate_correlated_times=400",
             "frate_correlated_times=800",
@@ -123,7 +123,7 @@ class TestCorrelatedFigures:
             assert figure.x_values(label) == [0.0, 0.05, 0.1, 0.15, 0.2]
 
     def test_fig8_series(self):
-        figure = figures.figure_8(preset="quick", seed=1)
+        figure = figures.run_figure("fig8", preset="quick", seed=1)
         assert set(figure.series) == {
             "without correlated failure",
             "with correlated failure",
@@ -132,14 +132,14 @@ class TestCorrelatedFigures:
 
 class TestClosedFormFigures:
     def test_fig3_is_instant(self):
-        figure = figures.figure_3(preset="quick", seed=1)
+        figure = figures.run_figure("fig3", preset="quick", seed=1)
         assert "P(F_i)" in figure.series
         assert len(figure.notes) == 3
 
     def test_every_runner_produces_nonempty_series(self):
         # fig3 and section7.1 are covered elsewhere; the remaining
-        # runners must at minimum produce non-empty series dicts.
+        # figures must at minimum produce non-empty series dicts.
         for figure_id in ("fig4a", "fig5", "fig7", "fig8"):
-            figure = FIGURE_RUNNERS[figure_id](preset="quick", seed=2)
+            figure = figures.run_figure(figure_id, preset="quick", seed=2)
             assert figure.series
             assert figure.figure_id == figure_id

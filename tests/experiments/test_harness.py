@@ -7,8 +7,7 @@ import pytest
 
 from repro.core import HOUR, ModelParameters, SimulationPlan
 from repro.experiments import (
-    FIGURE_IDS,
-    FIGURE_RUNNERS,
+    FIGURE_SPECS,
     PRESETS,
     FigureResult,
     SweepPoint,
@@ -20,7 +19,7 @@ from repro.experiments import (
     validate_figure,
 )
 from repro.experiments.cli import build_parser, main
-from repro.experiments.report import figure_to_json, write_markdown_section
+from repro.experiments.report import write_markdown_section
 from repro.experiments.validation import (
     ShapeCheck,
     flat_then_falling,
@@ -47,8 +46,11 @@ class TestConfig:
         assert params.n_processors == 65536
         assert params.timeout is None
 
-    def test_every_runner_listed(self):
-        assert set(FIGURE_RUNNERS) <= set(FIGURE_IDS)
+    def test_every_runner_listed(self, capsys):
+        # `list` prints the parameter table's command, then every spec.
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == ["table3", *FIGURE_SPECS]
 
 
 class TestRunner:
@@ -111,13 +113,6 @@ class TestReport:
         assert "256 MB" in text
         assert "46.8" in text  # derived dump time
         assert "350 MB/s" in text
-
-    def test_json_roundtrip(self):
-        import json
-
-        data = json.loads(figure_to_json(self.figure()))
-        assert data["figure_id"] == "f"
-        assert data["series"]["curve"][0][1] == 0.5
 
     def test_markdown_section(self):
         stream = io.StringIO()

@@ -50,10 +50,10 @@ class TestClaimChecks:
         assert not too_small
 
     def test_all_claims_reference_known_figures(self):
-        from repro.experiments import FIGURE_RUNNERS
+        from repro.experiments import FIGURE_SPECS
 
         for claim in CLAIMS:
-            assert claim.figure_id in FIGURE_RUNNERS
+            assert claim.figure_id in FIGURE_SPECS
 
     def test_claim_ids_unique(self):
         ids = [claim.claim_id for claim in CLAIMS]
@@ -86,6 +86,27 @@ class TestEvaluateClaims:
         outcomes = evaluate_claims(figures=figures, claims=claims)
         assert not outcomes[0].holds
         assert "DIVERGES" in render_claims(outcomes)
+
+    def test_archived_figure_gets_the_same_verdicts(self, tmp_path):
+        # A sweep keeps the grid's ints as x; an archive reads them
+        # back as floats.
+        from repro.experiments import load_figure, save_figure
+        from repro.experiments.config import INTERVAL_GRID_MIN, PROCESSOR_GRID
+
+        figure = FigureResult("fig4b", "t", "x", "total_useful_work")
+        for n in PROCESSOR_GRID:
+            figure.series[f"processors = {n}"] = [
+                (x, 1000.0 - x, 0.0) for x in INTERVAL_GRID_MIN
+            ]
+        archived = load_figure(save_figure(figure, str(tmp_path)))
+        claims = [c for c in CLAIMS if c.figure_id == "fig4b"]
+
+        def verdicts(judged):
+            outcomes = evaluate_claims(figures={"fig4b": judged}, claims=claims)
+            return [str(outcome) for outcome in outcomes]
+
+        assert len(verdicts(figure)) == len(claims)
+        assert verdicts(archived) == verdicts(figure)
 
     def test_custom_claim(self):
         probe = Claim(

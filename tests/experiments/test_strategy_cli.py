@@ -64,13 +64,11 @@ class TestStrategyOption:
     def test_strategy_forwarded_to_runner(self, monkeypatch):
         seen = {}
 
-        def capturing_runner(**kwargs):
+        def capturing_runner(figure_id, **kwargs):
             seen.update(kwargs)
             raise BackendError("stop after capture")
 
-        monkeypatch.setitem(
-            cli.FIGURE_RUNNERS, "strategy-compare", capturing_runner
-        )
+        monkeypatch.setattr(cli, "run_figure", capturing_runner)
         rc = cli.main(
             ["run-figure", "strategy-compare", "--preset", "quick",
              "--strategy", "incremental:compression_ratio=0.25"]
@@ -81,11 +79,11 @@ class TestStrategyOption:
     def test_no_strategy_flag_forwards_none(self, monkeypatch):
         seen = {}
 
-        def capturing_runner(**kwargs):
+        def capturing_runner(figure_id, **kwargs):
             seen.update(kwargs)
             raise BackendError("stop after capture")
 
-        monkeypatch.setitem(cli.FIGURE_RUNNERS, "fig4a", capturing_runner)
+        monkeypatch.setattr(cli, "run_figure", capturing_runner)
         rc = cli.main(["run-figure", "fig4a", "--preset", "quick"])
         assert rc == 2
         # None means "use the FigureSpec's own strategy", so an

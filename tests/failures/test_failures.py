@@ -11,9 +11,7 @@ from repro.failures import (
     ModulatedPoissonProcess,
     PoissonProcess,
     clustering_coefficient,
-    estimate_mtbf,
     generate_trace,
-    window_occupancy,
 )
 
 
@@ -111,7 +109,8 @@ class TestTraces:
             n_nodes=1024, mttf_node=1 * YEAR, horizon=2000 * 3600.0, seed=1
         )
         expected_mtbf = YEAR / 1024
-        assert estimate_mtbf(trace) == pytest.approx(expected_mtbf, rel=0.1)
+        gaps = np.diff([record.time for record in trace])
+        assert float(np.mean(gaps)) == pytest.approx(expected_mtbf, rel=0.1)
 
     def test_node_ids_in_range(self):
         trace = generate_trace(64, 0.01 * YEAR, 10000 * 3600.0, seed=2)
@@ -131,7 +130,7 @@ class TestTraces:
 
     def test_estimators_validate(self):
         with pytest.raises(ValueError):
-            estimate_mtbf([])
+            clustering_coefficient([], window=1.0)
         trace = generate_trace(64, YEAR, 10000 * 3600.0, seed=4)
         with pytest.raises(ValueError):
             clustering_coefficient(trace, window=0.0)
@@ -158,11 +157,6 @@ class TestCorrelationSpec:
             CorrelationSpec.from_conditional_probability(
                 1e-6, mu=1 / 600.0, n_nodes=100000, lam=1 / 3600.0
             )
-
-    def test_window_occupancy_identity(self):
-        assert window_occupancy(0.05) == 0.05
-        with pytest.raises(ValueError):
-            window_occupancy(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from repro.san import (
 from repro.san.profiling import (
     KernelStats,
     aggregated,
-    aggregation_enabled,
     disable_aggregation,
     enable_aggregation,
     record,
@@ -121,11 +120,10 @@ class TestAggregation:
         disable_aggregation()
         record(KernelStats(events=5))
         assert aggregated() is None
-        assert not aggregation_enabled()
 
     def test_enable_record_aggregate(self):
         enable_aggregation()
-        assert aggregation_enabled()
+        assert aggregated().runs == 0
         record(KernelStats(kernel="incremental", events=5, wall_seconds=1.0))
         record(KernelStats(kernel="incremental", events=7, wall_seconds=1.0))
         total = aggregated()

@@ -1,8 +1,6 @@
 """Tests for tracing."""
 
-import pytest
-
-from repro.san import CallbackTracer, MemoryTracer, NullTracer, TraceEvent, WindowTracer
+from repro.san import CallbackTracer, MemoryTracer, NullTracer, TraceEvent
 
 
 class TestMemoryTracer:
@@ -20,19 +18,6 @@ class TestMemoryTracer:
         tracer.record(3.0, "a", 0)
         assert tracer.times_of("a") == [1.0, 3.0]
         assert len(tracer.of_activity("b")) == 1
-
-
-class TestWindowTracer:
-    def test_keeps_most_recent(self):
-        tracer = WindowTracer(capacity=3)
-        for i in range(10):
-            tracer.record(float(i), "x", 0)
-        assert [event.time for event in tracer] == [7.0, 8.0, 9.0]
-        assert len(tracer) == 3
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            WindowTracer(capacity=0)
 
 
 class TestCallbackTracer:
