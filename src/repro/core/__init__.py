@@ -16,7 +16,6 @@ from .completion import (
     simulate_completion,
 )
 from .ledger import LedgerCounters, WorkLedger
-from .metrics import PerformanceMetrics, total_useful_work
 from .parameters import (
     DAY,
     GB,
@@ -46,8 +45,6 @@ __all__ = [
     "GB",
     "WorkLedger",
     "LedgerCounters",
-    "PerformanceMetrics",
-    "total_useful_work",
     "CheckpointSystem",
     "build_system",
     "SimulationPlan",

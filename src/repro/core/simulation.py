@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.trace import NullSink, default_sink
+from ..obs.trace import default_sink
 from ..san import (
     ConfidenceInterval,
     RewardVariable,
     SimulationOutput,
     Simulator,
-    SinkTracer,
     StreamRegistry,
     confidence_interval,
 )
@@ -211,14 +210,9 @@ def run_single(
         system.model,
         ctx=system.ledger,
         streams=StreamRegistry(seed),
+        sink=default_sink(),
         kernel=plan.kernel,
     )
-    # Bridge firings into the process trace sink only when a driver
-    # installed a real one; the NullSink default keeps the executive on
-    # its no-tracer fast path (one isinstance check, here, per run).
-    sink = default_sink()
-    if not isinstance(sink, NullSink):
-        simulator.tracer = SinkTracer(sink)
     output = simulator.run(
         until=plan.horizon,
         warmup=plan.warmup,

@@ -32,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import os
@@ -485,9 +486,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME[:k=v,...]",
         help=(
-            "checkpointing strategy for sweep figures (default: each "
-            "figure's declared strategy, i.e. the paper's flat "
-            "protocol); e.g. 'incremental:compression_ratio=0.5' or "
+            "checkpointing strategy for sweep figures (default: the "
+            "paper's flat protocol); e.g. "
+            "'incremental:compression_ratio=0.5' or "
             "'adaptive'; see the 'strategies' command"
         ),
     )
@@ -629,9 +630,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help=(
-            "export SAN firings and cluster protocol events as JSON "
-            "lines to PATH; forces a serial sweep (worker processes do "
-            "not share the sink)"
+            "export SAN firings and cluster protocol events of every "
+            "figure the command runs as JSON lines to PATH; forces a "
+            "serial sweep (worker processes do not share the sink)"
         ),
     )
     parser.add_argument(
@@ -646,7 +647,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="with --trace-out: stop writing after N kept events",
+        help="with --trace-out: stop writing a figure's events after N kept ones",
     )
 
 
@@ -666,21 +667,64 @@ def _resilience_from_args(args: argparse.Namespace):
     )
 
 
+#: ``run_figure``'s sweep-only arguments, each set by the flag of the
+#: same name. A figure that is not a SAN sweep refuses them.
+_SWEEP_OPTIONS = (
+    "backend", "kernel", "strategy", "executor", "queue_dir", "max_points",
+)
+
+
+def _without_sweep_options(
+    figure_id: str, args: argparse.Namespace
+) -> argparse.Namespace:
+    """``args`` for ``run-all``'s figures that are not SAN sweeps: the
+    sweep-only options set to ``None``, after one line naming them."""
+    dropped = [name for name in _SWEEP_OPTIONS if getattr(args, name, None) is not None]
+    if not dropped:
+        return args
+    flags = ", ".join("--" + name.replace("_", "-") for name in dropped)
+    print(f"{figure_id} is not a SAN sweep: running it without {flags}")
+    return argparse.Namespace(**{**vars(args), **dict.fromkeys(dropped)})
+
+
+@contextlib.contextmanager
+def _trace_sink(args: argparse.Namespace):
+    """The command's ``--trace-out`` sink, installed as the process
+    sink around every figure the command runs and closed on every exit
+    path; ``None`` without the flag."""
+    from ..obs import trace as obs_trace
+
+    trace_out = getattr(args, "trace_out", None)
+    if not trace_out:
+        yield None
+        return
+    with obs_trace.JsonlTraceSink(
+        trace_out,
+        sample_every=getattr(args, "trace_sample", 1),
+        max_events=getattr(args, "trace_max_events", None),
+    ) as sink:
+        previous = obs_trace.set_default_sink(sink)
+        try:
+            yield sink
+        finally:
+            obs_trace.set_default_sink(previous)
+
+
 def _run_one(
-    figure_id: str, args: argparse.Namespace, stream
+    figure_id: str, args: argparse.Namespace, stream, sink=None
 ) -> Tuple[FigureResult, bool]:
     """Regenerate one figure with every run option, print it and its
-    shape checks, and write what the options ask for. Returns the
-    figure and whether it has no failed point and no failed check."""
-    from ..obs import trace as obs_trace
+    shape checks, and write what the options ask for. ``sink`` is the
+    command's :func:`_trace_sink`; its counts restart for each figure.
+    Returns the figure and whether it has no failed point and no failed
+    check."""
     from ..obs import metrics as obs_metrics
     from ..san import profiling
 
     processes = args.processes
     executor = getattr(args, "executor", None)
     kernel_stats = getattr(args, "kernel_stats", False)
-    trace_out = getattr(args, "trace_out", None)
-    if kernel_stats or trace_out:
+    if kernel_stats or sink is not None:
         # Worker processes neither report kernel stats nor share the
         # trace sink, so both flags keep the sweep in this process.
         ignored = []
@@ -698,15 +742,8 @@ def _run_one(
             )
     if kernel_stats:
         profiling.enable_aggregation(reset=True)
-    sink = None
-    previous_sink = None
-    if trace_out:
-        sink = obs_trace.JsonlTraceSink(
-            trace_out,
-            sample_every=getattr(args, "trace_sample", 1),
-            max_events=getattr(args, "trace_max_events", None),
-        )
-        previous_sink = obs_trace.set_default_sink(sink)
+    if sink is not None:
+        sink.reset_counts()
     started = time.time()
     try:
         figure = run_figure(
@@ -726,9 +763,6 @@ def _run_one(
         stats = profiling.aggregated() if kernel_stats else None
         if kernel_stats:
             profiling.disable_aggregation()
-        if sink is not None:
-            obs_trace.set_default_sink(previous_sink)
-            sink.close()
     elapsed = time.time() - started
     if stats is not None:
         print(stats.summary())
@@ -925,11 +959,12 @@ def _claims_command(args: argparse.Namespace) -> int:
 
     figures = load_archive(args.from_json) if args.from_json else {}
     ok = True
-    for figure_id in dict.fromkeys(claim.figure_id for claim in CLAIMS):
-        if figure_id not in figures:
-            figure, _ = _run_one(figure_id, args, stream=None)
-            figures[figure_id] = figure
-            ok = ok and not figure.failures
+    with _trace_sink(args) as sink:
+        for figure_id in dict.fromkeys(claim.figure_id for claim in CLAIMS):
+            if figure_id not in figures:
+                figure, _ = _run_one(figure_id, args, None, sink)
+                figures[figure_id] = figure
+                ok = ok and not figure.failures
     outcomes = evaluate_claims(figures)
     print(render_claims(outcomes))
     judged = {outcome.claim.claim_id for outcome in outcomes}
@@ -1206,7 +1241,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "run-figure":
         try:
-            _, ok = _run_one(args.figure, args, stream=None)
+            with _trace_sink(args) as sink:
+                _, ok = _run_one(args.figure, args, None, sink)
         except (BackendError, ExecutorError, StrategyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1311,12 +1347,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         all_ok = True
         print(render_table3())
         print()
-        for figure_id in sorted(FIGURE_SPECS):
-            try:
-                all_ok = _run_one(figure_id, args, stream)[1] and all_ok
-            except (BackendError, ExecutorError, StrategyError) as exc:
-                print(f"error: {figure_id}: {exc}\n", file=sys.stderr)
-                all_ok = False
+        with _trace_sink(args) as sink:
+            for figure_id in sorted(FIGURE_SPECS):
+                figure_args = args
+                if FIGURE_SPECS[figure_id].custom is not None:
+                    figure_args = _without_sweep_options(figure_id, args)
+                try:
+                    ok = _run_one(figure_id, figure_args, stream, sink)[1]
+                    all_ok = ok and all_ok
+                except (BackendError, ExecutorError, StrategyError) as exc:
+                    print(f"error: {figure_id}: {exc}\n", file=sys.stderr)
+                    all_ok = False
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write("# Regenerated evaluation\n\n")

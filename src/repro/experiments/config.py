@@ -26,6 +26,8 @@ __all__ = [
     "plan_for",
     "PROCESSOR_GRID",
     "INTERVAL_GRID_MIN",
+    "PROPAGATION_PROBABILITY_GRID",
+    "PROPAGATION_FACTOR_GRID",
     "base_parameters",
 ]
 
@@ -34,6 +36,11 @@ PROCESSOR_GRID: Tuple[int, ...] = (8192, 16384, 32768, 65536, 131072, 262144)
 
 #: The paper's checkpoint-interval grid in minutes (Figures 4b/4d/4f).
 INTERVAL_GRID_MIN: Tuple[int, ...] = (15, 30, 60, 120, 240)
+
+#: Figure 7's grids: the probability p_e that a failure propagates,
+#: and the factor r by which the failure rate rises while it does.
+PROPAGATION_PROBABILITY_GRID: Tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
+PROPAGATION_FACTOR_GRID: Tuple[int, ...] = (400, 800, 1600)
 
 PRESETS: Dict[str, SimulationPlan] = {
     "quick": SimulationPlan(warmup=20 * HOUR, observation=150 * HOUR, replications=2),

@@ -20,6 +20,7 @@ them via :mod:`repro.experiments.validation`.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from ..obs import RunManifest, metrics as obs_metrics
@@ -31,7 +32,14 @@ from ..backends import (
     get_backend,
 )
 from ..core.parameters import HOUR, MINUTE, YEAR, CoordinationMode, ModelParameters
-from .config import INTERVAL_GRID_MIN, PROCESSOR_GRID, base_parameters, plan_for
+from .config import (
+    INTERVAL_GRID_MIN,
+    PROCESSOR_GRID,
+    PROPAGATION_FACTOR_GRID,
+    PROPAGATION_PROBABILITY_GRID,
+    base_parameters,
+    plan_for,
+)
 from .resilience import ResilienceOptions
 from .runner import FigureResult, SweepPoint, run_sweep
 from .specs import FigureSpec
@@ -265,8 +273,8 @@ def _fig7_points() -> List[SweepPoint]:
                 prob_correlated_failure=p_e, frate_correlated_factor=float(r)
             ),
         )
-        for r in (400, 800, 1600)
-        for p_e in (0.0, 0.05, 0.10, 0.15, 0.20)
+        for r in PROPAGATION_FACTOR_GRID
+        for p_e in PROPAGATION_PROBABILITY_GRID
     ]
 
 
@@ -275,9 +283,10 @@ def _strategy_compare_points() -> List[SweepPoint]:
     lower half of the paper's processor grid at base parameters.
 
     One curve; the *strategy* is plan-wide (``--strategy`` /
-    ``FigureSpec.strategy``), so the comparison figure is produced by
-    running this same sweep once per strategy — the archives differ
-    only by the strategy recorded in their manifests and notes.
+    ``run_figure(..., strategy=...)``), so the comparison figure is
+    produced by running this same sweep once per strategy — the
+    archives differ only by the strategy recorded in their manifests
+    and notes.
     """
     base = base_parameters()
     return [
@@ -580,22 +589,27 @@ def run_figure(
     ready-made :class:`~repro.exec.base.Executor`; see
     :func:`~repro.experiments.runner.run_sweep`), and ``max_points``
     truncates the sweep to its first N declared points (the CI parity
-    job's 4-point slice; below 1 raises :class:`ValueError`). All three are sweep-figure knobs and are
-    rejected for custom figures, whose solvers do not run point
-    sweeps.
+    job's 4-point slice; below 1 raises :class:`ValueError`). All three
+    are sweep-figure knobs, rejected for custom figures, whose solvers
+    do not run point sweeps.
 
     ``kernel`` overrides the preset plan's event kernel
     (``"incremental"`` or ``"full"``); it is a sweep-figure knob and
     is rejected for custom figures, whose solvers do not run the SAN
     executive.
 
-    ``strategy`` overrides the spec's checkpointing-strategy spec
-    string (see :mod:`repro.strategies`), e.g. ``"incremental"`` or
+    ``strategy`` replaces the preset plan's checkpointing strategy
+    (the paper's ``"flat"`` protocol) with a spec string (see
+    :mod:`repro.strategies`), e.g. ``"incremental"`` or
     ``"adaptive:failure_rate=1e-4"``; like the kernel it is a
     sweep-figure knob, rejected for custom figures. The resulting plan
     carries the canonical spec into every task's cache key and the run
     manifest, and the figure notes record any non-flat strategy, so a
     zoo archive is never mistaken for (or cached as) a flat one.
+
+    Each refusal for a custom figure is a
+    :class:`~repro.backends.base.BackendError` naming the arguments
+    that were passed (``run-all`` runs custom figures without them).
 
     Every returned figure — sweep or custom — carries a
     :class:`~repro.obs.RunManifest` on ``figure.manifest`` recording
@@ -616,20 +630,21 @@ def run_figure(
                 f"figure {figure_id!r} is computed by the {spec.backend!r} "
                 "backend and does not support a backend override"
             )
-        if kernel is not None:
-            raise BackendError(
-                f"figure {figure_id!r} is not a SAN sweep and does not "
-                "support a kernel override"
+        passed = [
+            name
+            for name, value in (
+                ("kernel", kernel),
+                ("strategy", strategy),
+                ("executor", executor),
+                ("queue_dir", queue_dir),
+                ("max_points", max_points),
             )
-        if strategy is not None:
+            if value is not None
+        ]
+        if passed:
             raise BackendError(
-                f"figure {figure_id!r} is not a SAN sweep and does not "
-                "support a strategy override"
-            )
-        if executor is not None or queue_dir is not None or max_points is not None:
-            raise BackendError(
-                f"figure {figure_id!r} is not a SAN sweep and does not "
-                "support an executor override"
+                f"figure {figure_id!r} is not a SAN sweep and takes no "
+                f"{' or '.join(passed)} override"
             )
         start_clock = time.monotonic()
         figure = spec.custom(
@@ -649,16 +664,11 @@ def run_figure(
         return figure
     plan = plan_for(preset)
     if kernel is not None:
-        from dataclasses import replace as _replace
-
-        plan = _replace(plan, kernel=kernel)
-    effective_strategy = strategy if strategy is not None else spec.strategy
-    if effective_strategy != plan.strategy:
-        from dataclasses import replace as _replace
-
+        plan = replace(plan, kernel=kernel)
+    if strategy is not None:
         # replace() re-runs plan validation, so an unknown or
         # malformed --strategy surfaces here as a StrategyError.
-        plan = _replace(plan, strategy=effective_strategy)
+        plan = replace(plan, strategy=strategy)
     points = list(spec.points())
     if max_points is not None:
         if max_points < 1:

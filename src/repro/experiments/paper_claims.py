@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .config import INTERVAL_GRID_MIN, PROCESSOR_GRID
+from .config import (
+    INTERVAL_GRID_MIN,
+    PROCESSOR_GRID,
+    PROPAGATION_FACTOR_GRID,
+    PROPAGATION_PROBABILITY_GRID,
+)
 from .runner import FigureResult
 
 __all__ = ["Claim", "ClaimOutcome", "CLAIMS", "evaluate_claims", "render_claims"]
@@ -64,6 +69,12 @@ def _covers(
         if not all(x in present for x in xs):
             return False
     return True
+
+
+def _covers_propagation_grid(figure: FigureResult) -> bool:
+    """Whether a fig7 figure has every r curve at every p_e."""
+    labels = [f"frate_correlated_times={r}" for r in PROPAGATION_FACTOR_GRID]
+    return _covers(figure, labels, PROPAGATION_PROBABILITY_GRID)
 
 
 def _optimum_processors(figure: FigureResult) -> Verdict:
@@ -166,9 +177,9 @@ def _generous_timeout_safe_small(figure: FigureResult) -> Verdict:
 
 
 def _propagation_insensitive(figure: FigureResult) -> Verdict:
-    values = [y for points in figure.series.values() for _, y, _ in points]
-    if not values:
+    if not _covers_propagation_grid(figure):
         return None
+    values = [y for points in figure.series.values() for _, y, _ in points]
     spread = (max(values) - min(values)) / max(values)
     return f"UWF band {min(values):.3f}-{max(values):.3f}", spread < 0.25
 

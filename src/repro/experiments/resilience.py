@@ -501,10 +501,6 @@ class _PendingQueue:
     def defer(self, index: int, attempt: int, not_before: float) -> None:
         self.delayed.append((not_before, index, attempt))
 
-    def requeue_front(self, entries: Sequence[Tuple[int, int]]) -> None:
-        for index, attempt in reversed(entries):
-            self.ready.appendleft((index, attempt))
-
     def next_deadline(self) -> Optional[float]:
         return min((e[0] for e in self.delayed), default=None)
 

@@ -43,11 +43,6 @@ class FigureSpec:
         for custom figures.
     backend:
         Registered evaluation backend the sweep runs through.
-    strategy:
-        Checkpointing-strategy spec the sweep's plan defaults to (see
-        :mod:`repro.strategies`); ``"flat"`` everywhere except the
-        strategy-comparison figure, and overridable per run with
-        ``run_figure(..., strategy=...)`` / ``--strategy``.
     post:
         Optional hook run on the finished figure (e.g. attaching
         closed-form prediction notes).
@@ -64,7 +59,6 @@ class FigureSpec:
     metric: str = "useful_work_fraction"
     points: Optional[Callable[[], List[SweepPoint]]] = None
     backend: str = DEFAULT_BACKEND
-    strategy: str = "flat"
     post: Optional[Callable[[FigureResult], None]] = None
     custom: Optional[Callable[..., FigureResult]] = None
 

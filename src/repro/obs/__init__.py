@@ -18,10 +18,10 @@ this package existed:
   whose numbers disagree with the archive is a bug.
 
 * **Trace export** (:mod:`repro.obs.trace`) — a single sink interface
-  (JSON-lines file, in-memory, or null) that both the SAN activity
-  tracer (:class:`repro.san.trace.SinkTracer`) and the cluster
-  simulator's protocol lifecycle feed, with sampling and windowing so
-  tracing-off hot paths stay within the engine benchmark gate.
+  (JSON-lines file, in-memory, or null) that both the SAN executive's
+  activity firings and the cluster simulator's protocol lifecycle
+  feed, with sampling and windowing so tracing-off hot paths stay
+  within the engine benchmark gate.
 
 This package is a *leaf*: it imports nothing from the rest of
 ``repro`` except the version string, so every other layer can depend

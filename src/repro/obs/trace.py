@@ -1,8 +1,8 @@
 """Unified trace export: one sink interface for every event source.
 
-The SAN executive already had a per-firing :class:`~repro.san.trace.Tracer`
-and the cluster simulator had ad-hoc counters; this module gives both
-(and anything else) one destination type. A *sink* receives
+The SAN executive (:class:`repro.san.simulator.Simulator`) and the
+cluster simulator (:class:`repro.cluster.simulator.ClusterSimulator`)
+both take the sink they report to as ``sink=``. A *sink* receives
 ``emit(time, kind, name, **fields)`` calls and decides what to keep:
 
 * :class:`NullSink` — drops everything (the default; one attribute
@@ -14,7 +14,7 @@ and the cluster simulator had ad-hoc counters; this module gives both
   paths stay within the engine benchmark gate even with tracing on.
 
 Event kinds in use (see docs/OBSERVABILITY.md): ``san.firing`` (one
-activity firing, via :class:`repro.san.trace.SinkTracer`) and
+activity firing, with its ``case``) and
 ``cluster.protocol`` (checkpoint-round lifecycle: quiesce, proceed,
 abort, failure, recovery). Sinks are process-local, like the metrics
 registry: worker processes do not share the supervisor's sink.
@@ -114,7 +114,9 @@ class JsonlTraceSink(TraceSink):
         reports how much the window dropped.
 
     The per-kind ``offered``/``written`` counters are exported by
-    :meth:`summary` and folded into run manifests.
+    :meth:`summary` and folded into run manifests;
+    :meth:`reset_counts` starts them over, so one file can hold several
+    runs' sections, each sampled, windowed and counted on its own.
     """
 
     def __init__(
@@ -150,6 +152,12 @@ class JsonlTraceSink(TraceSink):
         record.update(fields)
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self.written += 1
+
+    def reset_counts(self) -> None:
+        """Zero the counts: sampling, the window and :meth:`summary`
+        then cover only the events offered from here on."""
+        self.offered = {}
+        self.written = 0
 
     def summary(self) -> Dict[str, object]:
         """What the sink saw and kept (for manifests and the CLI)."""

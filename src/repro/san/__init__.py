@@ -17,7 +17,6 @@ Typical usage::
 """
 
 from .activities import Activity, Arc, Case, InstantaneousActivity, TimedActivity
-from .composition import Namespace, replicate as replicate_submodel
 from .dot import to_dot
 from .distributions import (
     EULER_MASCHERONI,
@@ -67,14 +66,6 @@ from .statistics import (
     standard_error_of,
     t_critical,
 )
-from .trace import (
-    CallbackTracer,
-    MemoryTracer,
-    NullTracer,
-    SinkTracer,
-    TraceEvent,
-    Tracer,
-)
 
 __all__ = [
     "Activity",
@@ -105,9 +96,7 @@ __all__ = [
     "OutputGate",
     "SANModel",
     "ReplayGroup",
-    "Namespace",
     "to_dot",
-    "replicate_submodel",
     "Place",
     "ExtendedPlace",
     "RewardVariable",
@@ -132,10 +121,4 @@ __all__ = [
     "t_critical",
     "standard_error_of",
     "replicate",
-    "Tracer",
-    "NullTracer",
-    "MemoryTracer",
-    "CallbackTracer",
-    "SinkTracer",
-    "TraceEvent",
 ]

@@ -81,12 +81,12 @@ from .errors import (
     WallClockExceededError,
 )
 from ..obs import metrics as _obs_metrics
+from ..obs.trace import NullSink, TraceSink
 from .model import SANModel
 from .places import ExtendedPlace, Place
 from .profiling import KernelStats
 from .rewards import RateFunction, RewardResult, RewardVariable
 from .rng import StreamRegistry
-from .trace import NullTracer, Tracer
 
 __all__ = [
     "SimulationState",
@@ -267,9 +267,12 @@ class Simulator:
         A :class:`StreamRegistry` or an integer seed. Every timed
         activity draws from its own named stream, so reconfiguring one
         activity never perturbs another's sample path.
-    tracer:
-        Optional :class:`~repro.san.trace.Tracer` receiving every
-        firing.
+    sink:
+        Optional :class:`~repro.obs.trace.TraceSink` receiving every
+        firing as ``emit(time, "san.firing", activity, case=case)``.
+        The default is no tracing. The attribute may be reassigned
+        between :meth:`run` calls; a :class:`~repro.obs.trace.NullSink`
+        keeps the event loop from making any call per firing.
     max_instantaneous_chain:
         Safety valve: maximum instantaneous firings per stabilisation
         before the executive declares a livelock. Defaults to the
@@ -294,7 +297,7 @@ class Simulator:
         model: SANModel,
         ctx: Any = None,
         streams: Any = 0,
-        tracer: Optional[Tracer] = None,
+        sink: Optional[TraceSink] = None,
         max_instantaneous_chain: int = MAX_INSTANTANEOUS_CHAIN,
         max_events_per_instant: int = MAX_EVENTS_PER_INSTANT,
         kernel: str = "incremental",
@@ -314,8 +317,8 @@ class Simulator:
         # inter-event interval before the clock advances; the checkpoint
         # model's work ledger integrates execution time this way.
         self._ctx_integrate = getattr(ctx, "integrate", None)
-        # `is not None`, not truthiness: an empty MemoryTracer is falsy.
-        self.tracer = tracer if tracer is not None else NullTracer()
+        # `is not None`, not truthiness: an empty MemorySink is falsy.
+        self.sink = sink if sink is not None else NullSink()
         if max_instantaneous_chain < 1:
             raise SimulationError(
                 f"max_instantaneous_chain must be >= 1, got {max_instantaneous_chain}"
@@ -375,17 +378,6 @@ class Simulator:
             tuple((arc.place, arc.weight) for arc in activity.input_arcs),
             tuple(gate.predicate for gate in activity.input_gates),
         )
-
-    @property
-    def tracer(self) -> Tracer:
-        """The firing tracer (assignable; a ``NullTracer`` means the
-        hot loop skips the record call entirely)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-        self._record = None if isinstance(tracer, NullTracer) else tracer.record
 
     # ------------------------------------------------------------------
     # Dependency index
@@ -735,6 +727,10 @@ class Simulator:
         ]
 
         self._reset_counters()
+        # Resolved once per call, so a NullSink costs the event loop
+        # one `is not None` test per firing and no call.
+        sink = self.sink
+        self._emit = None if isinstance(sink, NullSink) else sink.emit
         wall_begin = _time.monotonic()
 
         # Every run call starts with the full kernel's rescan: between
@@ -761,7 +757,7 @@ class Simulator:
         t_plans = self._t_plans
         i_plans = self._i_plans
         case_rng = self._case_rng
-        record = self._record
+        emit = self._emit
         always_timed = self._always_timed
         always_inst = self._always_inst
         t_enabling = self._t_enabled
@@ -892,8 +888,8 @@ class Simulator:
                     if imp and fire_time >= warmup:
                         for acc_name, impulse_fn in imp:
                             accumulators[acc_name] += impulse_fn(state, 0)
-                    if record is not None:
-                        record(fire_time, member_names[member], 0)
+                    if emit is not None:
+                        emit(fire_time, "san.firing", member_names[member], case=0)
                     fired = member
                     member = -1
                     for member_next in follow:
@@ -967,8 +963,8 @@ class Simulator:
                     if imp and fire_time >= warmup:
                         for acc_name, impulse_fn in imp:
                             accumulators[acc_name] += impulse_fn(state, case_index)
-                    if record is not None:
-                        record(fire_time, name, case_index)
+                    if emit is not None:
+                        emit(fire_time, "san.firing", name, case=case_index)
                     pending.update(affected_t)
                     inst_candidates.update(affected_i)
                     # Drain the gate functions' writes through the index.
@@ -1218,8 +1214,8 @@ class Simulator:
         if impulses[slot] and state.time >= warmup:
             for acc_name, impulse_fn in impulses[slot]:
                 accumulators[acc_name] += impulse_fn(state, case_index)
-        if self._record is not None:
-            self._record(state.time, name, case_index)
+        if self._emit is not None:
+            self._emit(state.time, "san.firing", name, case=case_index)
 
     def _stabilize(
         self,

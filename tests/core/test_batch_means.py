@@ -53,13 +53,13 @@ class TestRunContinuation:
     def test_deterministic_clock_not_reset_across_windows(self):
         # A pending clock (event at t=7) must survive a window boundary
         # at t=6.5 unchanged.
-        from repro.san import MemoryTracer
+        from repro.obs.trace import MemorySink
 
-        tracer = MemoryTracer()
-        simulator = Simulator(self.make_clock(), tracer=tracer)
+        sink = MemorySink()
+        simulator = Simulator(self.make_clock(), sink=sink)
         simulator.run(until=6.5)
         simulator.run(until=8.5)
-        times = [event.time for event in tracer]
+        times = [event.time for event in sink.events]
         assert times == pytest.approx([1, 2, 3, 4, 5, 6, 7, 8])
 
     def test_rewind_rejected(self):

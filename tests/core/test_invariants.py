@@ -13,18 +13,19 @@ import pytest
 
 from repro.core import HOUR, MINUTE, YEAR, ModelParameters, build_system
 from repro.core.submodels import names, useful_work_reward
-from repro.san import CallbackTracer, Simulator, StreamRegistry
+from repro.obs.trace import TraceSink
+from repro.san import Simulator, StreamRegistry
 
 
-class InvariantChecker:
-    """Asserts model invariants at every firing."""
+class InvariantChecker(TraceSink):
+    """Asserts model invariants at every firing it is sent."""
 
     def __init__(self, state, ledger):
         self.state = state
         self.ledger = ledger
         self.events = 0
 
-    def __call__(self, event):
+    def emit(self, time, kind, name, **fields):
         state = self.state
         self.events += 1
 
@@ -124,6 +125,6 @@ def test_invariants_hold_under_stress(label, seed):
         system.model, ctx=system.ledger, streams=StreamRegistry(seed)
     )
     checker = InvariantChecker(simulator.state, system.ledger)
-    simulator.tracer = CallbackTracer(checker)
+    simulator.sink = checker
     simulator.run(until=60 * HOUR, rewards=[useful_work_reward(system.ledger)])
     assert checker.events > 100, "stress run produced too few events to matter"

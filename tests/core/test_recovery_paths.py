@@ -4,19 +4,20 @@ import pytest
 
 from repro.core import HOUR, MINUTE, YEAR, ModelParameters, build_system
 from repro.core.submodels import USEFUL_WORK, useful_work_reward
-from repro.san import MemoryTracer, Simulator, StreamRegistry
+from repro.obs.trace import MemorySink
+from repro.san import Simulator, StreamRegistry
 
 
 def run_traced(params, horizon, seed=1):
     system = build_system(params)
-    tracer = MemoryTracer()
+    sink = MemorySink()
     simulator = Simulator(
-        system.model, ctx=system.ledger, streams=StreamRegistry(seed), tracer=tracer
+        system.model, ctx=system.ledger, streams=StreamRegistry(seed), sink=sink
     )
     output = simulator.run(
         until=horizon, rewards=[useful_work_reward(system.ledger)]
     )
-    return output, system.ledger, tracer
+    return output, system.ledger, sink
 
 
 class TestTwoStageRecovery:
@@ -48,14 +49,14 @@ class TestTwoStageRecovery:
         # system alternates failure -> recovery_complete (possibly with
         # recovery_failure restarts in between).
         params = ModelParameters(mttf_node=0.25 * YEAR)
-        _, _, tracer = run_traced(params, 100 * HOUR, seed=7)
+        _, _, sink = run_traced(params, 100 * HOUR, seed=7)
         events = [
-            e for e in tracer
-            if e.activity in ("comp_failure", "recovery_complete")
+            e for e in sink.events
+            if e.name in ("comp_failure", "recovery_complete")
         ]
         depth = 0
         for event in events:
-            if event.activity == "comp_failure":
+            if event.name == "comp_failure":
                 assert depth == 0, "failure while already recovering"
                 depth += 1
             else:

@@ -1,4 +1,4 @@
-"""Tests for the simulation driver and metrics."""
+"""Tests for the simulation driver and its plan."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.core import (
     HOUR,
     YEAR,
     ModelParameters,
-    PerformanceMetrics,
     SimulationPlan,
     simulate,
-    total_useful_work,
 )
 
 QUICK = SimulationPlan(warmup=5 * HOUR, observation=60 * HOUR, replications=2)
@@ -80,21 +78,3 @@ class TestSimulate:
         result = simulate(ModelParameters(), QUICK, seed=1)
         text = result.summary()
         assert "UWF" in text and "65536" in text
-
-
-class TestMetrics:
-    def test_total_useful_work(self):
-        assert total_useful_work(0.5, 1000) == 500.0
-
-    def test_total_useful_work_validation(self):
-        with pytest.raises(ValueError):
-            total_useful_work(1.5, 1000)
-
-    def test_performance_metrics(self):
-        metrics = PerformanceMetrics(
-            useful_work_fraction=0.4,
-            n_processors=100,
-            breakdown={"frac_execution": 0.5},
-        )
-        assert metrics.total_useful_work == pytest.approx(40.0)
-        assert metrics.overhead_fraction == pytest.approx(0.6)

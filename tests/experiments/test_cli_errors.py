@@ -226,6 +226,13 @@ class TestExitCodeMapping:
         assert rc == 2
         assert "executor override" in captured.err
 
+    def test_max_points_on_custom_figure_exits_2_naming_it(self, capsys):
+        # run-all drops it for custom figures; run-figure refuses it,
+        # naming the argument that was passed.
+        rc = cli.main(["run-figure", "fig3", "--max-points", "2"])
+        assert rc == 2
+        assert "takes no max_points override" in capsys.readouterr().err
+
     def test_executor_options_forwarded_to_runner(self, monkeypatch):
         seen = {}
 

@@ -86,7 +86,7 @@ class TestStrategyOption:
         monkeypatch.setattr(cli, "run_figure", capturing_runner)
         rc = cli.main(["run-figure", "fig4a", "--preset", "quick"])
         assert rc == 2
-        # None means "use the FigureSpec's own strategy", so an
+        # None means "keep the preset plan's flat strategy", so an
         # unflagged run stays bit-identical to the pre-zoo CLI.
         assert seen["strategy"] is None
 

@@ -27,9 +27,9 @@ from repro.core.submodels import names
 from repro.core.submodels.app_cycle import APP_CYCLE_OBSERVERS
 from repro.core.submodels.useful_work import breakdown_rewards, useful_work_reward
 from repro.core.system import build_system
+from repro.obs.trace import MemorySink
 from repro.san import (
     InputGate,
-    MemoryTracer,
     ModelDefinitionError,
     Simulator,
     non_negative_markings,
@@ -50,26 +50,27 @@ def _run(kernel: str, params: ModelParameters, hours: float, seed: int,
     """Run one kernel; ``spans`` lists the ``until`` hours of successive
     ``run()`` calls (default: one call to ``hours``), and
     ``prepare(system)`` edits the model before the simulator is built.
-    Returns the last call's output and the tracer."""
+    Returns the last call's output and the sink of its firings."""
     system = build_system(params)
     if prepare is not None:
         prepare(system)
     rewards = [useful_work_reward(system.ledger)] + breakdown_rewards()
-    tracer = MemoryTracer()
+    sink = MemorySink()
     simulator = Simulator(
-        system.model, ctx=system.ledger, streams=seed, tracer=tracer, kernel=kernel
+        system.model, ctx=system.ledger, streams=seed, sink=sink, kernel=kernel
     )
     warmup = 2 * HOUR if hours > 4 else 0.0
     for until in spans or (hours,):
         output = simulator.run(
             until=until * HOUR, warmup=warmup, rewards=rewards, **run_kwargs
         )
-    return output, tracer
+    return output, sink
 
 
-def _trace_digest(tracer: MemoryTracer) -> str:
+def _trace_digest(sink: MemorySink) -> str:
     text = "".join(
-        f"{event.time!r} {event.activity} {event.case}\n" for event in tracer.events
+        f"{event.time!r} {event.name} {event.fields['case']}\n"
+        for event in sink.of_kind("san.firing")
     )
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -171,8 +172,8 @@ def test_pinned_trajectory_and_counters(kernel):
     """The trajectory and every kernel counter, pinned: a change to the
     event loop that keeps the two kernels equal to each other but
     moves both, or shifts any counter, fails here."""
-    out, tracer = _run(kernel, ModelParameters(), hours=102.0, seed=1)
-    assert _trace_digest(tracer) == PINNED_TRACE_SHA256
+    out, sink = _run(kernel, ModelParameters(), hours=102.0, seed=1)
+    assert _trace_digest(sink) == PINNED_TRACE_SHA256
     stats = out.kernel_stats
     assert {name: getattr(stats, name) for name in PINNED_STATS[kernel]} == (
         PINNED_STATS[kernel]
@@ -252,11 +253,11 @@ def test_replay_runs_the_per_event_checks():
         def stop_when(state, seen=seen):
             return len(seen) > 2500
 
-        out, tracer = _run(
+        out, sink = _run(
             kernel, ModelParameters(), 60.0, 5,
             invariants=[invariant], stop_when=stop_when,
         )
-        runs[kernel] = (out, tracer.events, seen)
+        runs[kernel] = (out, sink.events, seen)
     (inc_out, inc_events, inc_seen), (full_out, full_events, full_seen) = (
         runs["incremental"], runs["full"]
     )

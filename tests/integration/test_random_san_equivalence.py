@@ -19,6 +19,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.obs.trace import MemorySink
 from repro.san import (
     Arc,
     Case,
@@ -26,7 +27,6 @@ from repro.san import (
     Exponential,
     InputGate,
     InstantaneousActivity,
-    MemoryTracer,
     OutputGate,
     RewardVariable,
     SANModel,
@@ -248,11 +248,11 @@ def random_gated_san(seed: int):
 def _run_kernel(seed: int, kernel: str, spans):
     """Trace, per-call results (or the error) of one generated model."""
     model, rewards = random_gated_san(seed)
-    tracer = MemoryTracer()
+    sink = MemorySink()
     simulator = Simulator(
         model,
         streams=seed,
-        tracer=tracer,
+        sink=sink,
         kernel=kernel,
         max_instantaneous_chain=50,
         max_events_per_instant=50,
@@ -272,7 +272,7 @@ def _run_kernel(seed: int, kernel: str, spans):
             stats.append(out.kernel_stats)
     except SimulationError as exc:
         results.append((type(exc).__name__, str(exc)))
-    trace = [(event.time, event.activity, event.case) for event in tracer.events]
+    trace = [(event.time, event.name, event.fields["case"]) for event in sink.events]
     return trace, results, stats
 
 

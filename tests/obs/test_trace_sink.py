@@ -69,6 +69,21 @@ class TestJsonlTraceSink:
         assert sink.summary()["written"] == 3
         assert sink.summary()["offered"]["k"] == 10
 
+    def test_reset_counts_starts_a_new_section(self, tmp_path):
+        # One file per command: each figure's section is sampled,
+        # windowed and counted as if it were written alone.
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceSink(path, sample_every=10, max_events=2) as sink:
+            for i in range(25):
+                sink.emit(float(i), "k", "n")
+            sink.reset_counts()
+            for i in range(25):
+                sink.emit(100.0 + i, "k", "n")
+        assert sink.summary()["offered"] == {"k": 25}
+        assert sink.summary()["written"] == 2
+        times = [json.loads(line)["t"] for line in path.read_text().splitlines()]
+        assert times == [0.0, 10.0, 100.0, 110.0]
+
     def test_summary_names_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with JsonlTraceSink(path) as sink:

@@ -12,6 +12,7 @@ up as a behavioural difference here.
 
 import pytest
 
+from repro.obs.trace import MemorySink
 from repro.san import (
     Arc,
     Case,
@@ -19,7 +20,6 @@ from repro.san import (
     Exponential,
     InputGate,
     InstantaneousActivity,
-    MemoryTracer,
     OutputGate,
     SANModel,
     Simulator,
@@ -27,6 +27,11 @@ from repro.san import (
 )
 
 KERNELS = ["incremental", "full"]
+
+
+def _times_of(sink, name):
+    """Firing times of one activity."""
+    return [event.time for event in sink.events if event.name == name]
 
 
 def _build_disable_reenable_model():
@@ -79,11 +84,11 @@ def _build_disable_reenable_model():
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_disable_discards_clock(kernel):
-    tracer = MemoryTracer()
-    Simulator(_build_disable_reenable_model(), tracer=tracer, kernel=kernel).run(
+    sink = MemorySink()
+    Simulator(_build_disable_reenable_model(), sink=sink, kernel=kernel).run(
         until=30.0
     )
-    assert tracer.times_of("slow") == [pytest.approx(21.0)]
+    assert _times_of(sink, "slow") == [pytest.approx(21.0)]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -139,11 +144,11 @@ def test_gate_predicate_disable_discards_clock(kernel):
             ],
         )
     )
-    tracer = MemoryTracer()
-    Simulator(model, tracer=tracer, kernel=kernel).run(until=30.0)
+    sink = MemorySink()
+    Simulator(model, sink=sink, kernel=kernel).run(until=30.0)
     # Disabled at 4, re-enabled at 7, restart => fires at 17; the
     # gate's 'done' clause then keeps it disabled.
-    assert tracer.times_of("work") == [pytest.approx(17.0)]
+    assert _times_of(sink, "work") == [pytest.approx(17.0)]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -181,9 +186,9 @@ def test_resample_on_marking_change(kernel):
             cases=[Case(output_arcs=[Arc(model.place("mod"))])],
         )
     )
-    tracer = MemoryTracer()
-    Simulator(model, streams=2, tracer=tracer, kernel=kernel).run(until=100.0)
-    times = tracer.times_of("event")
+    sink = MemorySink()
+    Simulator(model, streams=2, sink=sink, kernel=kernel).run(until=100.0)
+    times = _times_of(sink, "event")
     assert len(times) == 1
     assert 5.0 <= times[0] < 5.1
 
@@ -229,9 +234,9 @@ def test_transient_disable_through_cascade_resamples(kernel):
             cases=[Case(output_arcs=[Arc(stage)])],
         )
     )
-    tracer = MemoryTracer()
-    Simulator(model, tracer=tracer, kernel=kernel).run(until=30.0)
-    assert tracer.times_of("stage_work") == [pytest.approx(16.0)]
+    sink = MemorySink()
+    Simulator(model, sink=sink, kernel=kernel).run(until=30.0)
+    assert _times_of(sink, "stage_work") == [pytest.approx(16.0)]
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -269,9 +274,9 @@ def test_atomic_self_replacement_keeps_clock(kernel):
             ],
         )
     )
-    tracer = MemoryTracer()
-    Simulator(model, tracer=tracer, kernel=kernel).run(until=12.0)
-    assert tracer.times_of("stage_work") == [pytest.approx(10.0)]
+    sink = MemorySink()
+    Simulator(model, sink=sink, kernel=kernel).run(until=12.0)
+    assert _times_of(sink, "stage_work") == [pytest.approx(10.0)]
 
 
 def test_kernels_agree_and_incremental_counts_invalidations():
@@ -281,11 +286,11 @@ def test_kernels_agree_and_incremental_counts_invalidations():
     traces = {}
     stats = {}
     for kernel in KERNELS:
-        tracer = MemoryTracer()
+        sink = MemorySink()
         out = Simulator(
-            _build_disable_reenable_model(), tracer=tracer, kernel=kernel
+            _build_disable_reenable_model(), sink=sink, kernel=kernel
         ).run(until=30.0)
-        traces[kernel] = tracer.events
+        traces[kernel] = sink.events
         stats[kernel] = out.kernel_stats
     assert traces["incremental"] == traces["full"]
     assert stats["incremental"].clock_invalidations >= 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.trace import MemorySink
 from repro.san import (
     Arc,
     Case,
@@ -9,7 +10,6 @@ from repro.san import (
     Exponential,
     InputGate,
     InstantaneousActivity,
-    MemoryTracer,
     OutputGate,
     RewardVariable,
     SANModel,
@@ -17,6 +17,11 @@ from repro.san import (
     TimedActivity,
 )
 from repro.san.errors import SimulationError
+
+
+def _times_of(sink, name):
+    """Firing times of one activity."""
+    return [event.time for event in sink.events if event.name == name]
 
 
 def simple_clock_model(period=1.0):
@@ -42,12 +47,12 @@ def simple_clock_model(period=1.0):
 class TestBasicExecution:
     def test_deterministic_sequencing(self):
         model = simple_clock_model(period=1.0)
-        tracer = MemoryTracer()
-        Simulator(model, tracer=tracer).run(until=3.5)
-        names = [event.activity for event in tracer]
+        sink = MemorySink()
+        Simulator(model, sink=sink).run(until=3.5)
+        names = [event.name for event in sink.events]
         assert names == ["go", "back", "go"]
-        assert tracer.events[0].time == pytest.approx(1.0)
-        assert tracer.events[2].time == pytest.approx(3.0)
+        assert sink.events[0].time == pytest.approx(1.0)
+        assert sink.events[2].time == pytest.approx(3.0)
 
     def test_event_count(self):
         model = simple_clock_model(period=0.5)
@@ -81,9 +86,9 @@ class TestBasicExecution:
                     cases=[Case(output_arcs=[Arc(a)])],
                 )
             )
-            tracer = MemoryTracer()
-            Simulator(model, streams=seed, tracer=tracer).run(until=50.0)
-            return [event.time for event in tracer]
+            sink = MemorySink()
+            Simulator(model, streams=seed, sink=sink).run(until=50.0)
+            return [event.time for event in sink.events]
 
         assert run(3) == run(3)
         assert run(3) != run(4)
@@ -181,9 +186,9 @@ class TestReactivation:
                 cases=[Case(output_gates=[OutputGate("give", give_token)])],
             )
         )
-        tracer = MemoryTracer()
-        Simulator(model, tracer=tracer).run(until=30.0)
-        slow_times = tracer.times_of("slow")
+        sink = MemorySink()
+        Simulator(model, sink=sink).run(until=30.0)
+        slow_times = _times_of(sink, "slow")
         assert slow_times == [pytest.approx(21.0)]
 
     def test_resample_on_marking_change(self):
@@ -214,9 +219,9 @@ class TestReactivation:
                 cases=[Case(output_arcs=[Arc(modifier)])],
             )
         )
-        tracer = MemoryTracer()
-        Simulator(model, streams=2, tracer=tracer).run(until=100.0)
-        times = tracer.times_of("event")
+        sink = MemorySink()
+        Simulator(model, streams=2, sink=sink).run(until=100.0)
+        times = _times_of(sink, "event")
         # Practically impossible before t=5 at rate 1e-9; nearly
         # immediate after the flip at rate 1000.
         assert len(times) == 1
@@ -255,9 +260,9 @@ class TestReactivation:
                 cases=[Case(output_arcs=[Arc(stage)])],
             )
         )
-        tracer = MemoryTracer()
-        Simulator(model, tracer=tracer).run(until=30.0)
-        assert tracer.times_of("stage_work") == [pytest.approx(16.0)]
+        sink = MemorySink()
+        Simulator(model, sink=sink).run(until=30.0)
+        assert _times_of(sink, "stage_work") == [pytest.approx(16.0)]
 
     def test_atomic_self_replacement_keeps_clock(self):
         # Clearing and re-marking the input place within ONE firing is
@@ -284,9 +289,9 @@ class TestReactivation:
                 cases=[Case(output_gates=[OutputGate("cs", clear_and_set)])],
             )
         )
-        tracer = MemoryTracer()
-        Simulator(model, tracer=tracer).run(until=30.0)
-        assert tracer.times_of("stage_work") == [pytest.approx(10.0)]
+        sink = MemorySink()
+        Simulator(model, sink=sink).run(until=30.0)
+        assert _times_of(sink, "stage_work") == [pytest.approx(10.0)]
 
 
 class TestInstantaneous:

@@ -26,7 +26,6 @@ PACKAGES = [
 
 MODULES = [
     "repro.san.activities",
-    "repro.san.composition",
     "repro.san.distributions",
     "repro.san.gates",
     "repro.san.model",
@@ -36,12 +35,10 @@ MODULES = [
     "repro.san.simulator",
     "repro.san.statespace",
     "repro.san.statistics",
-    "repro.san.trace",
     "repro.san.transient",
     "repro.san.dot",
     "repro.core.completion",
     "repro.core.ledger",
-    "repro.core.metrics",
     "repro.core.parameters",
     "repro.core.simulation",
     "repro.core.system",
