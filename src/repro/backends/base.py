@@ -163,8 +163,8 @@ class EvaluationPlan:
         but must cover every listed name.
     simulation:
         Effort knobs for simulation backends (warmup, observation
-        window, replications, confidence, kernel). Closed-form
-        backends ignore it.
+        window, replications, strategy). Closed-form backends ignore
+        it; the backend id chooses a simulation's event kernel.
     seed:
         Root random seed for stochastic backends; ignored by exact
         and closed-form backends.
@@ -447,13 +447,17 @@ def plan_key_dict(params: ModelParameters, plan: EvaluationPlan) -> Dict[str, ob
     The simulation's ``wall_clock_budget`` decides whether a run
     finishes, never its value, so it is normalised to ``None``: a
     budgeted request shares its digest with the budget-less one.
-    ``batch_size`` belonged to a removed simulation kernel; every key
-    filed while it existed carries it as ``null``, so it stays pinned
-    there and those keys stay valid.
+    Three pins keep keys filed under earlier plans valid: ``batch_size``
+    belonged to a removed simulation kernel and was ``null`` for every
+    other one; ``kernel`` and ``confidence`` were plan fields that every
+    sweep left at ``"incremental"`` and ``0.95`` (the backend id now
+    chooses the kernel, and every interval is a 95% one).
     """
     simulation = _field_dict(plan.simulation)
     simulation["wall_clock_budget"] = None
     simulation["batch_size"] = None
+    simulation["kernel"] = "incremental"
+    simulation["confidence"] = 0.95
     plan_dict = _field_dict(plan)
     plan_dict["simulation"] = simulation
     return {"params": _field_dict(params), "plan": plan_dict}

@@ -12,10 +12,10 @@ Layout: ``<root>/<backend_id>/<digest[:2]>/<digest>.json``, one file
 per evaluated request, written atomically (temp file + fsync +
 rename, the same discipline as the journal and the figure archive).
 The two-hex-character fan-out keeps any one directory small under a
-long-lived evaluation service; entries written under the older flat
-layout (``<root>/<backend_id>/<digest>.json``) are migrated into
-their shard transparently on first lookup. A corrupt, missing, or
-schema-mismatched entry is a cache miss, never an error.
+long-lived evaluation service. A corrupt, missing, or
+schema-mismatched entry is a cache miss, never an error; so is an
+entry of the older flat layout (``<root>/<backend_id>/<digest>.json``),
+which is not read.
 
 For a long-lived compute tier the cache also supports an explicit
 eviction pass: :meth:`ResultCache.prune` removes the least-recently
@@ -129,7 +129,7 @@ class ResultCache:
         patterns = (
             # Sharded layout: <root>/<backend>/<digest[:2]>/.cache-*.tmp
             os.path.join(escaped, "*", "*", ".cache-*.json.tmp"),
-            # Legacy flat layout, still swept during migration.
+            # Pre-shard flat layout: <root>/<backend>/.cache-*.tmp
             os.path.join(escaped, "*", ".cache-*.json.tmp"),
         )
         for pattern in patterns:
@@ -155,25 +155,6 @@ class ResultCache:
             self.root, backend_id, digest[:2], f"{digest}.json"
         )
 
-    def _migrate_flat_entry(self, backend_id: str, digest: str,
-                            sharded: str) -> bool:
-        """Move a pre-shard flat entry into its fan-out directory.
-
-        Returns True when an entry was migrated (the sharded path now
-        exists). Losing the rename race to another process migrating
-        the same entry is fine — the file lands in the same place.
-        """
-        flat = os.path.join(self.root, backend_id, f"{digest}.json")
-        if not os.path.isfile(flat):
-            return False
-        try:
-            os.makedirs(os.path.dirname(sharded), exist_ok=True)
-            os.replace(flat, sharded)
-        except OSError:
-            return os.path.isfile(sharded)
-        metrics.registry().counter("cache.migrated_entries").inc()
-        return True
-
     def get(self, backend: Backend, params: ModelParameters,
             plan: EvaluationPlan) -> Optional[EvaluationResult]:
         """The cached result, or ``None`` on any kind of miss (see
@@ -187,13 +168,10 @@ class ResultCache:
 
         Corruption, schema mismatches and an entry stamped with another
         backend are deliberate misses: the caller re-evaluates and
-        overwrites the bad entry. An entry written under the pre-shard
-        flat layout is transparently moved into its shard and served.
+        overwrites the bad entry.
         """
         path = self.entry_path(backend_id, digest)
         reg = metrics.registry()
-        if not os.path.isfile(path):
-            self._migrate_flat_entry(backend_id, digest, path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
@@ -237,7 +215,7 @@ class ResultCache:
         return path
 
     def _entries(self):
-        """Every completed entry file under the root (both layouts),
+        """Every completed entry file under the root (either layout),
         as ``(path, last_use_unix, size_bytes)`` tuples."""
         found = []
         for dirpath, _dirnames, filenames in os.walk(self.root):
@@ -289,7 +267,7 @@ class ResultCache:
             try:
                 os.unlink(path)
             except OSError:
-                continue  # raced with a reader's migration or another prune
+                continue  # raced with another prune
             total -= size
             summary["entries_removed"] += 1
             summary["bytes_removed"] += size

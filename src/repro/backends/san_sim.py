@@ -6,18 +6,16 @@ the *entire* parameter space (timeouts, correlated failures, every
 coordination mode) and reports confidence intervals; its cost is
 simulation time.
 
-Two registrations share this class: ``san-sim`` (the default,
+Two registrations share this class, and the backend id is the one
+place the event kernel is chosen: ``san-sim`` (the default,
 incremental event kernel) and ``san-sim-full`` (the full-rescan
 reference kernel). Both kernels are trajectory-preserving, so the
 two backends produce bit-identical results for the same seed; the
 second exists for A/B verification through the same interface the
-figures use.
+figures use, and as the chaos drill's fallback.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
-from typing import Optional
 
 from ..core.parameters import ModelParameters
 from ..core.simulation import simulate
@@ -45,21 +43,16 @@ _BREAKDOWN_METRICS = (
 
 
 class SanSimulationBackend(BaseBackend):
-    """Stochastic simulation of the composed SAN model.
-
-    ``kernel`` pins the event kernel for every evaluation
-    (``"incremental"`` or ``"full"``); ``None`` leaves the choice to
-    ``plan.simulation.kernel``.
-    """
+    """Stochastic simulation of the composed SAN model on one event
+    kernel (``"incremental"`` or ``"full"``)."""
 
     backend_version = 1
 
-    def __init__(self, id: str = "san-sim", kernel: Optional[str] = None) -> None:
-        """Create the backend under the given registry id, optionally
-        pinning the event kernel."""
+    def __init__(self, id: str = "san-sim", kernel: str = "incremental") -> None:
+        """Create the backend under the given registry id, running
+        every evaluation on ``kernel``."""
         self.id = id
         self.kernel = kernel
-        kernel_label = kernel or "plan-selected"
         self.capabilities = BackendCapabilities(
             metrics=frozenset(
                 {USEFUL_WORK_FRACTION, TOTAL_USEFUL_WORK, *_BREAKDOWN_METRICS}
@@ -69,7 +62,7 @@ class SanSimulationBackend(BaseBackend):
             max_nodes=None,
             description=(
                 "discrete-event simulation of the full SAN model "
-                f"({kernel_label} kernel); covers the whole parameter space, "
+                f"({kernel} kernel); covers the whole parameter space, "
                 "reports 95% confidence intervals"
             ),
         )
@@ -81,10 +74,9 @@ class SanSimulationBackend(BaseBackend):
         """Run ``plan.simulation.replications`` replications rooted at
         ``plan.seed`` and report every metric the model measures."""
         self.check(params, plan)
-        sim_plan = plan.simulation
-        if self.kernel is not None and sim_plan.kernel != self.kernel:
-            sim_plan = replace(sim_plan, kernel=self.kernel)
-        outcome = simulate(params, sim_plan, seed=plan.seed)
+        outcome = simulate(
+            params, plan.simulation, seed=plan.seed, kernel=self.kernel
+        )
         metrics = {
             USEFUL_WORK_FRACTION: MetricValue(
                 mean=outcome.useful_work_fraction.mean,
@@ -100,7 +92,7 @@ class SanSimulationBackend(BaseBackend):
                 mean=interval.mean, half_width=interval.half_width
             )
         details = {
-            "replications": float(sim_plan.replications),
+            "replications": float(plan.simulation.replications),
             "events": float(sum(outcome.event_counts)),
         }
         counters = outcome.counters

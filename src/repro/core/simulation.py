@@ -32,16 +32,11 @@ from .submodels import USEFUL_WORK, breakdown_rewards, useful_work_reward
 from .system import build_system
 
 __all__ = [
-    "PLAN_KERNELS",
     "SimulationPlan",
     "SimulationResult",
     "simulate",
     "run_single",
 ]
-
-#: Kernels a SimulationPlan may select. The pair is
-#: trajectory-preserving: both give bit-identical results per seed.
-PLAN_KERNELS = ("incremental", "full")
 
 #: Default transient period (the paper uses 1000 h; the model reaches
 #: steady state much faster, and tests/benches override this anyway).
@@ -64,20 +59,12 @@ class SimulationPlan:
         Measured window following the transient.
     replications:
         Number of independent replications (each with its own streams).
-    confidence:
-        Confidence level of the reported intervals.
     wall_clock_budget:
         Optional real-time budget (seconds) per replication; a run
         that exceeds it raises
         :class:`~repro.san.errors.WallClockExceededError` instead of
         hanging its sweep worker. ``None`` (default) disables the
         guard.
-    kernel:
-        Event kernel the simulator runs on: ``"incremental"``
-        (default, dependency-indexed scheduling) or ``"full"`` (the
-        full-rescan reference). The two are trajectory-preserving —
-        identical results per seed — so this knob only trades speed
-        for verifiability.
     strategy:
         Checkpointing-strategy spec (see :mod:`repro.strategies`):
         ``"flat"`` (default, the paper's protocol — untouched model
@@ -95,13 +82,11 @@ class SimulationPlan:
     warmup: float = DEFAULT_WARMUP
     observation: float = DEFAULT_OBSERVATION
     replications: int = DEFAULT_REPLICATIONS
-    confidence: float = 0.95
     wall_clock_budget: Optional[float] = None
-    kernel: str = "incremental"
     strategy: str = "flat"
 
     #: Every float field, checked for NaN and infinity first.
-    _FLOAT_FIELDS = ("warmup", "observation", "confidence", "wall_clock_budget")
+    _FLOAT_FIELDS = ("warmup", "observation", "wall_clock_budget")
 
     def __post_init__(self) -> None:
         require_finite(self, self._FLOAT_FIELDS)
@@ -111,15 +96,9 @@ class SimulationPlan:
             raise ValueError(f"observation must be > 0, got {self.observation}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0 < self.confidence < 1:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.wall_clock_budget is not None and self.wall_clock_budget <= 0:
             raise ValueError(
                 f"wall_clock_budget must be > 0, got {self.wall_clock_budget}"
-            )
-        if self.kernel not in PLAN_KERNELS:
-            raise ValueError(
-                f"kernel must be one of {PLAN_KERNELS}, got {self.kernel!r}"
             )
         if self.strategy != "flat":
             # Lazy import: repro.strategies depends only on
@@ -194,8 +173,10 @@ def run_single(
     plan: SimulationPlan,
     seed: int,
     extra_rewards: Sequence[RewardVariable] = (),
+    kernel: str = "incremental",
 ) -> Tuple[Dict[str, float], SimulationOutput, LedgerCounters]:
-    """Run one replication.
+    """Run one replication on the named event kernel (see
+    :class:`~repro.san.simulator.Simulator`).
 
     Returns each reward's time average, the run's output (its event
     count and kernel stats) and the ledger's counters. Builds a fresh
@@ -211,7 +192,7 @@ def run_single(
         ctx=system.ledger,
         streams=StreamRegistry(seed),
         sink=default_sink(),
-        kernel=plan.kernel,
+        kernel=kernel,
     )
     output = simulator.run(
         until=plan.horizon,
@@ -229,12 +210,15 @@ def simulate(
     plan: Optional[SimulationPlan] = None,
     seed: int = 0,
     extra_rewards: Sequence[RewardVariable] = (),
+    kernel: str = "incremental",
 ) -> SimulationResult:
     """Steady-state study of one configuration.
 
     Runs ``plan.replications`` independent replications (replication
-    ``k`` derives its streams from ``(seed, k)``), discards the
-    transient, and reports Student-t confidence intervals.
+    ``k`` derives its streams from ``(seed, k)``) on the named event
+    kernel, discards the transient, and reports 95% Student-t
+    confidence intervals. The two kernels are trajectory-preserving:
+    ``"full"`` gives the same result as the default, more slowly.
     """
     plan = plan or SimulationPlan()
     if plan.strategy != "flat":
@@ -246,19 +230,19 @@ def simulate(
     for replication in range(plan.replications):
         replication_seed = root.spawn(replication).seed
         measures, output, counters = run_single(
-            params, plan, replication_seed, extra_rewards
+            params, plan, replication_seed, extra_rewards, kernel
         )
         event_counts.append(output.event_count)
         for name, value in measures.items():
             per_reward.setdefault(name, []).append(value)
 
     uwf_samples = per_reward[USEFUL_WORK]
-    uwf = confidence_interval(uwf_samples, plan.confidence)
+    uwf = confidence_interval(uwf_samples)
     tuw = confidence_interval(
-        [value * params.n_processors for value in uwf_samples], plan.confidence
+        [value * params.n_processors for value in uwf_samples]
     )
     breakdown = {
-        name: confidence_interval(values, plan.confidence)
+        name: confidence_interval(values)
         for name, values in per_reward.items()
         if name != USEFUL_WORK
     }

@@ -230,6 +230,22 @@ class EvaluationTask:
             # Tasks queued while the batched kernel existed carry its
             # batch_size field (null for every other kernel).
             simulation.pop("batch_size", None)
+            # Tasks queued while the plan named the event kernel and
+            # the confidence level carry both. Both kernels give the
+            # same values, so the kernel is dropped; a level other than
+            # the 0.95 every interval is computed at is refused.
+            kernel = simulation.pop("kernel", "incremental")
+            if kernel not in ("incremental", "full"):
+                raise TaskError(
+                    f"task plan names kernel {kernel!r}; only "
+                    "'incremental' and 'full' exist"
+                )
+            confidence = simulation.pop("confidence", 0.95)
+            if confidence != 0.95:
+                raise TaskError(
+                    f"task plan asks for confidence {confidence!r}; every "
+                    "interval is computed at 0.95"
+                )
             plan = EvaluationPlan(
                 metrics=tuple(plan_payload["metrics"]),
                 simulation=SimulationPlan(**simulation),

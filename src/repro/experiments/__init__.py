@@ -25,7 +25,6 @@ from .archive import (
     compare_figures,
     load_archive,
     load_figure,
-    save_archive,
     save_figure,
 )
 from .chaos import ChaosOutcome, run_chaos
@@ -67,7 +66,6 @@ __all__ = [
     "FIGURE_SCHEMA_VERSION",
     "save_figure",
     "load_figure",
-    "save_archive",
     "load_archive",
     "compare_figures",
     "compare_archives",

@@ -6,8 +6,8 @@ module persists regenerated figures as JSON and compares two archives
 tolerance, so refactors can prove they did not move the results.
 
 Layout: one ``<figure_id>.json`` per figure inside an archive
-directory, written by :func:`save_figure` / :func:`save_archive` and
-compared by :func:`compare_figures` / :func:`compare_archives`.
+directory, written by :func:`save_figure` and compared by
+:func:`compare_figures` / :func:`compare_archives`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from .._atomic import atomic_write
 from .._version import __version__
@@ -27,7 +27,6 @@ __all__ = [
     "FIGURE_SCHEMA_VERSION",
     "save_figure",
     "load_figure",
-    "save_archive",
     "load_archive",
     "Discrepancy",
     "compare_figures",
@@ -145,11 +144,6 @@ def load_figure(path: str) -> FigureResult:
     return figure
 
 
-def save_archive(figures: Iterable[FigureResult], directory: str) -> List[str]:
-    """Write many figures; returns the written paths."""
-    return [save_figure(figure, directory) for figure in figures]
-
-
 def load_archive(directory: str) -> Dict[str, FigureResult]:
     """Read every ``*.json`` figure in a directory, keyed by id."""
     figures: Dict[str, FigureResult] = {}
@@ -239,14 +233,30 @@ def compare_figures(
     return discrepancies
 
 
+def _nonempty_archive(directory: str) -> Dict[str, FigureResult]:
+    """:func:`load_archive`, refusing a missing or figure-less
+    directory with a :class:`ValueError` that names it."""
+    if not os.path.isdir(directory):
+        raise ValueError(f"archive directory {directory!r} does not exist")
+    figures = load_archive(directory)
+    if not figures:
+        raise ValueError(f"archive directory {directory!r} holds no figure")
+    return figures
+
+
 def compare_archives(
     reference_dir: str,
     candidate_dir: str,
     rel_tolerance: float = 0.15,
 ) -> List[Discrepancy]:
-    """Compare every figure present in the reference archive."""
-    reference = load_archive(reference_dir)
-    candidate = load_archive(candidate_dir)
+    """Compare every figure present in the reference archive.
+
+    Raises :class:`ValueError` naming the directory when either one is
+    missing or holds no figure: an empty comparison is no evidence
+    that two archives agree.
+    """
+    reference = _nonempty_archive(reference_dir)
+    candidate = _nonempty_archive(candidate_dir)
     discrepancies: List[Discrepancy] = []
     for figure_id, ref_figure in reference.items():
         cand_figure = candidate.get(figure_id)

@@ -41,7 +41,6 @@ import time
 from typing import List, Optional, Tuple
 
 from ..backends import BackendError, all_backends, backend_ids
-from ..core.simulation import PLAN_KERNELS
 from ..exec import EXECUTOR_IDS, ExecutorError
 from ..exec.queue import POLL_INTERVAL_SECONDS
 from ..strategies import StrategyError
@@ -351,32 +350,37 @@ def build_parser() -> argparse.ArgumentParser:
     design = sub.add_parser(
         "design", help="explore the interval x machine-size design space"
     )
-    design.add_argument("--mttf-years", type=finite_float, default=1.0,
+    design.add_argument("--mttf-years", type=positive_float, default=1.0,
                         help="per-node MTTF in years")
-    design.add_argument("--mttr-minutes", type=finite_float, default=10.0,
-                        help="system MTTR in minutes")
-    design.add_argument("--processors-per-node", type=int, default=8)
-    design.add_argument("--overhead-seconds", type=finite_float, default=57.0,
+    design.add_argument("--mttr-minutes", type=non_negative_float,
+                        default=10.0, help="system MTTR in minutes")
+    design.add_argument("--processors-per-node", type=positive_int, default=8)
+    design.add_argument("--overhead-seconds", type=non_negative_float,
+                        default=57.0,
                         help="blocking checkpoint overhead (quiesce + dump)")
 
     sensitivity = sub.add_parser(
         "sensitivity", help="rank the parameters by UWF elasticity"
     )
-    sensitivity.add_argument("--processors", type=int, default=65536)
-    sensitivity.add_argument("--processors-per-node", type=int, default=8)
-    sensitivity.add_argument("--mttf-years", type=finite_float, default=1.0)
-    sensitivity.add_argument("--mttr-minutes", type=finite_float, default=10.0)
-    sensitivity.add_argument("--interval-minutes", type=finite_float, default=30.0)
-    sensitivity.add_argument("--overhead-seconds", type=finite_float, default=57.0)
+    sensitivity.add_argument("--processors", type=positive_int, default=65536)
+    sensitivity.add_argument("--processors-per-node", type=positive_int,
+                             default=8)
+    sensitivity.add_argument("--mttf-years", type=positive_float, default=1.0)
+    sensitivity.add_argument("--mttr-minutes", type=non_negative_float,
+                             default=10.0)
+    sensitivity.add_argument("--interval-minutes", type=positive_float,
+                             default=30.0)
+    sensitivity.add_argument("--overhead-seconds", type=non_negative_float,
+                             default=57.0)
 
     completion = sub.add_parser(
         "completion", help="terminating job-completion-time study"
     )
-    completion.add_argument("--work-hours", type=finite_float, default=24.0,
+    completion.add_argument("--work-hours", type=positive_float, default=24.0,
                             help="job size in hours of whole-machine work")
-    completion.add_argument("--processors", type=int, default=65536)
-    completion.add_argument("--mttf-years", type=finite_float, default=1.0)
-    completion.add_argument("--replications", type=int, default=5)
+    completion.add_argument("--processors", type=positive_int, default=65536)
+    completion.add_argument("--mttf-years", type=positive_float, default=1.0)
+    completion.add_argument("--replications", type=positive_int, default=5)
     completion.add_argument("--seed", type=int, default=0)
 
     validate = sub.add_parser(
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     validate.add_argument(
-        "--scale", type=finite_float, default=1.0,
+        "--scale", type=positive_float, default=1.0,
         help="scale the simulation effort of every case (CI smoke uses <1)",
     )
     validate.add_argument(
@@ -455,6 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    # Options are spelled in full: the removed --kernel would otherwise
+    # read as an abbreviation of --kernel-stats.
+    parser.allow_abbrev = False
     parser.add_argument(
         "--preset",
         default="standard",
@@ -469,16 +476,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "evaluation backend for sweep figures (default: each "
             "figure's declared backend; see the 'backends' command)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=PLAN_KERNELS,
-        help=(
-            "event kernel for sweep figures (default: the preset plan's "
-            "kernel, i.e. incremental); both kernels give bit-identical "
-            "results per seed"
         ),
     )
     parser.add_argument(
@@ -644,7 +641,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-max-events",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="with --trace-out: stop writing a figure's events after N kept ones",
@@ -670,7 +667,7 @@ def _resilience_from_args(args: argparse.Namespace):
 #: ``run_figure``'s sweep-only arguments, each set by the flag of the
 #: same name. A figure that is not a SAN sweep refuses them.
 _SWEEP_OPTIONS = (
-    "backend", "kernel", "strategy", "executor", "queue_dir", "max_points",
+    "backend", "strategy", "executor", "queue_dir", "max_points",
 )
 
 
@@ -753,7 +750,6 @@ def _run_one(
             processes=processes,
             resilience=_resilience_from_args(args),
             backend=getattr(args, "backend", None),
-            kernel=getattr(args, "kernel", None),
             strategy=getattr(args, "strategy", None),
             executor=executor,
             queue_dir=getattr(args, "queue_dir", None),
@@ -1267,9 +1263,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "compare":
         from .archive import compare_archives
 
-        discrepancies = compare_archives(
-            args.reference, args.candidate, rel_tolerance=args.tolerance
-        )
+        try:
+            discrepancies = compare_archives(
+                args.reference, args.candidate, rel_tolerance=args.tolerance
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for discrepancy in discrepancies:
             print(str(discrepancy))
         if discrepancies:

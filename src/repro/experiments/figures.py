@@ -572,7 +572,6 @@ def run_figure(
     processes: Optional[int] = None,
     resilience: Optional[ResilienceOptions] = None,
     backend: Optional[str] = None,
-    kernel: Optional[str] = None,
     strategy: Optional[str] = None,
     executor=None,
     queue_dir: Optional[str] = None,
@@ -581,8 +580,10 @@ def run_figure(
     """Regenerate one figure from its spec.
 
     ``backend`` overrides the spec's declared evaluation backend for
-    sweep figures; custom figures are bound to their solver and reject
-    an override with :class:`~repro.backends.base.BackendError`.
+    sweep figures (``"san-sim-full"`` runs the same simulation on the
+    full-rescan reference kernel); custom figures are bound to their
+    solver and reject an override with
+    :class:`~repro.backends.base.BackendError`.
 
     ``executor`` / ``queue_dir`` select the execution substrate the
     sweep runs on (``"serial"``, ``"pool"``, ``"queue"`` or a
@@ -593,16 +594,11 @@ def run_figure(
     are sweep-figure knobs, rejected for custom figures, whose solvers
     do not run point sweeps.
 
-    ``kernel`` overrides the preset plan's event kernel
-    (``"incremental"`` or ``"full"``); it is a sweep-figure knob and
-    is rejected for custom figures, whose solvers do not run the SAN
-    executive.
-
     ``strategy`` replaces the preset plan's checkpointing strategy
     (the paper's ``"flat"`` protocol) with a spec string (see
     :mod:`repro.strategies`), e.g. ``"incremental"`` or
-    ``"adaptive:failure_rate=1e-4"``; like the kernel it is a
-    sweep-figure knob, rejected for custom figures. The resulting plan
+    ``"adaptive:failure_rate=1e-4"``; it is a sweep-figure knob,
+    rejected for custom figures. The resulting plan
     carries the canonical spec into every task's cache key and the run
     manifest, and the figure notes record any non-flat strategy, so a
     zoo archive is never mistaken for (or cached as) a flat one.
@@ -633,7 +629,6 @@ def run_figure(
         passed = [
             name
             for name, value in (
-                ("kernel", kernel),
                 ("strategy", strategy),
                 ("executor", executor),
                 ("queue_dir", queue_dir),
@@ -663,8 +658,6 @@ def run_figure(
             )
         return figure
     plan = plan_for(preset)
-    if kernel is not None:
-        plan = replace(plan, kernel=kernel)
     if strategy is not None:
         # replace() re-runs plan validation, so an unknown or
         # malformed --strategy surfaces here as a StrategyError.

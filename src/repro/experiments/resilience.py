@@ -113,13 +113,13 @@ class RetryPolicy:
     """How failed or hung points are retried.
 
     ``delay_for(attempt)`` is the backoff slept before attempt
-    ``attempt`` (1-based for retries): ``backoff_base * backoff_factor
-    ** (attempt - 1)``, capped at ``backoff_max``.
+    ``attempt`` (1-based for retries): ``backoff_base`` doubled per
+    attempt, ``backoff_base * 2 ** (attempt - 1)``, capped at
+    ``backoff_max``.
     """
 
     max_retries: int = 2
     backoff_base: float = 0.5
-    backoff_factor: float = 2.0
     backoff_max: float = 30.0
 
     def __post_init__(self) -> None:
@@ -127,10 +127,6 @@ class RetryPolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base < 0:
             raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.backoff_max < 0:
             raise ValueError(f"backoff_max must be >= 0, got {self.backoff_max}")
 
@@ -140,7 +136,7 @@ class RetryPolicy:
             return 0.0
         return min(
             self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
+            self.backoff_base * 2.0 ** (attempt - 1),
         )
 
 
@@ -236,11 +232,9 @@ class CheckpointJournal:
         Two sweeps share a fingerprint iff resuming one from the
         other's journal is sound. Wall-clock budgets and retry
         policies are deliberately excluded: they affect *whether* a
-        point completes, never its value. The event kernel is also
-        excluded — the kernels are trajectory-preserving, so a journal
-        written under one kernel resumes soundly under the other —
-        but the evaluation *backend* is included: different backends
-        legitimately produce different values for the same point.
+        point completes, never its value. The evaluation *backend* is
+        included: different backends legitimately produce different
+        values for the same point.
         """
         import hashlib
 
@@ -252,7 +246,9 @@ class CheckpointJournal:
             float(getattr(plan, "warmup", 0.0)),
             float(getattr(plan, "observation", 0.0)),
             int(getattr(plan, "replications", 1)),
-            float(getattr(plan, "confidence", 0.95)),
+            # The confidence level, a plan field when the first
+            # journals were written; every interval is a 95% one.
+            0.95,
         )
         if backend != "san-sim":
             # Appended conditionally so journals written before the

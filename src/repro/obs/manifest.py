@@ -84,7 +84,8 @@ class RunManifest:
         recorded in ``seed_policy``.
     plan:
         The simulation plan as a plain dictionary (warmup,
-        observation, replications, confidence, kernel).
+        observation, replications, wall-clock budget, strategy); the
+        ``backend`` id records the event kernel.
     points_total:
         Points the sweep declared.
     points_from_journal / points_from_cache:

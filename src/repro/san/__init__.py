@@ -62,7 +62,6 @@ from .statistics import (
     ConfidenceInterval,
     RunningStatistics,
     confidence_interval,
-    replicate,
     standard_error_of,
     t_critical,
 )
@@ -120,5 +119,4 @@ __all__ = [
     "confidence_interval",
     "t_critical",
     "standard_error_of",
-    "replicate",
 ]

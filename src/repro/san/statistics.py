@@ -1,20 +1,18 @@
-"""Output analysis: confidence intervals and replications.
+"""Output analysis: confidence intervals over replications.
 
 The paper simulates to steady state with a 95% confidence level. This
 module provides the matching machinery:
 
 * :class:`RunningStatistics` — numerically stable (Welford) streaming
   mean/variance;
-* :class:`ConfidenceInterval` — Student-t interval over replications;
-* :func:`replicate` — run a model factory across independent
-  replications and aggregate each reward variable.
+* :class:`ConfidenceInterval` — Student-t interval over replications.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Sequence
 
 __all__ = [
     "RunningStatistics",
@@ -22,7 +20,6 @@ __all__ = [
     "confidence_interval",
     "t_critical",
     "standard_error_of",
-    "replicate",
 ]
 
 
@@ -229,34 +226,3 @@ def confidence_interval(
         )
     half_width = t_critical(confidence, n - 1) * statistics.stddev / math.sqrt(n)
     return ConfidenceInterval(statistics.mean, half_width, confidence, n)
-
-
-def replicate(
-    run_once: Callable[[int], Dict[str, float]],
-    replications: int,
-    confidence: float = 0.95,
-) -> Dict[str, ConfidenceInterval]:
-    """Aggregate a per-replication measure dictionary into intervals.
-
-    Parameters
-    ----------
-    run_once:
-        ``replication_index -> {measure: value}``. The callable is
-        responsible for seeding independently per index (use
-        :meth:`repro.san.rng.StreamRegistry.spawn`).
-    replications:
-        Number of independent runs (>= 1).
-    confidence:
-        Confidence level for the intervals.
-    """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    samples: Dict[str, List[float]] = {}
-    for index in range(replications):
-        measures = run_once(index)
-        for name, value in measures.items():
-            samples.setdefault(name, []).append(float(value))
-    return {
-        name: confidence_interval(values, confidence)
-        for name, values in samples.items()
-    }

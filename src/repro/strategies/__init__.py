@@ -37,7 +37,6 @@ from .registry import (
     get_strategy,
     register,
     resolve,
-    strategy_ids,
     unregister,
 )
 from .adaptive import AdaptiveCheckpointStrategy
@@ -56,7 +55,6 @@ __all__ = [
     "register",
     "unregister",
     "get_strategy",
-    "strategy_ids",
     "all_strategies",
     "resolve",
     "canonical_spec",

@@ -26,7 +26,6 @@ __all__ = [
     "register",
     "unregister",
     "get_strategy",
-    "strategy_ids",
     "all_strategies",
     "resolve",
     "canonical_spec",
@@ -78,11 +77,6 @@ def get_strategy(name: str, **params) -> CheckpointStrategy:
             f"strategy {name!r} does not accept parameters "
             f"{sorted(params)}; accepted parameters: {accepted}"
         ) from None
-
-
-def strategy_ids() -> List[str]:
-    """Sorted ids of every registered strategy."""
-    return sorted(_REGISTRY)
 
 
 def all_strategies() -> List[CheckpointStrategy]:

@@ -117,9 +117,9 @@ class DifferentialCase:
         if factor <= 0:
             raise ValueError(f"scale factor must be > 0, got {factor}")
         sim = self.plan.simulation
-        # replace() keeps every other effort knob — kernel,
-        # wall_clock_budget, confidence — so scaling a full-kernel case
-        # still runs on the full kernel.
+        # replace() keeps every other effort knob (warmup,
+        # wall_clock_budget, strategy) and the case keeps its backends,
+        # so a scaled case runs on the kernels it names.
         scaled_sim = replace(
             sim,
             observation=max(sim.observation * factor, 1 * HOUR),

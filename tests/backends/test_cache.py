@@ -254,7 +254,7 @@ class TestTmpJanitor:
 
 
 class TestShardedLayout:
-    """Digest fan-out directories and transparent flat-entry migration."""
+    """Digest fan-out directories; the pre-shard flat layout is not read."""
 
     def test_entries_land_in_digest_shards(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -266,35 +266,19 @@ class TestShardedLayout:
             str(tmp_path), "analytical", digest[:2], f"{digest}.json"
         )
 
-    def test_flat_entry_is_migrated_on_lookup(self, tmp_path):
-        from repro.obs import metrics
-
+    def test_flat_entry_is_an_ordinary_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         backend = get_backend("analytical")
         params = ModelParameters(n_processors=8192)
         sharded = cache.put(backend, params, TINY, make_result())
         digest = cache.key(backend, params, TINY)
-        # Reconstruct the pre-shard layout: entry directly under the
-        # backend directory.
+        # The pre-shard layout: the entry directly under the backend
+        # directory. It is not read, and stays where it is.
         flat = tmp_path / "analytical" / f"{digest}.json"
         os.replace(sharded, flat)
-        os.rmdir(os.path.dirname(sharded))
-
-        counter = metrics.registry().counter("cache.migrated_entries")
-        before = counter.value
-        assert cache.get(backend, params, TINY) == make_result()
-        assert not flat.exists()
-        assert os.path.isfile(sharded)
-        assert counter.value == before + 1
-
-    def test_migration_is_idempotent(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        backend = get_backend("analytical")
-        params = ModelParameters(n_processors=8192)
-        cache.put(backend, params, TINY, make_result())
-        # Nothing flat to migrate: repeated gets just hit the shard.
-        assert cache.get(backend, params, TINY) == make_result()
-        assert cache.get(backend, params, TINY) == make_result()
+        assert cache.get(backend, params, TINY) is None
+        assert flat.exists()
+        assert not os.path.exists(sharded)
 
 
 class TestPrune:

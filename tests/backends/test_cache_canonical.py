@@ -176,7 +176,10 @@ class TestCacheKeyVersioning:
             backend, params, plan
         )
         expected = asdict(plan)
-        # The removed batched kernel's batch_size stays pinned as null.
+        # The removed batched kernel's batch_size stays pinned as null,
+        # and the former kernel and confidence fields at their values.
         expected["simulation"]["batch_size"] = None
+        expected["simulation"]["kernel"] = "incremental"
+        expected["simulation"]["confidence"] = 0.95
         assert plan_key_dict(params, plan)["plan"] == expected
         assert budgeted.simulation.wall_clock_budget == 600.0

@@ -111,6 +111,10 @@ def old_plan_key_dict(params, plan):
     # The recipe hashed the batched kernel's batch_size, null for every
     # plan a remaining kernel runs; asdict no longer emits it.
     plan_dict["simulation"]["batch_size"] = None
+    # Nor the kernel and confidence fields, which every sweep left at
+    # these values (the backend id now chooses the kernel).
+    plan_dict["simulation"]["kernel"] = "incremental"
+    plan_dict["simulation"]["confidence"] = 0.95
     return {"params": asdict(params), "plan": plan_dict}
 
 
@@ -163,11 +167,8 @@ GOLDEN = [
          strategy="incremental:compression_ratio=0.5,full_checkpoint_period=4"
      ),
      "cd7ea3036d31defce09b9006068cf5dd"),
-    # The kernel is part of the key, and so is the backend that pins it.
-    ("san-sim", with_simulation(kernel="full"),
-     "41340560596e1c06dcd335b1d43a8b91"),
-    ("san-sim-full", with_simulation(kernel="full"),
-     "25bf69dd07811e839512b9629d384dae"),
+    # The backend id chooses the kernel, and is part of the key.
+    ("san-sim-full", FIG4A_PLAN, "369ab3d0dbe12b14c1ac3f0d7a10b393"),
     ("san-sim",
      EvaluationPlan(metrics=(TOTAL_USEFUL_WORK,), simulation=QUICK, seed=0),
      "81e206e7919661d1177d93f92b98fe01"),
@@ -176,8 +177,8 @@ GOLDEN = [
 
 @pytest.mark.parametrize(
     "backend_id, plan, digest", GOLDEN,
-    ids=["san-sim", "analytical", "budget", "incremental", "kernel-full",
-         "san-sim-full", "total-useful-work"],
+    ids=["san-sim", "analytical", "budget", "incremental", "san-sim-full",
+         "total-useful-work"],
 )
 def test_golden_request_digest(backend_id, plan, digest):
     assert request_digest(get_backend(backend_id), FIG4A_PARAMS, plan) == digest
@@ -267,9 +268,7 @@ if st is not None:
             warmup=draw(non_negative),
             observation=draw(positive),
             replications=draw(st.integers(1, 8)),
-            confidence=draw(st.floats(0.01, 0.99)),
             wall_clock_budget=draw(st.one_of(st.none(), positive)),
-            kernel=draw(st.sampled_from(("incremental", "full"))),
             strategy=draw(st.sampled_from((
                 "flat",
                 "incremental",

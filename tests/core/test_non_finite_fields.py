@@ -27,7 +27,7 @@ FLOAT_FIELDS = [
 
 
 def test_every_float_field_is_listed():
-    assert len(FLOAT_FIELDS) == 21 + 4 + 1
+    assert len(FLOAT_FIELDS) == 21 + 3 + 1
 
 
 @pytest.mark.parametrize(

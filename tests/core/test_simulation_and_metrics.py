@@ -1,5 +1,7 @@
 """Tests for the simulation driver and its plan."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import (
@@ -17,7 +19,6 @@ class TestSimulationPlan:
     def test_defaults(self):
         plan = SimulationPlan()
         assert plan.replications == 3
-        assert plan.confidence == 0.95
         assert plan.horizon == plan.warmup + plan.observation
 
     @pytest.mark.parametrize(
@@ -26,18 +27,20 @@ class TestSimulationPlan:
             {"warmup": -1.0},
             {"observation": 0.0},
             {"replications": 0},
-            {"confidence": 1.0},
+            {"wall_clock_budget": 0.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimulationPlan(**kwargs)
 
-    def test_removed_batched_kernel_lists_the_kernels(self):
-        with pytest.raises(
-            ValueError, match=r"\('incremental', 'full'\), got 'batched'"
-        ):
-            SimulationPlan(kernel="batched")
+    @pytest.mark.parametrize("name", ["kernel", "confidence", "batch_size"])
+    def test_removed_fields_are_type_errors(self, name):
+        # The backend id chooses the kernel and every interval is a 95%
+        # one; the batched kernel is gone. Five fields remain.
+        with pytest.raises(TypeError, match=name):
+            SimulationPlan(**{name: None})
+        assert len(fields(SimulationPlan)) == 5
 
 
 class TestSimulate:

@@ -150,6 +150,35 @@ class TestEvaluationTask:
         assert rebuilt == task
         assert rebuilt.cache_key() == "4954dd9716c822166574f6b21f0af49d"
 
+    @pytest.mark.parametrize("kernel", ["incremental", "full"])
+    def test_task_queued_with_a_kernel_keeps_the_pinned_key(self, kernel):
+        # Task files written while the plan named the kernel carry it
+        # and the confidence level. Both kernels give the same values,
+        # so either decodes to the key the cache pins.
+        from repro.backends import TOTAL_USEFUL_WORK
+        from repro.experiments.config import plan_for
+        from repro.experiments.figures import FIGURE_SPECS
+        from repro.experiments.runner import sweep_eval_plan
+
+        task = make_task(
+            params=FIGURE_SPECS["fig4a"].points()[0].params,
+            plan=sweep_eval_plan(TOTAL_USEFUL_WORK, plan_for("quick"), 0),
+            backend="san-sim",
+            base_seed=0,
+            attempt=0,
+        )
+        payload = task.to_json_dict()
+        payload["plan"]["simulation"].update(kernel=kernel, confidence=0.95)
+        rebuilt = EvaluationTask.from_json_dict(payload)
+        assert rebuilt == task
+        assert rebuilt.cache_key() == "4954dd9716c822166574f6b21f0af49d"
+
+    def test_task_asking_for_another_confidence_is_refused(self):
+        payload = make_task().to_json_dict()
+        payload["plan"]["simulation"]["confidence"] = 0.9
+        with pytest.raises(TaskError, match="confidence 0.9"):
+            EvaluationTask.from_json_dict(payload)
+
     def test_batched_task_is_rejected_naming_the_kernel(self):
         payload = make_task().to_json_dict()
         payload["plan"]["simulation"].update(kernel="batched", batch_size=8)

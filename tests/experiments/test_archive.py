@@ -11,7 +11,6 @@ from repro.experiments import (
     compare_figures,
     load_archive,
     load_figure,
-    save_archive,
     save_figure,
 )
 
@@ -21,6 +20,11 @@ def make_figure(figure_id="figX", y=0.5, half=0.02):
     figure.series["curve"] = [(1.0, y, half), (2.0, y / 2, half)]
     figure.notes.append("a note")
     return figure
+
+
+def save_all(figures, directory):
+    for figure in figures:
+        save_figure(figure, directory)
 
 
 class TestRoundTrip:
@@ -36,7 +40,7 @@ class TestRoundTrip:
 
     def test_archive_roundtrip(self, tmp_path):
         figures = [make_figure("a"), make_figure("b")]
-        save_archive(figures, str(tmp_path))
+        save_all(figures, str(tmp_path))
         loaded = load_archive(str(tmp_path))
         assert set(loaded) == {"a", "b"}
 
@@ -196,14 +200,14 @@ class TestSchemaVersioning:
 class TestCompareArchives:
     def test_matching_archives(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        save_archive([make_figure("one"), make_figure("two")], str(a))
-        save_archive([make_figure("one"), make_figure("two")], str(b))
+        save_all([make_figure("one"), make_figure("two")], str(a))
+        save_all([make_figure("one"), make_figure("two")], str(b))
         assert compare_archives(str(a), str(b)) == []
 
     def test_missing_figure_flagged(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        save_archive([make_figure("one"), make_figure("two")], str(a))
-        save_archive([make_figure("one")], str(b))
+        save_all([make_figure("one"), make_figure("two")], str(a))
+        save_all([make_figure("one")], str(b))
         discrepancies = compare_archives(str(a), str(b))
         assert len(discrepancies) == 1
         assert "two" in str(discrepancies[0])
@@ -212,13 +216,44 @@ class TestCompareArchives:
         from repro.experiments.cli import main
 
         a, b = tmp_path / "a", tmp_path / "b"
-        save_archive([make_figure("one")], str(a))
-        save_archive([make_figure("one", y=0.9, half=0.001)], str(b))
+        save_all([make_figure("one")], str(a))
+        save_all([make_figure("one", y=0.9, half=0.001)], str(b))
         assert main(["compare", str(a), str(b)]) == 1
         out = capsys.readouterr().out
         assert "discrepanc" in out
-        save_archive([make_figure("one")], str(b))
+        save_all([make_figure("one")], str(b))
         assert main(["compare", str(a), str(b)]) == 0
+
+    @pytest.mark.parametrize("empty", ["reference", "candidate", "both"])
+    def test_cli_compare_refuses_an_archive_with_no_figure(
+        self, tmp_path, capsys, empty
+    ):
+        from repro.experiments.cli import main
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        if empty == "reference":
+            save_all([make_figure("one")], str(b))
+        if empty == "candidate":
+            save_all([make_figure("one")], str(a))
+        assert main(["compare", str(a), str(b)]) == 2
+        named = b if empty == "candidate" else a
+        assert (
+            f"error: archive directory {str(named)!r} holds no figure"
+            in capsys.readouterr().err
+        )
+
+    def test_cli_compare_refuses_a_missing_directory(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        save_all([make_figure("one")], str(tmp_path / "a"))
+        missing = str(tmp_path / "nowhere")
+        assert main(["compare", str(tmp_path / "a"), missing]) == 2
+        assert (
+            f"error: archive directory {missing!r} does not exist"
+            in capsys.readouterr().err
+        )
 
 
 class TestUnvalidatedIntervals:

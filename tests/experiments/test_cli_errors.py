@@ -149,33 +149,12 @@ class TestExitCodeMapping:
         assert rc == 2
         assert "validation backend failure" in captured.err
 
-    def test_kernel_override_on_custom_figure_exits_2(self, capsys):
-        rc = cli.main(["run-figure", "fig3", "--kernel", "full"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "kernel override" in captured.err
-
-    def test_kernel_forwarded_to_runner(self, monkeypatch):
-        seen = {}
-
-        def capturing_runner(figure_id, **kwargs):
-            seen.update(kwargs)
-            raise BackendError("stop after capture")
-
-        monkeypatch.setattr(cli, "run_figure", capturing_runner)
-        rc = cli.main(
-            ["run-figure", "fig4a", "--preset", "quick", "--kernel", "full"]
-        )
-        assert rc == 2
-        assert seen["kernel"] == "full"
-
     def test_unknown_kernel_rejected_by_argparse(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["run-figure", "fig4a", "--kernel", "warp"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--kernel", "batched"),
         ("--backend", "san-sim-batched"),
     ])
     def test_removed_batched_choice_is_a_usage_error(self, flag, value, capsys):
@@ -316,9 +295,11 @@ class TestExitCodeMapping:
 
 
 #: Options deleted with the backend resilience wrapper, the circuit
-#: breaker, the batched kernel and the second deadline flag (the
-#: deadline is ``--point-timeout``): each is now a usage error
-#: (argparse exits 2).
+#: breaker, the batched kernel, the second deadline flag (the
+#: deadline is ``--point-timeout``) and the plan's kernel selector
+#: (``--backend san-sim-full`` runs the full kernel): each is now a
+#: usage error (argparse exits 2). ``--kernel`` is not read as an
+#: abbreviation of ``--kernel-stats``.
 REMOVED_OPTIONS = [
     [*command, flag, value]
     for command in (("run-figure", "fig4a"), ("run-all",), ("claims",))
@@ -329,6 +310,7 @@ REMOVED_OPTIONS = [
         ("--breaker-state-dir", "health"),
         ("--batch-size", "16"),
         ("--wall-clock-budget", "30"),
+        ("--kernel", "full"),
     )
 ] + [
     ["backends", "--state-dir", "health"],
@@ -473,6 +455,7 @@ BAD_RUN_VALUES = [
     ("--point-timeout", "0"),
     ("--trace-sample", "-1"),
     ("--trace-sample", "0"),
+    ("--trace-max-events", "0"),
 ]
 
 
@@ -503,3 +486,42 @@ def test_run_figure_rejects_an_empty_slice():
 
     with pytest.raises(ValueError, match="max_points must be >= 1, got 0"):
         run_figure("fig4a", preset="quick", max_points=0)
+
+
+#: Out-of-range counts and durations of the analytic and study
+#: commands. Each ended in a traceback (exit 1); each flag now has the
+#: bound its constructor checks, so the value is a usage error.
+BAD_COMMAND_VALUES = [
+    ["design", "--mttf-years", "-1"],
+    ["design", "--mttr-minutes", "-1"],
+    ["design", "--processors-per-node", "0"],
+    ["design", "--overhead-seconds", "-1"],
+    ["sensitivity", "--processors", "0"],
+    ["sensitivity", "--processors-per-node", "0"],
+    ["sensitivity", "--mttf-years", "0"],
+    ["sensitivity", "--mttr-minutes", "-1"],
+    ["sensitivity", "--interval-minutes", "0"],
+    ["sensitivity", "--overhead-seconds", "-1"],
+    ["completion", "--work-hours", "0"],
+    ["completion", "--processors", "0"],
+    ["completion", "--mttf-years", "0"],
+    ["completion", "--replications", "0"],
+    ["validate", "--scale", "0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", BAD_COMMAND_VALUES, ids=[" ".join(a) for a in BAD_COMMAND_VALUES]
+)
+def test_command_options_reject_bad_numbers(argv, monkeypatch, capsys):
+    import repro.analytical.design
+    import repro.core
+
+    # Should parsing let the value through, fail fast instead of
+    # running a design search or a completion study.
+    monkeypatch.setattr(repro.analytical.design, "explore", _never_reached)
+    monkeypatch.setattr(repro.core, "completion_study", _never_reached)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {argv[1]}: must be" in capsys.readouterr().err

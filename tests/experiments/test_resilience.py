@@ -49,7 +49,7 @@ class TestRetryPolicy:
 
     def test_backoff_schedule(self):
         policy = RetryPolicy(max_retries=5, backoff_base=0.5,
-                             backoff_factor=2.0, backoff_max=3.0)
+                             backoff_max=3.0)
         assert policy.delay_for(1) == 0.5
         assert policy.delay_for(2) == 1.0
         assert policy.delay_for(3) == 2.0
@@ -63,27 +63,28 @@ class TestRetryPolicy:
 
     def test_exponential_growth(self):
         policy = RetryPolicy(max_retries=4, backoff_base=0.5,
-                             backoff_factor=2.0, backoff_max=100.0)
+                             backoff_max=100.0)
         assert policy.delay_for(1) == pytest.approx(0.5)
         assert policy.delay_for(2) == pytest.approx(1.0)
         assert policy.delay_for(3) == pytest.approx(2.0)
 
     def test_cap_saturation(self):
         policy = RetryPolicy(max_retries=10, backoff_base=1.0,
-                             backoff_factor=10.0, backoff_max=5.0)
+                             backoff_max=5.0)
         assert policy.delay_for(1) == pytest.approx(1.0)
-        assert policy.delay_for(2) == pytest.approx(5.0)
+        assert policy.delay_for(3) == pytest.approx(4.0)
+        assert policy.delay_for(4) == pytest.approx(5.0)
         assert policy.delay_for(9) == pytest.approx(5.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy(backoff_base=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_max=-1.0)
+        with pytest.raises(TypeError, match="backoff_factor"):
+            RetryPolicy(backoff_factor=3.0)  # the factor is 2
 
     def test_attempt_seed_derivation(self):
         assert derive_attempt_seed(123, 0) == 123
@@ -620,8 +621,7 @@ class TestDeterministicSupervision:
             return self.ok_task(task)
 
         policy = RetryPolicy(
-            max_retries=3, backoff_base=10.0, backoff_factor=2.0,
-            backoff_max=60.0,
+            max_retries=3, backoff_base=10.0, backoff_max=60.0,
         )
         supervisor = SweepSupervisor(
             ResilienceOptions(retry=policy),

@@ -12,7 +12,6 @@ from repro.san import (
     RunningStatistics,
     StreamRegistry,
     confidence_interval,
-    replicate,
     t_critical,
 )
 
@@ -98,21 +97,6 @@ class TestConfidenceInterval:
             if confidence_interval(list(sample)).contains(10.0):
                 hits += 1
         assert hits / trials == pytest.approx(0.95, abs=0.04)
-
-
-class TestReplicate:
-    def test_aggregates_measures(self):
-        def run_once(index):
-            return {"a": float(index), "b": 2.0}
-
-        intervals = replicate(run_once, replications=5)
-        assert intervals["a"].mean == pytest.approx(2.0)
-        assert intervals["a"].samples == 5
-        assert intervals["b"].half_width == pytest.approx(0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            replicate(lambda i: {}, replications=0)
 
 
 class TestIntervalValidation:

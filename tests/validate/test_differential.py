@@ -1,7 +1,5 @@
 """Tests for the differential-oracle driver."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.backends import (
@@ -209,15 +207,9 @@ class TestDefaultCases:
 
     def test_scaling_preserves_kernel(self):
         """Effort scaling must shrink the horizon, not silently change
-        which kernel a case exercises."""
-        case = default_cases()[0]
-        on_full = replace(case, plan=replace(
-            case.plan, simulation=replace(case.plan.simulation, kernel="full")
-        ))
-        assert on_full.scaled(0.25).plan.simulation.kernel == "full"
+        which kernel a case exercises: its backends choose it."""
+        unscaled = {c.name: c for c in default_cases()}
         cases = {c.name: c for c in default_cases(0.25)}
+        assert "san-sim-full" in cases["kernel-equivalence"].backends
         for case in cases.values():
-            full = {c.name: c for c in default_cases()}[case.name]
-            assert (
-                case.plan.simulation.kernel == full.plan.simulation.kernel
-            ), case.name
+            assert case.backends == unscaled[case.name].backends, case.name
