@@ -16,14 +16,17 @@ this repository evaluates a checkpoint-system configuration:
 ``analytical``
     Renewal-theory and order-statistic closed forms.
 
-Importing this package registers the default backends; resolve them
-with :func:`~repro.backends.registry.get_backend`. See
+Resolve a backend with :func:`~repro.backends.registry.get_backend`.
+Each stock backend is imported and built on its first lookup, so a
+process that runs only the simulation never loads the cluster
+simulator, the closed forms or the CTMC solvers. See
 ``docs/ARCHITECTURE.md`` for the full picture (registry, capability
 flags, result schema, result cache).
 """
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from .base import (
     Backend,
     BackendCapabilities,
@@ -52,10 +55,6 @@ from .registry import (
     register,
     unregister,
 )
-from .analytical import AnalyticalBackend
-from .cluster import ClusterBackend
-from .ctmc import CTMCBackend
-from .san_sim import SanSimulationBackend
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -88,21 +87,9 @@ __all__ = [
     "AnalyticalBackend",
 ]
 
-
-def _register_defaults() -> None:
-    """Idempotently register the stock backends."""
-    from . import registry as _registry
-
-    defaults = (
-        SanSimulationBackend(),
-        SanSimulationBackend(id="san-sim-full", kernel="full"),
-        CTMCBackend(),
-        ClusterBackend(),
-        AnalyticalBackend(),
-    )
-    for backend in defaults:
-        if backend.id not in _registry._REGISTRY:
-            register(backend)
-
-
-_register_defaults()
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".san_sim": ("SanSimulationBackend",),
+    ".ctmc": ("CTMCBackend",),
+    ".cluster": ("ClusterBackend",),
+    ".analytical": ("AnalyticalBackend",),
+})

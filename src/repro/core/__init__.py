@@ -9,12 +9,7 @@ Public API::
     print(result.summary())
 """
 
-from .completion import (
-    CompletionResult,
-    CompletionStudy,
-    completion_study,
-    simulate_completion,
-)
+from .._lazy import lazy_exports
 from .ledger import LedgerCounters, WorkLedger
 from .parameters import (
     DAY,
@@ -56,3 +51,12 @@ __all__ = [
     "simulate_completion",
     "completion_study",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".completion": (
+        "CompletionResult",
+        "CompletionStudy",
+        "simulate_completion",
+        "completion_study",
+    ),
+})

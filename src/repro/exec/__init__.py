@@ -11,7 +11,8 @@ tasks into :class:`~repro.exec.task.TaskResult` envelopes is an
   wall-clock budget. The conformance reference.
 * :class:`~repro.exec.pool.PoolExecutor` — ``multiprocessing.Pool``
   fan-out with pool-death recovery; the one executor that takes a
-  timeout and kills a hung point.
+  timeout and kills a hung point. It, and ``multiprocessing``, load
+  on first use.
 * :class:`~repro.exec.queue.QueueExecutor` — file-backed persistent
   queue with cache-key deduplication, so concurrent figures sharing
   points, and ``repro worker`` processes draining beside a sweep,
@@ -27,6 +28,7 @@ which drives any executor through the same protocol. See
 tree and the queue layout.
 """
 
+from .._lazy import lazy_exports
 from .base import (
     EXECUTOR_IDS,
     Executor,
@@ -34,7 +36,6 @@ from .base import (
     ExecutorError,
     make_executor,
 )
-from .pool import PoolExecutor, shutdown_pool
 from .queue import (
     HEARTBEAT_DIVISOR,
     INFLIGHT_SWEEP_AGE_SECONDS,
@@ -75,3 +76,7 @@ __all__ = [
     "execute_task",
     "failure_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".pool": ("PoolExecutor", "shutdown_pool"),
+})

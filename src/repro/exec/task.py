@@ -345,9 +345,10 @@ def execute_task(
 ) -> TaskResult:
     """Evaluate one task once; never raise.
 
-    Resolves the backend by name (backends register at import time in
-    every process), evaluates under the task's derived attempt seed,
-    and best-effort writes the result through to the task's cache.
+    Resolves the backend by name (every process knows the stock ids
+    and builds each backend on its first lookup), evaluates under the
+    task's derived attempt seed, and best-effort writes the result
+    through to the task's cache.
     Exceptions are folded into a structured ``"error"``
     :class:`TaskResult` before they cross any process boundary.
 

@@ -13,6 +13,7 @@ Command line: ``python -m repro run-figure fig4a --preset quick``
 (``python -m repro list`` prints every id).
 """
 
+from .._lazy import lazy_exports
 from . import figures
 from .config import PRESETS, base_parameters, plan_for
 from .figures import FIGURE_SPECS, run_figure
@@ -26,14 +27,6 @@ from .archive import (
     load_archive,
     load_figure,
     save_figure,
-)
-from .chaos import ChaosOutcome, run_chaos
-from .faultinject import (
-    BackendFaultPlan,
-    FaultPlan,
-    InjectedBackendFault,
-    InjectedCrash,
-    SweepAborted,
 )
 from .paper_claims import CLAIMS, Claim, ClaimOutcome, evaluate_claims, render_claims
 from .resilience import (
@@ -89,3 +82,16 @@ __all__ = [
     "ChaosOutcome",
     "run_chaos",
 ]
+
+# No figure run needs the chaos drill, which loads repro.validate and
+# repro.failures, or the fault injection that serves it and the tests.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".chaos": ("ChaosOutcome", "run_chaos"),
+    ".faultinject": (
+        "FaultPlan",
+        "BackendFaultPlan",
+        "InjectedCrash",
+        "InjectedBackendFault",
+        "SweepAborted",
+    ),
+})

@@ -114,9 +114,22 @@ def non_negative_int(text: str) -> int:
     return _at_least(_integer(text), text, 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes each option only spelled in full,
+    so that ``design --processors 7`` is an unknown option, not
+    ``--processors-per-node 7``, and a removed option never reads as a
+    prefix of a kept one. Sub-parsers are built from their parent's
+    class, so every command inherits this.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-experiments",
         description=(
             "Regenerate the evaluation of 'Modeling Coordinated Checkpointing "
@@ -459,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    # Options are spelled in full: the removed --kernel would otherwise
-    # read as an abbreviation of --kernel-stats.
-    parser.allow_abbrev = False
     parser.add_argument(
         "--preset",
         default="standard",
@@ -953,6 +963,13 @@ def _claims_command(args: argparse.Namespace) -> int:
     from .archive import load_archive
     from .paper_claims import CLAIMS, evaluate_claims, render_claims
 
+    if args.from_json and not os.path.isdir(args.from_json):
+        print(
+            f"error: argument --from-json: archive directory "
+            f"{args.from_json!r} does not exist",
+            file=sys.stderr,
+        )
+        return 2
     figures = load_archive(args.from_json) if args.from_json else {}
     ok = True
     with _trace_sink(args) as sink:
@@ -1322,9 +1339,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..core import ModelParameters, completion_study
         from ..core.parameters import HOUR, YEAR
 
-        params = ModelParameters(
-            n_processors=args.processors, mttf_node=args.mttf_years * YEAR
-        )
+        try:
+            params = ModelParameters(
+                n_processors=args.processors, mttf_node=args.mttf_years * YEAR
+            )
+        except ValueError as exc:
+            # A flag bound cannot say that the processors fill whole
+            # nodes; the parameters check it.
+            print(f"error: argument --processors: {exc}", file=sys.stderr)
+            return 2
         study = completion_study(
             params,
             args.work_hours,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -51,6 +50,8 @@ def git_describe() -> Optional[str]:
     runs from; ``None`` when not a checkout (installed wheel, no git).
     Never raises — provenance is recorded when available, not required.
     """
+    import subprocess  # only a run that writes a manifest pays for it
+
     try:
         completed = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

@@ -16,8 +16,8 @@ Typical usage::
     )
 """
 
+from .._lazy import lazy_exports
 from .activities import Activity, Arc, Case, InstantaneousActivity, TimedActivity
-from .dot import to_dot
 from .distributions import (
     EULER_MASCHERONI,
     Deterministic,
@@ -56,8 +56,6 @@ from .simulator import (
     monotone_nondecreasing,
     non_negative_markings,
 )
-from .statespace import StateSpace, StateSpaceGenerator, SteadyStateSolution
-from .transient import TransientSolution, TransientSolver
 from .statistics import (
     ConfidenceInterval,
     RunningStatistics,
@@ -120,3 +118,9 @@ __all__ = [
     "t_critical",
     "standard_error_of",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".dot": ("to_dot",),
+    ".statespace": ("StateSpace", "StateSpaceGenerator", "SteadyStateSolution"),
+    ".transient": ("TransientSolver", "TransientSolution"),
+})

@@ -525,3 +525,86 @@ def test_command_options_reject_bad_numbers(argv, monkeypatch, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert f"argument {argv[1]}: must be" in capsys.readouterr().err
+
+
+def test_claims_from_a_missing_directory_is_a_usage_error(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "run_figure", _never_reached)
+    missing = str(tmp_path / "nowhere")
+    assert cli.main(["claims", "--from-json", missing, "--max-points", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --from-json" in err
+    assert f"{missing!r} does not exist" in err
+
+
+def test_claims_from_an_empty_directory_regenerates_its_figures(
+    tmp_path, monkeypatch, capsys
+):
+    regenerated = []
+
+    def recording_runner(figure_id, **kwargs):
+        regenerated.append(figure_id)
+        raise BackendError("stop after the first figure")
+
+    monkeypatch.setattr(cli, "run_figure", recording_runner)
+    assert cli.main(["claims", "--from-json", str(tmp_path),
+                     "--max-points", "1"]) == 2
+    assert len(regenerated) == 1
+    assert "stop after the first figure" in capsys.readouterr().err
+
+
+def test_completion_processors_off_the_node_size_is_a_usage_error(
+    monkeypatch, capsys
+):
+    import repro.core
+
+    monkeypatch.setattr(repro.core, "completion_study", _never_reached)
+    assert cli.main(["completion", "--processors", "7", "--work-hours", "1",
+                     "--replications", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --processors" in err
+    assert "must be a multiple of processors_per_node (8)" in err
+
+
+#: Abbreviated options, each now an unrecognized argument. All but the
+#: run option used to run as the full option: ``design --processors 7``
+#: ran with ``--processors-per-node 7``.
+ABBREVIATED_OPTIONS = [
+    ["design", "--processors", "7"],
+    ["completion", "--work", "1"],
+    ["sensitivity", "--interval", "30"],
+    ["worker", "--queue-dir", "q", "--max", "1"],
+    ["obs", "out", "--js"],
+    ["validate", "--skip-g"],
+    ["chaos", "fig4a", "--hang-s", "5"],
+    ["run-figure", "fig4a", "--pres", "quick"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ABBREVIATED_OPTIONS, ids=[" ".join(a) for a in ABBREVIATED_OPTIONS]
+)
+def test_abbreviated_option_is_a_usage_error(argv, monkeypatch, capsys):
+    import repro.analytical.design
+
+    monkeypatch.setattr(repro.analytical.design, "explore", _never_reached)
+    monkeypatch.setattr(cli, "run_figure", _never_reached)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    flag = next(a for a in reversed(argv) if a.startswith("--"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_every_parser_takes_options_spelled_in_full():
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action.choices, dict):  # a subcommand table
+                for subparser in action.choices.values():
+                    yield from parsers(subparser)
+
+    every = list(parsers(cli.build_parser()))
+    assert len(every) >= 18
+    assert not [parser.prog for parser in every if parser.allow_abbrev]

@@ -1,4 +1,4 @@
-"""No figure process loads scipy.
+"""No figure process loads scipy, or a layer that no figure run uses.
 
 The one statistic the figure path computes is the two-sided 95%
 Student-t critical value at 1, 2 or 4 degrees of freedom, and
@@ -8,7 +8,13 @@ Importing ``scipy.special`` for it would cost a cold figure run about
 several times that. So neither a sweep, cold or served from a cache,
 nor a ``repro worker`` draining its points loads any scipy module;
 ``repro validate``, transient solves and off-table quantiles still do.
-Each check runs in a fresh interpreter, as a user's command does.
+
+The same processes load none of :data:`DEFERRED`: the packages export
+those layers lazily and the stock backends are built on first lookup,
+so the cluster simulator, the closed forms, the CTMC solvers, the
+validation suite, the chaos drill and the process pool load only in a
+process that asks for them. Each check runs in a fresh interpreter, as
+a user's command does.
 """
 
 import os
@@ -22,16 +28,29 @@ from repro.experiments.runner import build_sweep_tasks, sweep_eval_plan
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
+#: Modules that no figure run or queue worker loads.
+DEFERRED = (
+    "repro.cluster",
+    "repro.analytical",
+    "repro.validate",
+    "repro.failures",
+    "repro.backends.ctmc",
+    "repro.backends.cluster",
+    "repro.backends.analytical",
+    "repro.san.statespace",
+    "repro.san.transient",
+    "repro.san.dot",
+    "repro.core.completion",
+    "repro.experiments.chaos",
+    "repro.experiments.faultinject",
+    "multiprocessing",
+)
 
-def _scipy_after(code: str, cwd: str) -> list:
-    """Run ``code`` in a fresh interpreter; return the scipy modules it
-    left loaded, sorted."""
-    probe = (
-        code
-        + "\nimport sys"
-        + "\nprint(' '.join(sorted(m for m in sys.modules"
-        + " if m.partition('.')[0] == 'scipy')))"
-    )
+
+def _modules_after(code: str, cwd: str) -> list:
+    """Run ``code`` in a fresh interpreter; return the names of the
+    modules it left loaded, sorted."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -44,20 +63,34 @@ def _scipy_after(code: str, cwd: str) -> list:
     return result.stdout.splitlines()[-1].split()
 
 
+def _scipy(modules: list) -> list:
+    return [m for m in modules if m.partition(".")[0] == "scipy"]
+
+
+def _deferred(modules: list) -> list:
+    return [m for m in DEFERRED if m in modules]
+
+
 def test_cli_import_loads_no_scipy_statistics(tmp_path):
-    assert _scipy_after("import repro.experiments.cli", str(tmp_path)) == []
+    modules = _modules_after("import repro.experiments.cli", str(tmp_path))
+    assert _scipy(modules) == []
+    assert _deferred(modules) == []
 
 
 def test_cache_served_figure_loads_no_scipy_stats(tmp_path):
     run = (
         "from repro.experiments.cli import main\n"
         "assert main(['run-figure', 'fig4a', '--preset', 'quick', "
-        "'--max-points', '2', '--cache-dir', 'cache']) == 0"
+        "'--max-points', '2', '--cache-dir', 'cache', "
+        "'--save-json', 'out']) == 0"
     )
-    # The first run evaluates both points and computes their intervals;
-    # the second is served from the cache.
-    assert _scipy_after(run, str(tmp_path)) == []
-    assert _scipy_after(run, str(tmp_path)) == []
+    # The first run evaluates both points, computes their intervals and
+    # writes the archive; the second is served from the cache.
+    for _ in range(2):
+        modules = _modules_after(run, str(tmp_path))
+        assert _scipy(modules) == []
+        assert _deferred(modules) == []
+    assert (tmp_path / "out" / "fig4a.manifest.json").exists()
 
 
 def test_worker_draining_a_point_loads_no_scipy(tmp_path):
@@ -69,6 +102,8 @@ def test_worker_draining_a_point_loads_no_scipy(tmp_path):
         "from repro.experiments.cli import main\n"
         "assert main(['worker', '--queue-dir', 'q', '--max-tasks', '1']) == 0"
     )
-    assert _scipy_after(drain, str(tmp_path)) == []
+    modules = _modules_after(drain, str(tmp_path))
+    assert _scipy(modules) == []
+    assert _deferred(modules) == []
     queue = WorkQueue(str(tmp_path / "q"))
     assert queue.lookup(task.backend, task.cache_key()) is not None
