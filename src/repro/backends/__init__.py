@@ -42,7 +42,6 @@ from .base import (
     TOTAL_USEFUL_WORK,
     USEFUL_WORK_FRACTION,
     UnknownBackendError,
-    UnsupportedBackendError,
     UnsupportedMetricError,
     UnsupportedParametersError,
     non_flat_strategy,
@@ -67,7 +66,6 @@ __all__ = [
     "BackendCapabilities",
     "BackendError",
     "UnknownBackendError",
-    "UnsupportedBackendError",
     "non_flat_strategy",
     "UnsupportedMetricError",
     "UnsupportedParametersError",

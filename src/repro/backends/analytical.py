@@ -31,7 +31,6 @@ from .base import (
     MetricValue,
     TOTAL_USEFUL_WORK,
     USEFUL_WORK_FRACTION,
-    UnsupportedBackendError,
     non_flat_strategy,
 )
 
@@ -130,13 +129,6 @@ class AnalyticalBackend(BaseBackend):
         self, params: ModelParameters, plan: EvaluationPlan
     ) -> EvaluationResult:
         """Evaluate the requested closed forms exactly."""
-        spec = non_flat_strategy(plan)
-        if spec is not None:
-            raise UnsupportedBackendError(
-                f"backend {self.id!r} cannot run: the closed forms model "
-                f"only the flat coordinated checkpoint protocol; strategy "
-                f"{spec!r} needs a sampled SAN backend (san-sim)"
-            )
         self.check(params, plan)
         overhead = blocking_checkpoint_overhead(params)
         mtbf = params.system_mtbf / params.generic_uniform_multiplier

@@ -54,7 +54,6 @@ __all__ = [
     "UnknownBackendError",
     "UnsupportedMetricError",
     "UnsupportedParametersError",
-    "UnsupportedBackendError",
     "SchemaMismatchError",
     "MetricValue",
     "EvaluationPlan",
@@ -125,14 +124,6 @@ class UnsupportedMetricError(BackendError, ValueError):
 class UnsupportedParametersError(BackendError, ValueError):
     """The backend cannot evaluate the given configuration (a model
     feature it does not implement, or a scale it cannot reach)."""
-
-
-class UnsupportedBackendError(BackendError, RuntimeError):
-    """The backend is registered but its model cannot run this
-    request (e.g. a non-flat checkpointing strategy on a backend that
-    models only the flat protocol; see :func:`non_flat_strategy`).
-    Registration and ``repro backends`` listing still work; only
-    evaluation refuses, naming what is missing."""
 
 
 class SchemaMismatchError(BackendError, ValueError):
@@ -469,9 +460,10 @@ def non_flat_strategy(plan: EvaluationPlan) -> Optional[str]:
 
     Backends whose model implements only the flat coordinated
     checkpoint (the exact chain, the closed forms, the message-level
-    cluster protocol) veto non-flat strategies with this — a
-    ``supports`` reason for sweeps to skip on, and an
-    :class:`UnsupportedBackendError` on the evaluate path.
+    cluster protocol) veto non-flat strategies with this in
+    ``supports``: a reason for sweeps to skip on, and through
+    :meth:`BaseBackend.check` an :class:`UnsupportedParametersError`
+    on the evaluate path.
     """
     spec = plan.simulation.strategy
     return None if spec == "flat" else spec

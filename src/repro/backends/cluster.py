@@ -29,7 +29,6 @@ from .base import (
     MetricValue,
     TOTAL_USEFUL_WORK,
     USEFUL_WORK_FRACTION,
-    UnsupportedBackendError,
     non_flat_strategy,
 )
 
@@ -94,14 +93,6 @@ class ClusterBackend(BaseBackend):
     ) -> EvaluationResult:
         """Run one trajectory of ``plan.duration`` (falling back to
         ``plan.simulation.observation``) seeded with ``plan.seed``."""
-        spec = non_flat_strategy(plan)
-        if spec is not None:
-            raise UnsupportedBackendError(
-                f"backend {self.id!r} cannot run: the message-level "
-                f"protocol implements only the flat coordinated "
-                f"checkpoint; strategy {spec!r} needs a sampled SAN "
-                f"backend (san-sim)"
-            )
         self.check(params, plan)
         duration = plan.duration or plan.simulation.observation
         outcome = ClusterSimulator(params, seed=plan.seed).run(duration=duration)

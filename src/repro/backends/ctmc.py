@@ -43,7 +43,6 @@ from .base import (
     MetricValue,
     TOTAL_USEFUL_WORK,
     USEFUL_WORK_FRACTION,
-    UnsupportedBackendError,
     non_flat_strategy,
 )
 
@@ -174,13 +173,6 @@ class CTMCBackend(BaseBackend):
         the chain is a faithful abstraction (failures rare within one
         interval), which is exactly where this backend is useful.
         """
-        spec = non_flat_strategy(plan)
-        if spec is not None:
-            raise UnsupportedBackendError(
-                f"backend {self.id!r} cannot run: the exact chain models "
-                f"only the flat coordinated checkpoint protocol; strategy "
-                f"{spec!r} needs a sampled SAN backend (san-sim)"
-            )
         self.check(params, plan)
         space = StateSpaceGenerator(self.build_submodel(params)).generate()
         solution = space.steady_state()

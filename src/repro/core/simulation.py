@@ -184,8 +184,8 @@ def run_single(
     never share mutable state.
     """
     system = build_system(params)
-    rewards = [useful_work_reward(system.ledger)]
-    rewards.extend(breakdown_rewards())
+    rewards = [useful_work_reward(system)]
+    rewards.extend(breakdown_rewards(system))
     rewards.extend(extra_rewards)
     simulator = Simulator(
         system.model,

@@ -11,12 +11,13 @@ variables the paper reports plus a set of time-breakdown diagnostics.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from ...san import RewardVariable
-from ..ledger import WorkLedger
-from ..parameters import ModelParameters
 from . import names
+
+if TYPE_CHECKING:
+    from ..system import CheckpointSystem
 
 __all__ = ["useful_work_reward", "breakdown_rewards", "USEFUL_WORK", "BREAKDOWN_NAMES"]
 
@@ -33,41 +34,52 @@ BREAKDOWN_NAMES = (
 )
 
 
-def useful_work_reward(ledger: WorkLedger) -> RewardVariable:
-    """The paper's useful-work measure.
+def useful_work_reward(system: "CheckpointSystem") -> RewardVariable:
+    """The paper's useful-work measure on a built ``system``.
 
-    Rate 1 while ``execution`` is marked; impulses subtract
-    ``ledger.last_lost`` at the firings that roll the computation back
-    (compute-node failures, and I/O-node failures that lose in-flight
-    application data). Its time average over the observation window is
-    the **useful work fraction**.
+    Rate 1 while ``execution`` is marked; impulses subtract the work
+    ledger's ``last_lost`` at the firings that roll the computation
+    back (compute-node failures, and I/O-node failures that lose
+    in-flight application data). Its time average over the observation
+    window is the **useful work fraction**. The rate reads the
+    system's ``execution`` place directly, as the gate predicates do.
     """
+    execution = system.model.place(names.EXECUTION)
 
     def lost(state, case: int) -> float:
         return -state.ctx.last_lost
 
     return RewardVariable(
         USEFUL_WORK,
-        rate=lambda s: 1.0 if s.tokens(names.EXECUTION) else 0.0,
+        rate=lambda s: 1.0 if execution.tokens else 0.0,
         impulses={"comp_failure": lost, "io_failure": lost},
         reads=(names.EXECUTION,),
     )
 
 
-def breakdown_rewards() -> List[RewardVariable]:
-    """Time-fraction diagnostics: execution, checkpointing (quiesce +
-    dump), recovering (failed/stage1/stage2), rebooting, and time
-    inside a correlated-failure window."""
+def breakdown_rewards(system: "CheckpointSystem") -> List[RewardVariable]:
+    """Time-fraction diagnostics on a built ``system``: execution,
+    checkpointing (quiesce + dump), recovering (failed/stage1/stage2),
+    rebooting, and time inside a correlated-failure window. Each rate
+    reads the system's places directly, as the gate predicates do."""
+    place = system.model.place
+    execution = place(names.EXECUTION)
+    quiescing, dumping = place(names.QUIESCING), place(names.DUMPING)
+    comp_failed = place(names.COMP_FAILED)
+    recovering_s1 = place(names.RECOVERING_S1)
+    recovering_s2 = place(names.RECOVERING_S2)
+    rebooting = place(names.REBOOTING)
+    prop_window, gen_window = place(names.PROP_WINDOW), place(names.GEN_WINDOW)
     return [
         RewardVariable(
             "frac_execution",
-            rate=lambda s: 1.0 if s.tokens(names.EXECUTION) else 0.0,
+            rate=lambda s: 1.0 if execution.tokens else 0.0,
             reads=(names.EXECUTION,),
         ),
         RewardVariable(
             "frac_checkpointing",
             rate=lambda s: 1.0
-            if (s.tokens(names.QUIESCING) or s.tokens(names.DUMPING))
+            if (quiescing.tokens or dumping.tokens)
             else 0.0,
             reads=(names.QUIESCING, names.DUMPING),
         ),
@@ -75,22 +87,22 @@ def breakdown_rewards() -> List[RewardVariable]:
             "frac_recovering",
             rate=lambda s: 1.0
             if (
-                s.tokens(names.COMP_FAILED)
-                or s.tokens(names.RECOVERING_S1)
-                or s.tokens(names.RECOVERING_S2)
+                comp_failed.tokens
+                or recovering_s1.tokens
+                or recovering_s2.tokens
             )
             else 0.0,
             reads=(names.COMP_FAILED, names.RECOVERING_S1, names.RECOVERING_S2),
         ),
         RewardVariable(
             "frac_rebooting",
-            rate=lambda s: 1.0 if s.tokens(names.REBOOTING) else 0.0,
+            rate=lambda s: 1.0 if rebooting.tokens else 0.0,
             reads=(names.REBOOTING,),
         ),
         RewardVariable(
             "frac_corr_window",
             rate=lambda s: 1.0
-            if (s.tokens(names.PROP_WINDOW) or s.tokens(names.GEN_WINDOW))
+            if (prop_window.tokens or gen_window.tokens)
             else 0.0,
             reads=(names.PROP_WINDOW, names.GEN_WINDOW),
         ),

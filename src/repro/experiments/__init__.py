@@ -83,8 +83,8 @@ __all__ = [
     "run_chaos",
 ]
 
-# No figure run needs the chaos drill, which loads repro.validate and
-# repro.failures, or the fault injection that serves it and the tests.
+# No figure run needs the chaos drill, or the fault injection that
+# serves it and the tests.
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".chaos": ("ChaosOutcome", "run_chaos"),
     ".faultinject": (

@@ -21,7 +21,7 @@ Usage::
     python -m repro validate --check        # per-point drift vs the baselines
     python -m repro validate --perturb mttf_node=0.25   # mutation smoke
     python -m repro run-figure fig4a --retries 2 --degrade-to san-sim-full
-    python -m repro chaos fig4a --preset quick --scale 0.1 --max-points 4 \
+    python -m repro chaos fig4a --preset quick --max-points 4 \
         --crash 0.5 --hang 0.25 --hang-seconds 120 --deadline 30
     python -m repro worker --queue-dir q    # drain q beside a queue sweep
     python -m repro run-figure fig4a --preset quick --executor queue \
@@ -114,6 +114,14 @@ def non_negative_int(text: str) -> int:
     return _at_least(_integer(text), text, 0)
 
 
+def fraction(text: str) -> float:
+    """A finite float from 0 to 1: a share of evaluations."""
+    value = finite_float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes each option only spelled in full,
     so that ``design --processors 7`` is an unknown option, not
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help=(
             "regenerate a figure on the pool executor clean and under "
-            "injected backend faults (crash/hang/slow/corrupt), recover "
+            "injected backend faults (crash/hang/corrupt), recover "
             "through retries and fallback backends, and assert the "
             "archives still agree"
         ),
@@ -171,36 +179,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=0, help="root random seed")
     chaos.add_argument(
-        "--scale", type=finite_float, default=1.0,
-        help="scale the simulation effort (CI smoke uses <1)",
-    )
-    chaos.add_argument(
-        "--max-points", type=int, default=None, metavar="N",
+        "--max-points", type=positive_int, default=None, metavar="N",
         help="slice the sweep to its first N points",
     )
     chaos.add_argument(
-        "--crash", type=finite_float, default=0.5, metavar="FRACTION",
+        "--crash", type=fraction, default=0.5, metavar="FRACTION",
         help="fraction of evaluations that crash on every attempt "
              "(only a fallback backend escapes; default 0.5)",
     )
     chaos.add_argument(
-        "--hang", type=finite_float, default=0.0, metavar="FRACTION",
+        "--hang", type=fraction, default=0.0, metavar="FRACTION",
         help="fraction of evaluations that hang on every attempt",
     )
     chaos.add_argument(
-        "--hang-seconds", type=finite_float, default=3600.0, metavar="SECONDS",
+        "--hang-seconds", type=positive_float, default=3600.0,
+        metavar="SECONDS",
         help="how long an injected hang sleeps (default: 3600)",
     )
     chaos.add_argument(
-        "--slow", type=finite_float, default=0.0, metavar="FRACTION",
-        help="fraction of evaluations delayed by --slow-seconds",
-    )
-    chaos.add_argument(
-        "--slow-seconds", type=finite_float, default=0.0, metavar="SECONDS",
-        help="latency added to slow-afflicted evaluations",
-    )
-    chaos.add_argument(
-        "--corrupt", type=finite_float, default=0.0, metavar="FRACTION",
+        "--corrupt", type=fraction, default=0.0, metavar="FRACTION",
         help="fraction of evaluations whose result means are corrupted "
              "(only the tolerance comparison can catch these)",
     )
@@ -209,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="vary the deterministic fault pattern at the same fractions",
     )
     chaos.add_argument(
-        "--deadline", type=finite_float, default=30.0, metavar="SECONDS",
+        "--deadline", type=positive_float, default=30.0, metavar="SECONDS",
         help="point timeout: the pool kills an attempt still running "
              "after it (default: 30)",
     )
     chaos.add_argument(
-        "--retries", type=int, default=1, metavar="N",
+        "--retries", type=non_negative_int, default=1, metavar="N",
         help="retries per point and backend before falling back "
              "(default: 1)",
     )
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos.add_argument(
-        "--tolerance", type=finite_float, default=0.15,
+        "--tolerance", type=non_negative_float, default=0.15,
         help="relative tolerance of the archive comparison",
     )
     chaos.add_argument(
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache root (the --cache-dir sweeps write to)",
     )
     cache_prune.add_argument(
-        "--max-bytes", type=int, required=True, metavar="N",
+        "--max-bytes", type=non_negative_int, required=True, metavar="N",
         help="byte budget the cache must fit after pruning",
     )
 
@@ -357,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("reference", help="reference archive directory")
     compare.add_argument("candidate", help="candidate archive directory")
-    compare.add_argument("--tolerance", type=finite_float, default=0.15,
-                         help="relative tolerance per point")
+    compare.add_argument("--tolerance", type=non_negative_float,
+                         default=0.15, help="relative tolerance per point")
 
     design = sub.add_parser(
         "design", help="explore the interval x machine-size design space"
@@ -1145,30 +1142,20 @@ def _chaos_command(args: argparse.Namespace) -> int:
             hang_fraction=args.hang,
             hang_attempts=None,
             hang_seconds=args.hang_seconds,
-            slow_fraction=args.slow,
-            slow_seconds=args.slow_seconds,
             corrupt_fraction=args.corrupt,
             salt=args.fault_salt,
         )
-        degrade_to = (
-            tuple(args.degrade_to)
-            if args.degrade_to
-            else (("san-sim-full",) if spec.backend == "san-sim" else ())
-        )
         options = default_chaos_resilience(
-            spec.backend,
             fault_plan,
             deadline=args.deadline,
             retries=args.retries,
-            degrade_to=degrade_to,
+            degrade_to=tuple(args.degrade_to or ()),
         )
         outcome = run_chaos(
             args.figure,
             preset=args.preset,
             seed=args.seed,
-            scale=args.scale,
             max_points=args.max_points,
-            fault_plan=fault_plan,
             options=options,
             tolerance=args.tolerance,
             out_dir=args.out,

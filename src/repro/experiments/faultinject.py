@@ -22,7 +22,7 @@ plus journal-corruption helpers (:func:`corrupt_journal_tail`,
 torn write or bit rot in the checkpoint file itself.
 
 :class:`BackendFaultPlan` is the *backend-level* counterpart through
-the same hooks: raise / hang / slow / corrupt-result faults,
+the same hooks: raise / hang / corrupt-result faults,
 deterministic by backend id, evaluation key (a seed-free request
 digest, see :func:`evaluation_key`) and attempt number. The ``repro
 chaos`` CLI subcommand runs a figure under one and asserts the
@@ -193,13 +193,10 @@ class BackendFaultPlan:
         (``None`` = every attempt, the "permanently broken" shape that
         only a fallback backend escapes).
     hang_fraction / hang_attempts / hang_seconds:
-        Fraction of evaluations that sleep ``hang_seconds`` before
-        evaluating — past the point timeout this models a genuine hang
-        the pool must kill; below it, a slow-but-successful call.
-    slow_fraction / slow_seconds:
-        Fraction of evaluations delayed by ``slow_seconds`` (latency
-        injection that should *not* trip anything when the point
-        timeout is sized sanely).
+        Fraction of evaluations that sleep ``hang_seconds`` (above 0)
+        before evaluating — past the point timeout this models a
+        genuine hang the pool must kill; below it, a slow-but-successful
+        call.
     corrupt_fraction / corrupt_attempts / corrupt_factor:
         Fraction of evaluations whose *result* is corrupted: every
         metric mean is multiplied by ``corrupt_factor``. The result
@@ -216,19 +213,20 @@ class BackendFaultPlan:
     hang_fraction: float = 0.0
     hang_attempts: Optional[Tuple[int, ...]] = None
     hang_seconds: float = 3600.0
-    slow_fraction: float = 0.0
-    slow_seconds: float = 0.0
     corrupt_fraction: float = 0.0
     corrupt_attempts: Optional[Tuple[int, ...]] = (0,)
     corrupt_factor: float = 10.0
     salt: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("crash_fraction", "hang_fraction", "slow_fraction",
-                     "corrupt_fraction"):
+        for name in ("crash_fraction", "hang_fraction", "corrupt_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not self.hang_seconds > 0:
+            raise ValueError(
+                f"hang_seconds must be > 0, got {self.hang_seconds}"
+            )
         for name in ("crash_attempts", "hang_attempts", "corrupt_attempts"):
             value = getattr(self, name)
             if value is not None:
@@ -262,15 +260,11 @@ class BackendFaultPlan:
         """Supervisor-side hook: backend faults never abort a sweep."""
 
     def before_evaluate(self, backend_id: str, key: str, attempt: int) -> None:
-        """Pre-evaluation hook: inject latency, hangs and crashes.
+        """Pre-evaluation hook: inject hangs and crashes.
 
         Runs in whichever process evaluates the task, so on the pool
         an injected hang is killable exactly like a real one.
         """
-        if (self._applies(backend_id, attempt, None)
-                and self._afflicted("slow", self.slow_fraction, key)
-                and self.slow_seconds > 0):
-            time.sleep(self.slow_seconds)
         if (self._applies(backend_id, attempt, self.hang_attempts)
                 and self._afflicted("hang", self.hang_fraction, key)):
             time.sleep(self.hang_seconds)

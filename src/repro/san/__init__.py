@@ -1,8 +1,8 @@
 """Stochastic Activity Networks: formalism, simulator, and solvers.
 
 This package is the repository's replacement for the Möbius modeling
-environment the paper used: places (discrete and extended), timed and
-instantaneous activities with cases, input/output gates, shared-state
+environment the paper used: places, timed and instantaneous
+activities with cases, input/output gates, shared-state
 composition, rate/impulse reward variables, a next-event simulation
 executive with transient discard, replication statistics, and an exact
 CTMC solver for small all-exponential models.
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .gates import InputGate, OutputGate
 from .model import ReplayGroup, SANModel
-from .places import ExtendedPlace, Place
+from .places import Place
 from .profiling import KernelStats
 from .rewards import RewardResult, RewardVariable
 from .rng import StreamRegistry
@@ -95,7 +95,6 @@ __all__ = [
     "ReplayGroup",
     "to_dot",
     "Place",
-    "ExtendedPlace",
     "RewardVariable",
     "RewardResult",
     "StreamRegistry",

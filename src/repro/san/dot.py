@@ -50,11 +50,6 @@ def to_dot(
         lines.append(
             f"  {_quote('p:' + place.name)} [shape=circle, label={_quote(label)}];"
         )
-    for extended in model.extended_places:
-        lines.append(
-            f"  {_quote('p:' + extended.name)} "
-            f"[shape=doublecircle, label={_quote(extended.name)}];"
-        )
 
     # Activities, optionally clustered by submodel.
     activity_to_submodel: Dict[str, str] = {}

@@ -9,8 +9,8 @@ Gates give SANs their expressive power over plain Petri nets:
   of a chosen case.
 
 Both receive the live :class:`~repro.san.simulator.SimulationState`, so
-they can read/write place markings, extended places, the simulation
-clock and the user context (the checkpoint model's work ledger).
+they can read/write place markings, the simulation clock and the
+user context (the checkpoint model's work ledger).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The SAN model container and shared-state composition.
 
-A :class:`SANModel` owns places, extended places and activities. State
+A :class:`SANModel` owns places and activities. State
 sharing — the composition mechanism the paper uses to wire its twelve
 submodels together (Figure 1) — falls out naturally: a *submodel* is
 just a builder function that adds its pieces to the shared model, and
@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .activities import Activity, InstantaneousActivity, TimedActivity
 from .errors import ModelDefinitionError
 from .gates import InputGate
-from .places import ExtendedPlace, Place
+from .places import Place
 
 __all__ = ["SANModel", "ReplayGroup"]
 
@@ -111,7 +111,6 @@ class SANModel:
             raise ModelDefinitionError("model name must be non-empty")
         self.name = name
         self._places: Dict[str, Place] = {}
-        self._extended: Dict[str, ExtendedPlace] = {}
         self._activities: Dict[str, Activity] = {}
         self._activity_order: List[Activity] = []
         self._submodels: Dict[str, List[str]] = {}
@@ -137,21 +136,8 @@ class SANModel:
                     f"{existing.initial} vs {initial}"
                 )
             return existing
-        if name in self._extended:
-            raise ModelDefinitionError(f"name {name!r} already used by an extended place")
         place = Place(name, initial)
         self._places[name] = place
-        return place
-
-    def add_extended_place(self, name: str, initial: float = 0.0) -> ExtendedPlace:
-        """Create (or fetch) an extended place holding a float."""
-        existing = self._extended.get(name)
-        if existing is not None:
-            return existing
-        if name in self._places:
-            raise ModelDefinitionError(f"name {name!r} already used by a discrete place")
-        place = ExtendedPlace(name, initial)
-        self._extended[name] = place
         return place
 
     def add_activity(self, activity: Activity, submodel: Optional[str] = None) -> Activity:
@@ -182,13 +168,6 @@ class SANModel:
         except KeyError:
             raise ModelDefinitionError(f"unknown place {name!r}") from None
 
-    def extended_place(self, name: str) -> ExtendedPlace:
-        """Return the extended place called ``name``."""
-        try:
-            return self._extended[name]
-        except KeyError:
-            raise ModelDefinitionError(f"unknown extended place {name!r}") from None
-
     def activity(self, name: str) -> Activity:
         """Return the activity called ``name``."""
         try:
@@ -204,11 +183,6 @@ class SANModel:
     def places(self) -> Tuple[Place, ...]:
         """All discrete places, in creation order."""
         return tuple(self._places.values())
-
-    @property
-    def extended_places(self) -> Tuple[ExtendedPlace, ...]:
-        """All extended places, in creation order."""
-        return tuple(self._extended.values())
 
     @property
     def activities(self) -> Tuple[Activity, ...]:
@@ -267,7 +241,7 @@ class SANModel:
                     touched.add(arc.place.name)
             if activity.timed:
                 for name in activity.resample_on:  # type: ignore[attr-defined]
-                    if name not in self._places and name not in self._extended:
+                    if name not in self._places:
                         raise ModelDefinitionError(
                             f"activity {activity.name!r}: resample_on unknown "
                             f"place {name!r}"
@@ -275,7 +249,7 @@ class SANModel:
                     touched.add(name)
             for gate in activity.input_gates:
                 for name in gate.reads:
-                    if name not in self._places and name not in self._extended:
+                    if name not in self._places:
                         raise ModelDefinitionError(
                             f"gate {gate.name!r}: declares read of unknown "
                             f"place {name!r}"
@@ -287,28 +261,6 @@ class SANModel:
         if not self._activities:
             warnings.append("model has no activities")
         return warnings
-
-    def dependency_index(self) -> Dict[str, Tuple[str, ...]]:
-        """Static index: place name -> names of dependent activities.
-
-        An activity *depends* on a place when the place's marking can
-        affect the activity's enabling or pending clock — it appears in
-        an input arc, a declared input-gate ``reads``, or (timed)
-        ``resample_on``. Activities with an undeclared gate footprint
-        (see :meth:`Activity.dependency_places`) are listed under the
-        pseudo-place ``"*"``: the incremental kernel re-evaluates them
-        after every event. The index is what turns the executive's
-        post-firing work from O(all activities) into O(fan-out).
-        """
-        index: Dict[str, List[str]] = {}
-        for activity in self._activity_order:
-            deps = activity.dependency_places()
-            if deps is None:
-                index.setdefault("*", []).append(activity.name)
-                continue
-            for name in sorted(deps):
-                index.setdefault(name, []).append(activity.name)
-        return {name: tuple(dependents) for name, dependents in index.items()}
 
     def marking(self) -> Dict[str, int]:
         """Snapshot of the discrete marking as ``{place: tokens}``."""
@@ -334,8 +286,6 @@ class SANModel:
         """Restore every place to its initial marking."""
         for place in self._places.values():
             place.reset()
-        for extended in self._extended.values():
-            extended.reset()
 
     def __repr__(self) -> str:
         return (

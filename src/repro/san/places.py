@@ -1,9 +1,9 @@
 """Places: the state holders of a Stochastic Activity Network.
 
 A :class:`Place` holds a non-negative integer number of tokens, exactly
-as in Petri nets. An :class:`ExtendedPlace` holds an arbitrary float,
-matching Möbius' *extended places*; the checkpoint model uses one for
-the continuous useful-work ledger quantities.
+as in Petri nets. Continuous quantities live outside the marking: the
+checkpoint model keeps its useful-work ledger in the simulation's
+``ctx`` (:class:`~repro.core.ledger.WorkLedger`).
 
 Every mutation bumps a ``version`` counter. The simulator uses the
 counters to (a) re-sample timed activities that declared sensitivity to
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import ModelDefinitionError, SimulationError
 
-__all__ = ["Place", "ExtendedPlace"]
+__all__ = ["Place"]
 
 
 class Place:
@@ -112,48 +112,3 @@ class Place:
 
     def __repr__(self) -> str:
         return f"Place({self.name!r}, tokens={self.tokens})"
-
-
-class ExtendedPlace:
-    """A continuous-valued place (Möbius extended place).
-
-    Holds a float instead of a token count. Extended places never
-    enable activities through input arcs — they are read and written by
-    gate functions and reward definitions only.
-    """
-
-    __slots__ = ("name", "value", "initial", "version", "sink", "deps")
-
-    def __init__(self, name: str, initial: float = 0.0) -> None:
-        if not name:
-            raise ModelDefinitionError("extended place name must be non-empty")
-        self.name = name
-        self.initial = float(initial)
-        self.value = float(initial)
-        self.version = 0
-        self.sink = None
-        self.deps = ((), ())
-
-    def set(self, value: float) -> None:
-        """Assign a new value."""
-        self.value = float(value)
-        self.version += 1
-        if self.sink is not None:
-            self.sink.append(self)
-
-    def add(self, delta: float) -> None:
-        """Increment the value by ``delta``."""
-        self.value += float(delta)
-        self.version += 1
-        if self.sink is not None:
-            self.sink.append(self)
-
-    def reset(self) -> None:
-        """Restore the initial value (between replications)."""
-        self.value = self.initial
-        self.version += 1
-        if self.sink is not None:
-            self.sink.append(self)
-
-    def __repr__(self) -> str:
-        return f"ExtendedPlace({self.name!r}, value={self.value})"

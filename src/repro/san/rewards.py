@@ -43,8 +43,8 @@ class RewardVariable:
         Optional mapping ``activity name -> (state, case) -> float``
         added whenever that activity fires.
     reads:
-        Optional declaration of the places (discrete or extended) whose
-        markings fully determine the rate. The simulator then caches
+        Optional declaration of the places whose markings fully
+        determine the rate. The simulator then caches
         the rate value and only re-evaluates the function when one of
         the declared places' version counters changed — the same
         declared-footprint contract input gates use. Leave ``None``

@@ -83,7 +83,7 @@ from .errors import (
 from ..obs import metrics as _obs_metrics
 from ..obs.trace import NullSink, TraceSink
 from .model import SANModel
-from .places import ExtendedPlace, Place
+from .places import Place
 from .profiling import KernelStats
 from .rewards import RateFunction, RewardResult, RewardVariable
 from .rng import StreamRegistry
@@ -126,16 +126,13 @@ class SimulationState:
     drains it into its reconciliation sets between firings.
     """
 
-    __slots__ = ("model", "time", "ctx", "_places", "_extended", "dirty_places")
+    __slots__ = ("model", "time", "ctx", "_places", "dirty_places")
 
     def __init__(self, model: SANModel, ctx: Any = None) -> None:
         self.model = model
         self.time = 0.0
         self.ctx = ctx
         self._places: Dict[str, Place] = {p.name: p for p in model.places}
-        self._extended: Dict[str, ExtendedPlace] = {
-            p.name: p for p in model.extended_places
-        }
         self.dirty_places: List[Any] = []
 
     def place(self, name: str) -> Place:
@@ -146,19 +143,9 @@ class SimulationState:
         """Current marking of the named place."""
         return self._places[name].tokens
 
-    def value(self, name: str) -> float:
-        """Current value of the named extended place."""
-        return self._extended[name].value
-
-    def marking_snapshot(self) -> Dict[str, Any]:
+    def marking_snapshot(self) -> Dict[str, int]:
         """The full marking as a plain dict (for diagnostics/dumps)."""
-        snapshot: Dict[str, Any] = {
-            name: place.tokens for name, place in self._places.items()
-        }
-        snapshot.update(
-            {name: place.value for name, place in self._extended.items()}
-        )
-        return snapshot
+        return {name: place.tokens for name, place in self._places.items()}
 
     def __repr__(self) -> str:
         return f"SimulationState(t={self.time:.6g})"
@@ -421,7 +408,7 @@ class Simulator:
         self._always_inst = tuple(always_inst)
         # Denormalise onto the places themselves: the drain then reads
         # `place.deps` instead of two dict lookups per dirty place.
-        for place in list(self.model.places) + list(self.model.extended_places):
+        for place in self.model.places:
             place.deps = (
                 self._dep_timed.get(place.name, ()),
                 self._dep_inst.get(place.name, ()),
@@ -598,8 +585,6 @@ class Simulator:
         sink = self.state.dirty_places if self.kernel == "incremental" else None
         for place in self.model.places:
             place.sink = sink
-        for extended in self.model.extended_places:
-            extended.sink = sink
 
     def _reset_counters(self) -> None:
         self._n_pushes = 0
@@ -691,11 +676,8 @@ class Simulator:
                 dynamic.append((rv.name, rv.rate))
                 continue
             for place_name in rv.reads:
-                # Explicit None checks: Place.__bool__ reflects the
-                # marking, so `or`-chaining would drop empty places.
                 place = state._places.get(place_name)
-                if place is None:
-                    place = state._extended.get(place_name)
+                # Not `if not place`: Place.__bool__ reflects the marking.
                 if place is None:
                     raise SimulationError(
                         f"reward variable {rv.name!r} declares unknown "

@@ -12,7 +12,7 @@ import pytest
 
 from repro.backends import (
     EvaluationPlan,
-    UnsupportedBackendError,
+    UnsupportedParametersError,
     get_backend,
     non_flat_strategy,
 )
@@ -61,7 +61,7 @@ class TestFlatOnlyBackendsVeto:
 
     @pytest.mark.parametrize("backend_id", FLAT_ONLY)
     def test_evaluate_raises_unsupported(self, backend_id):
-        with pytest.raises(UnsupportedBackendError, match="flat"):
+        with pytest.raises(UnsupportedParametersError, match="flat"):
             get_backend(backend_id).evaluate(PARAMS, ZOO_PLAN)
 
 

@@ -126,5 +126,5 @@ def test_invariants_hold_under_stress(label, seed):
     )
     checker = InvariantChecker(simulator.state, system.ledger)
     simulator.sink = checker
-    simulator.run(until=60 * HOUR, rewards=[useful_work_reward(system.ledger)])
+    simulator.run(until=60 * HOUR, rewards=[useful_work_reward(system)])
     assert checker.events > 100, "stress run produced too few events to matter"

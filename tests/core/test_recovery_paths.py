@@ -15,7 +15,7 @@ def run_traced(params, horizon, seed=1):
         system.model, ctx=system.ledger, streams=StreamRegistry(seed), sink=sink
     )
     output = simulator.run(
-        until=horizon, rewards=[useful_work_reward(system.ledger)]
+        until=horizon, rewards=[useful_work_reward(system)]
     )
     return output, system.ledger, sink
 

@@ -22,7 +22,7 @@ QUICK = SimulationPlan(warmup=10 * HOUR, observation=100 * HOUR, replications=2)
 def run_one(params, horizon=50 * HOUR, warmup=0.0, seed=1):
     """One replication returning (output, ledger)."""
     system = build_system(params)
-    rewards = [useful_work_reward(system.ledger)] + breakdown_rewards()
+    rewards = [useful_work_reward(system)] + breakdown_rewards(system)
     simulator = Simulator(system.model, ctx=system.ledger, streams=StreamRegistry(seed))
     output = simulator.run(until=horizon, warmup=warmup, rewards=rewards)
     return output, system.ledger

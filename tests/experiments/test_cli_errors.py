@@ -296,10 +296,12 @@ class TestExitCodeMapping:
 
 #: Options deleted with the backend resilience wrapper, the circuit
 #: breaker, the batched kernel, the second deadline flag (the
-#: deadline is ``--point-timeout``) and the plan's kernel selector
-#: (``--backend san-sim-full`` runs the full kernel): each is now a
-#: usage error (argparse exits 2). ``--kernel`` is not read as an
-#: abbreviation of ``--kernel-stats``.
+#: deadline is ``--point-timeout``), the plan's kernel selector
+#: (``--backend san-sim-full`` runs the full kernel), the chaos
+#: drill's private effort scale (the preset is the one effort setting)
+#: and its slow fault kind: each is now a usage error (argparse exits
+#: 2). ``--kernel`` is not read as an abbreviation of
+#: ``--kernel-stats``.
 REMOVED_OPTIONS = [
     [*command, flag, value]
     for command in (("run-figure", "fig4a"), ("run-all",), ("claims",))
@@ -316,6 +318,9 @@ REMOVED_OPTIONS = [
     ["backends", "--state-dir", "health"],
     ["chaos", "fig4a", "--state-dir", "health"],
     ["chaos", "fig4a", "--queue-dir", "q"],
+    ["chaos", "fig4a", "--scale", "0.05"],
+    ["chaos", "fig4a", "--slow", "0.5"],
+    ["chaos", "fig4a", "--slow-seconds", "1"],
     ["worker", "--queue-dir", "q", "--backend-deadline", "30"],
     ["worker", "--queue-dir", "q", "--backend-retries", "2"],
     ["worker", "--queue-dir", "q", "--degrade-to", "analytical"],
@@ -379,15 +384,18 @@ def test_every_float_option_rejects_non_finite_values():
                 for subparser in action.choices.values():
                     yield from actions(subparser)
 
-    checked = (cli.finite_float, cli.positive_float, cli.non_negative_float)
+    checked = (cli.finite_float, cli.positive_float, cli.non_negative_float,
+               cli.fraction)
     float_options = [
         action for action in actions(cli.build_parser())
         if action.type is float or action.type in checked
     ]
-    # 26 options in cli.py, 30 once those shared by run-figure,
+    # 23 options in cli.py, 27 once those shared by run-figure,
     # run-all and claims are counted on each command (the job
-    # command's two went with it).
-    assert len(float_options) >= 30
+    # command's two went with it, and chaos's --scale, --slow and
+    # --slow-seconds went with the drill's own effort scale and its
+    # slow faults).
+    assert len(float_options) >= 27
     assert all(action.type in checked for action in float_options)
     assert cli.finite_float("1e-3") == 0.001
     for parse in checked:
@@ -488,9 +496,14 @@ def test_run_figure_rejects_an_empty_slice():
         run_figure("fig4a", preset="quick", max_points=0)
 
 
-#: Out-of-range counts and durations of the analytic and study
-#: commands. Each ended in a traceback (exit 1); each flag now has the
-#: bound its constructor checks, so the value is a usage error.
+#: Out-of-range counts, durations and fractions, the bad value last.
+#: Those of the analytic and study commands ended in a traceback (exit
+#: 1); those of chaos, compare and cache exited 2 naming an internal
+#: field (``wall_clock_budget``, ``max_retries``, ``crash_fraction``,
+#: ``max_points``, ``rel_tolerance``, ``max_bytes``), or ran:
+#: ``chaos --hang-seconds -5`` printed RECOVERED after every injected
+#: hang raised instead of sleeping. Each flag now has the bound its
+#: constructor checks, so the value is a usage error naming the flag.
 BAD_COMMAND_VALUES = [
     ["design", "--mttf-years", "-1"],
     ["design", "--mttr-minutes", "-1"],
@@ -507,6 +520,18 @@ BAD_COMMAND_VALUES = [
     ["completion", "--mttf-years", "0"],
     ["completion", "--replications", "0"],
     ["validate", "--scale", "0"],
+    ["chaos", "fig4a", "--deadline", "-1"],
+    ["chaos", "fig4a", "--deadline", "0"],
+    ["chaos", "fig4a", "--hang-seconds", "-5"],
+    ["chaos", "fig4a", "--hang-seconds", "0"],
+    ["chaos", "fig4a", "--retries", "-1"],
+    ["chaos", "fig4a", "--max-points", "0"],
+    ["chaos", "fig4a", "--crash", "2"],
+    ["chaos", "fig4a", "--hang", "-0.1"],
+    ["chaos", "fig4a", "--corrupt", "1.5"],
+    ["chaos", "fig4a", "--tolerance", "-1"],
+    ["compare", "a", "b", "--tolerance", "-1"],
+    ["cache", "prune", "--cache-dir", "c", "--max-bytes", "-1"],
 ]
 
 
@@ -516,15 +541,17 @@ BAD_COMMAND_VALUES = [
 def test_command_options_reject_bad_numbers(argv, monkeypatch, capsys):
     import repro.analytical.design
     import repro.core
+    import repro.experiments.chaos
 
     # Should parsing let the value through, fail fast instead of
-    # running a design search or a completion study.
+    # running a design search, a completion study or a chaos drill.
     monkeypatch.setattr(repro.analytical.design, "explore", _never_reached)
     monkeypatch.setattr(repro.core, "completion_study", _never_reached)
+    monkeypatch.setattr(repro.experiments.chaos, "run_chaos", _never_reached)
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
-    assert f"argument {argv[1]}: must be" in capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
 
 
 def test_claims_from_a_missing_directory_is_a_usage_error(

@@ -134,6 +134,12 @@ class TestBackendFaultPlan:
         with pytest.raises(ValueError, match="hang_fraction"):
             BackendFaultPlan(hang_fraction=-0.1)
 
+    @pytest.mark.parametrize("seconds", [0.0, -5.0])
+    def test_hang_seconds_must_be_positive(self, seconds):
+        # A negative sleep raised inside the hook instead of hanging.
+        with pytest.raises(ValueError, match="hang_seconds"):
+            BackendFaultPlan(hang_seconds=seconds)
+
     def test_plan_is_picklable_and_hooks_survive(self):
         plan = BackendFaultPlan(
             backend_id="san-sim", crash_fraction=1.0, crash_attempts=None,

@@ -77,6 +77,15 @@ def test_cli_import_loads_no_scipy_statistics(tmp_path):
     assert _deferred(modules) == []
 
 
+def test_chaos_drill_loads_no_validation_suite(tmp_path):
+    # The drill judges its archives with compare_figures alone.
+    modules = _modules_after("import repro.experiments.chaos", str(tmp_path))
+    assert [
+        m for m in modules
+        if m == "repro.validate" or m.startswith("repro.validate.")
+    ] == []
+
+
 def test_cache_served_figure_loads_no_scipy_stats(tmp_path):
     run = (
         "from repro.experiments.cli import main\n"

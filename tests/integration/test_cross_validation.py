@@ -160,7 +160,7 @@ class TestSANvsClusterTimeouts:
             system.model, ctx=system.ledger, streams=StreamRegistry(41)
         )
         simulator.run(
-            until=150 * HOUR, rewards=[useful_work_reward(system.ledger)]
+            until=150 * HOUR, rewards=[useful_work_reward(system)]
         )
         ledger = system.ledger
         san_rounds = (

@@ -54,7 +54,7 @@ def _run(kernel: str, params: ModelParameters, hours: float, seed: int,
     system = build_system(params)
     if prepare is not None:
         prepare(system)
-    rewards = [useful_work_reward(system.ledger)] + breakdown_rewards()
+    rewards = [useful_work_reward(system)] + breakdown_rewards(system)
     sink = MemorySink()
     simulator = Simulator(
         system.model, ctx=system.ledger, streams=seed, sink=sink, kernel=kernel

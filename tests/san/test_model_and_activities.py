@@ -159,15 +159,6 @@ class TestSANModel:
         model.add_place("p", initial=1)
         assert model.add_place("p", initial=1).initial == 1
 
-    def test_name_collision_with_extended(self):
-        model = SANModel("m")
-        model.add_place("x")
-        with pytest.raises(ModelDefinitionError):
-            model.add_extended_place("x")
-        model.add_extended_place("y")
-        with pytest.raises(ModelDefinitionError):
-            model.add_place("y")
-
     def test_duplicate_activity_rejected(self):
         model, a, _ = make_model()
         model.add_activity(TimedActivity("t", Exponential(1.0), input_arcs=[Arc(a)]))
@@ -180,8 +171,6 @@ class TestSANModel:
             model.place("missing")
         with pytest.raises(ModelDefinitionError):
             model.activity("missing")
-        with pytest.raises(ModelDefinitionError):
-            model.extended_place("missing")
 
     def test_instantaneous_ordering_by_priority(self):
         model = SANModel("m")
@@ -238,12 +227,11 @@ class TestSANModel:
 
     def test_reset(self):
         model, a, b = make_model()
-        extended = model.add_extended_place("w", initial=0.5)
         a.add(5)
-        extended.set(9.0)
+        b.add(2)
         model.reset()
         assert a.tokens == 1
-        assert extended.value == 0.5
+        assert b.tokens == 0
 
     def test_submodel_registry(self):
         model, a, _ = make_model()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.san import ExtendedPlace, Place
+from repro.san import Place
 from repro.san.errors import ModelDefinitionError, SimulationError
 
 
@@ -68,35 +68,3 @@ class TestPlace:
             Place("")
         with pytest.raises(ModelDefinitionError):
             Place("p", initial=-1)
-
-
-class TestExtendedPlace:
-    def test_initial(self):
-        assert ExtendedPlace("w", initial=1.5).value == 1.5
-
-    def test_set_add(self):
-        place = ExtendedPlace("w")
-        place.set(2.0)
-        place.add(0.5)
-        assert place.value == pytest.approx(2.5)
-
-    def test_reset(self):
-        place = ExtendedPlace("w", initial=1.0)
-        place.add(5.0)
-        place.reset()
-        assert place.value == 1.0
-
-    def test_version_bumps(self):
-        place = ExtendedPlace("w")
-        version = place.version
-        place.set(3.0)
-        assert place.version > version
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ModelDefinitionError):
-            ExtendedPlace("")
-
-    def test_negative_values_allowed(self):
-        place = ExtendedPlace("w")
-        place.set(-4.2)
-        assert place.value == -4.2
